@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import FieldMismatch, FieldSpec, Matrix, kernel_basis, vbasis
+from .exact import (FieldMismatch, FieldSpec, Matrix, kernel_basis, kron,
+                    solve, vbasis)
 from .report import Report
 
 
@@ -27,10 +28,6 @@ def _clean_tensor(field, tensor):
         if c != field.zero:
             out[tuple(key)] = c
     return out
-
-
-def _clean_vec(field, vec):
-    return tuple(vec)
 
 
 class FinBialgebra:
@@ -54,9 +51,9 @@ class FinBialgebra:
         if len(self.basis) != dim:
             raise ValueError("basis size disagrees with dim")
         self.mult = _clean_tensor(field, mult) if mult is not None else None
-        self.unit = _clean_vec(field, unit) if unit is not None else None
+        self.unit = tuple(unit) if unit is not None else None
         self.comult = _clean_tensor(field, comult) if comult is not None else None
-        self.counit = _clean_vec(field, counit) if counit is not None else None
+        self.counit = tuple(counit) if counit is not None else None
         self.antipode = antipode
         if (self.mult is None) != (self.unit is None):
             raise ValueError("mult and unit must be supplied together")
@@ -431,7 +428,6 @@ def find_antipode(A: FinBialgebra) -> Matrix | None:
                         row2[b * n + j] = f.add(row2[b * n + j], f.mul(c, m))
             rows.append(row2)
             rhs.append(f.mul(A.counit[k], A.unit[t]))
-    from .exact import solve
     sol = solve(Matrix(f, rows), tuple(rhs))
     if sol is None:
         return None
@@ -482,7 +478,6 @@ def tensor_bialgebra(A: FinBialgebra, B: FinBialgebra) -> FinBialgebra:
         counit = tuple(f.mul(a, b) for a in A.counit for b in B.counit)
     antipode = None
     if A.has_antipode and B.has_antipode:
-        from .exact import kron
         antipode = kron(A.antipode, B.antipode)
     claim = A.has_bialgebra and B.has_bialgebra
     return FinBialgebra(f, dim, names, mult, unit, comult, counit, antipode,

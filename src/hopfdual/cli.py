@@ -23,6 +23,7 @@ from .lie import (TruncatedEnveloping, TensorAlgebraOracle, coproduct_on_U,
                   dist_at_identity, graded_check, primitives_of_U, verify_lie)
 from .monoids import (BudgetExceeded, InsufficientRoots, NotPositivelyGraded,
                       cartier_check, monoid_algebra, points)
+from .polys import poly_str
 from .report import Report
 from .reps import (CharDividesOrder, NotAGroup, NotASection, RepMorphism,
                    check_invariant_exactness, decompose_rep_of_Z,
@@ -233,7 +234,6 @@ def _cmd_zrep(args):
     rep = Report(f"primary decomposition of {args.file}")
     dec = decompose_rep_of_Z(m)
     rep.add("reassembled matrix is similar to the input", dec.verify(m))
-    from .polys import poly_str
     for q, e, mult in dec.summary:
         rep.add(f"summand F_p[x]/(({poly_str(m.field, q)})^{e})^{mult}",
                 True)

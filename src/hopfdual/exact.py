@@ -5,6 +5,10 @@ Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 field. A :class:`FieldSpec` carries the arithmetic; :class:`Matrix` is an
 immutable dense matrix over one field. Elimination always pivots on the
 first nonzero entry in column order, so every output is reproducible.
+:func:`rref` is the only elimination loop: :func:`solve_many` solves for
+many right-hand sides from one elimination of the augmented matrix, and
+:func:`solve` and :func:`inverse` are its one-vector and identity cases.
+:func:`lincomb` sums scaled matrices in one pass.
 """
 
 from __future__ import annotations
@@ -309,32 +313,60 @@ def kernel_basis(m: Matrix) -> list:
     return basis
 
 
-def solve(m: Matrix, b) -> tuple | None:
-    """One solution of m x = b, or None; free variables are set to zero."""
-    if len(b) != m.rows:
+def solve_many(m: Matrix, rhs) -> list | None:
+    """Solutions of m x = b for every b in rhs from one elimination of
+    [m | b_1 ... b_k], or None if any b is outside the column space; free
+    variables are set to zero."""
+    rhs = [tuple(b) for b in rhs]
+    if any(len(b) != m.rows for b in rhs):
         raise ValueError("rhs length mismatch")
     f = m.field
-    aug = Matrix(f, [tuple(row) + (bi,) for row, bi in zip(m.entries, b)])
+    n = m.cols
+    aug = Matrix(f, [row + tuple(b[i] for b in rhs)
+                     for i, row in enumerate(m.entries)], cols=n + len(rhs))
     ech = rref(aug)
-    if m.cols in ech.pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [f.zero] * m.cols
-    for r, c in enumerate(ech.pivots):
-        x[c] = ech.reduced.entries[r][m.cols]
-    return tuple(x)
+    if ech.pivots and ech.pivots[-1] >= n:
+        return None  # pivot in an augmented column: inconsistent
+    out = []
+    for k in range(n, n + len(rhs)):
+        x = [f.zero] * n
+        for r, c in enumerate(ech.pivots):
+            x[c] = ech.reduced.entries[r][k]
+        out.append(tuple(x))
+    return out
+
+
+def solve(m: Matrix, b) -> tuple | None:
+    """One solution of m x = b, or None; free variables are set to zero."""
+    sols = solve_many(m, [b])
+    return None if sols is None else sols[0]
 
 
 def inverse(m: Matrix) -> Matrix | None:
     if m.rows != m.cols:
         raise ValueError("not square")
     f = m.field
-    n = m.rows
-    aug = Matrix(f, [tuple(row) + vbasis(f, n, i)
-                     for i, row in enumerate(m.entries)])
-    ech = rref(aug)
-    if ech.pivots[:n] != tuple(range(n)):
-        return None  # left block is singular
-    return Matrix(f, [row[n:] for row in ech.reduced.entries])
+    cols = solve_many(m, [vbasis(f, m.rows, i) for i in range(m.rows)])
+    return None if cols is None else Matrix(f, list(zip(*cols)), cols=m.rows)
+
+
+def lincomb(field: FieldSpec, rows: int, cols: int, terms) -> Matrix:
+    """Sum of c * M over the (c, M) pairs of terms, as a rows x cols matrix,
+    in one pass; zero coefficients and zero entries are skipped."""
+    z = field.zero
+    acc = [[z] * cols for _ in range(rows)]
+    for c, m in terms:
+        if m.field != field:
+            raise FieldMismatch(f"{m.field} vs {field}")
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError("shape mismatch")
+        if c == z:
+            continue
+        for out, row in zip(acc, m.entries):
+            for j, x in enumerate(row):
+                if x != z:
+                    out[j] = field.add(out[j], field.mul(c, x))
+    return Matrix(field, acc, cols=cols)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

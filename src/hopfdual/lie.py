@@ -18,8 +18,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .bialgebra import FinBialgebra
-from .exact import FieldSpec, Matrix, Span, kernel_basis, span_of, vbasis
+from .bialgebra import (FinBialgebra, _tensor_square_product, dualize,
+                        same_structure)
+from .exact import (FieldSpec, Matrix, Span, inverse, kernel_basis, span_of,
+                    vbasis)
 from .report import Report
 
 
@@ -495,7 +497,6 @@ def graded_piece(U: TruncatedEnveloping, n: int) -> GradedPiece:
                 col[pos[t]] = c
         cols.append(col)
     from_sym = Matrix.from_columns(f, cols)
-    from .exact import inverse
     to_sym = inverse(from_sym)
     if to_sym is None:
         raise ValueError(f"symmetrization into degree {n} is singular")
@@ -797,7 +798,6 @@ def divided_power_bialgebra(N: int, F: FieldSpec):
     for i in range(N + 1):
         for j in range(N + 1 - i):
             lhs = A.comult_vec(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
-            from .bialgebra import _tensor_square_product
             rhs = _tensor_square_product(A, A.comult_basis(i),
                                          A.comult_basis(j))
             if lhs != rhs:
@@ -865,7 +865,6 @@ def dist_at_identity(preset: str, N: int, F: FieldSpec):
         raise ValueError("need N >= 1")
     if preset not in (GA, GM, U2):
         raise ValueError(f"unsupported preset {preset!r}")
-    from .bialgebra import dualize
     chart = _chart_bialgebra(preset, N, F)
     D = dualize(chart)
     f = F
@@ -878,7 +877,6 @@ def dist_at_identity(preset: str, N: int, F: FieldSpec):
 
     if preset in (GA, U2):
         divided, _ = divided_power_bialgebra(N, F)
-        from .bialgebra import same_structure
         rep.extend(same_structure(D, divided),
                    prefix="matches divided powers: ")
         if preset == U2:

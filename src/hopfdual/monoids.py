@@ -6,10 +6,11 @@ prime fields; graded fragments of submonoids of Z^n.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .bialgebra import FinBialgebra, dualize, same_structure
-from .exact import FieldSpec, Matrix, PRIME_FIELD, Span
+from .exact import FieldSpec, Matrix, PRIME_FIELD, Span, solve
 from .report import Report
 
 
@@ -370,7 +371,6 @@ def points(A: FinBialgebra, budget: int = 10**7) -> list:
         rows = sp.basis()
         mat = Matrix(f, [r[:n] for r in rows])
         rhs = tuple(r[n] for r in rows)
-        from .exact import solve
         return solve(mat, rhs)
 
     def dfs(idx, assignment):
@@ -447,7 +447,7 @@ def double_dual_check(G, F: FieldSpec) -> Report:
             while x != M.unit:
                 x = M.mul(x, i)
                 k += 1
-            exponent = exponent * k // _gcd(exponent, k)
+            exponent = math.lcm(exponent, k)
     if F.kind != PRIME_FIELD:
         raise ValueError("prime field required")
     if (F.p - 1) % exponent != 0:
@@ -484,12 +484,6 @@ def double_dual_check(G, F: FieldSpec) -> Report:
         rep.add("evaluation is a monoid morphism", hom)
         rep.add("evaluation preserves the unit", ev[M.unit] == DD.unit)
     return rep
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- submonoids of Z^n ---------------------------------------------------------

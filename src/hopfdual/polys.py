@@ -5,6 +5,7 @@ factorization over prime fields, and rational root extraction over Q."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .exact import FieldSpec, Matrix
@@ -173,7 +174,7 @@ def rational_roots(poly) -> list:
         return sorted(set(roots))
     lcm = 1
     for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+        lcm = math.lcm(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
     for num in _divisors(a0):
@@ -185,12 +186,6 @@ def rational_roots(poly) -> list:
                 if acc == 0:
                     roots.append(cand)
     return sorted(set(roots))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

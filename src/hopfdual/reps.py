@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from . import polys
 from .bialgebra import BialgebraMorphism, FinBialgebra, check_morphism
 from .exact import (FieldMismatch, FieldSpec, Matrix, extend_to_basis,
-                    kernel_basis, span_of, stack, vbasis)
+                    inverse, kernel_basis, kron, lincomb, rank, solve,
+                    solve_many, span_of, stack, vbasis, vsub)
 from .monoids import Character, FiniteMonoid, monoid_algebra
 from .report import Report
 
@@ -106,12 +107,10 @@ class Representation:
     def tensor(a: "Representation", b: "Representation") -> "Representation":
         if a.monoid != b.monoid or a.field != b.field:
             raise ValueError("tensor needs one monoid and one field")
-        from .exact import kron
         mats = [kron(ma, mb) for ma, mb in zip(a.matrices, b.matrices)]
         return Representation(a.monoid, a.field, mats, validate=False)
 
     def conjugate(self, q: Matrix) -> "Representation":
-        from .exact import inverse
         qinv = inverse(q)
         if qinv is None:
             raise ValueError("base change must be invertible")
@@ -151,9 +150,9 @@ class AlgebraModule:
             for i in range(algebra.dim):
                 for j in range(algebra.dim):
                     lhs = self.matrices[i] * self.matrices[j]
-                    rhs = Matrix.zero(f, self.dim, self.dim)
-                    for k, c in algebra.mul_basis(i, j).items():
-                        rhs = rhs + self.matrices[k].scale(c)
+                    rhs = lincomb(f, self.dim, self.dim,
+                                  ((c, self.matrices[k]) for k, c
+                                   in algebra.mul_basis(i, j).items()))
                     if lhs != rhs:
                         raise ValueError(
                             f"module law fails at ({algebra.name_of(i)},"
@@ -161,12 +160,8 @@ class AlgebraModule:
 
     def act(self, vec) -> Matrix:
         """Action of an algebra element given by its coefficient vector."""
-        f = self.algebra.field
-        acc = Matrix.zero(f, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c != f.zero:
-                acc = acc + self.matrices[i].scale(c)
-        return acc
+        return lincomb(self.algebra.field, self.dim, self.dim,
+                       zip(vec, self.matrices))
 
 
 def rep_to_module(rho: Representation) -> AlgebraModule:
@@ -248,7 +243,6 @@ def integral_system(G: FiniteMonoid, F: FieldSpec):
     homogeneous = stack(blocks)
     # counit row: all ones (the trivial character pairing)
     full = stack([homogeneous, Matrix(F, [[F.one] * n])])
-    from .exact import solve
     rhs = (F.zero,) * homogeneous.rows + (F.one,)
     w = solve(full, rhs)
     unique = len(kernel_basis(full)) == 0
@@ -299,10 +293,7 @@ def reynolds(rho: Representation, w: InvariantIntegral) -> ReynoldsSplit:
     if w.field != rho.field:
         raise FieldMismatch("integral over a different field")
     f = rho.field
-    P = Matrix.zero(f, rho.dim, rho.dim)
-    for g, c in enumerate(w.vector):
-        if c != f.zero:
-            P = P + rho.action(g).scale(c)
+    P = lincomb(f, rho.dim, rho.dim, zip(w.vector, rho.matrices))
     if P * P != P:
         raise RuntimeError("averaged operator failed to be idempotent")
     image = span_of(f, [P.column(j) for j in range(rho.dim)], rho.dim)
@@ -383,7 +374,6 @@ class RepMorphism:
                    for g in range(self.source.monoid.size))
 
     def is_surjective(self) -> bool:
-        from .exact import rank
         return rank(self.matrix) == self.target.dim
 
 
@@ -401,10 +391,9 @@ def equivariant_section(pi: RepMorphism, s: Matrix,
     if not M.monoid.is_group:
         raise NotAGroup("averaging a section needs inverses")
     f = M.field
-    acc = Matrix.zero(f, M.dim, N.dim)
-    for g, c in enumerate(w.vector):
-        if c != f.zero:
-            acc = acc + (M.action(g) * s * N.action_inv(g)).scale(c)
+    acc = lincomb(f, M.dim, N.dim,
+                  ((c, M.action(g) * s * N.action_inv(g))
+                   for g, c in enumerate(w.vector) if c != f.zero))
     if pi.matrix * acc != Matrix.identity(f, N.dim):
         raise RuntimeError("averaged map stopped being a section")
     for g in range(M.monoid.size):
@@ -433,18 +422,30 @@ def sub_rep(rho: Representation, basis) -> Representation:
     """Restriction of the action to an invariant subspace, in the given
     basis coordinates."""
     f = rho.field
-    emb = Matrix.from_columns(f, list(basis))
-    from .exact import solve
-    mats = []
-    for g in range(rho.monoid.size):
-        col_vecs = []
-        for v in basis:
-            coords = solve(emb, rho.action(g).apply(v))
-            if coords is None:
-                raise ValueError("subspace is not invariant")
-            col_vecs.append(coords)
-        mats.append(Matrix.from_columns(f, col_vecs))
+    basis = list(basis)
+    k = len(basis)
+    coords = solve_many(Matrix.from_columns(f, basis),
+                        [m.apply(v) for m in rho.matrices for v in basis])
+    if coords is None:
+        raise ValueError("subspace is not invariant")
+    mats = [Matrix.from_columns(f, coords[g * k:(g + 1) * k])
+            for g in range(rho.monoid.size)]
     return Representation(rho.monoid, f, mats, validate=False)
+
+
+def _adapted_basis(field: FieldSpec, sub, n: int):
+    """Complete the independent family sub to a basis of F^n with unit
+    vectors. Returns (complement, head, tail): the rows of the inverse base
+    change split into coordinates over sub (head) and over the complement
+    (tail)."""
+    sub = list(sub)
+    comp = extend_to_basis(field, sub, n)
+    if len(sub) + len(comp) != n:
+        raise ValueError("subspace basis is dependent")
+    rows = inverse(Matrix.from_columns(field, sub + comp)).entries
+    k = len(sub)
+    return (comp, Matrix(field, rows[:k], cols=n),
+            Matrix(field, rows[k:], cols=n))
 
 
 def quotient_rep(rho: Representation, sub_basis):
@@ -455,20 +456,11 @@ def quotient_rep(rho: Representation, sub_basis):
     """
     f = rho.field
     sub = list(sub_basis)
-    comp = extend_to_basis(f, sub, rho.dim)
-    full = sub + comp
-    B = Matrix.from_columns(f, full)
-    from .exact import inverse
-    Binv = inverse(B)
-    if Binv is None:
-        raise ValueError("subspace basis is dependent")
-    k = len(sub)
-    proj = Matrix(f, Binv.entries[k:], cols=rho.dim)
+    comp, _, proj = _adapted_basis(f, sub, rho.dim)
     sect = Matrix.from_columns(f, comp)
-    mats = []
-    for g in range(rho.monoid.size):
-        mats.append(proj * rho.action(g) * sect)
-    quot = Representation(rho.monoid, f, mats, validate=False)
+    quot = Representation(rho.monoid, f,
+                          [proj * m * sect for m in rho.matrices],
+                          validate=False)
     # well-definedness needs invariance of the subspace
     sp = span_of(f, sub, rho.dim)
     for g in range(rho.monoid.size):
@@ -524,11 +516,9 @@ class Summand:
 def _average_conjugates(rho: Representation, w: InvariantIntegral,
                         E: Matrix) -> Matrix:
     f = rho.field
-    acc = Matrix.zero(f, rho.dim, rho.dim)
-    for g, c in enumerate(w.vector):
-        if c != f.zero:
-            acc = acc + (rho.action(g) * E * rho.action_inv(g)).scale(c)
-    return acc
+    return lincomb(f, rho.dim, rho.dim,
+                   ((c, rho.action(g) * E * rho.action_inv(g))
+                    for g, c in enumerate(w.vector) if c != f.zero))
 
 
 def _field_eigenvalues(field, m: Matrix) -> list:
@@ -585,14 +575,8 @@ def complete_reducibility(rho: Representation, w: InvariantIntegral,
         if found is None:
             return [Summand(embedding, piece, cert)]
         # equivariant projector onto the found subspace
-        comp = extend_to_basis(f, found, piece.dim)
-        B = Matrix.from_columns(f, list(found) + comp)
-        from .exact import inverse
-        Binv = inverse(B)
-        k = len(found)
-        D = Matrix(f, [[f.one if i == j and i < k else f.zero
-                        for j in range(piece.dim)] for i in range(piece.dim)])
-        Q = _average_conjugates(piece, w, B * D * Binv)
+        _, head, _ = _adapted_basis(f, found, piece.dim)
+        Q = _average_conjugates(piece, w, Matrix.from_columns(f, found) * head)
         if Q * Q != Q:
             raise RuntimeError("averaged projector failed to be idempotent")
         img = span_of(f, [Q.column(j) for j in range(piece.dim)],
@@ -624,7 +608,6 @@ def assemble_summands(rho: Representation, summands) -> Matrix:
     f = rho.field
     cols = [v for s in summands for v in s.embedding]
     B = Matrix.from_columns(f, cols)
-    from .exact import inverse
     Binv = inverse(B)
     if Binv is None:
         raise ValueError("summands do not span: sum is not direct")
@@ -661,7 +644,6 @@ class ZRepDecomposition:
     summary: list              # (q, exponent, multiplicity), aggregated
 
     def verify(self, m: Matrix) -> bool:
-        from .exact import inverse
         return inverse(self.basis) is not None and \
             m * self.basis == self.basis * self.companion
 
@@ -704,40 +686,27 @@ def _cyclic_generators(field, M: Matrix, q) -> list:
     cyc = [v]
     for _ in range(block - 1):
         cyc.append(M.apply(cyc[-1]))
-    quot_proj, quot_sect = _quotient_maps(field, cyc, n)
-    if quot_proj is None:
+    if block == n:  # the cyclic vectors are independent, so they span
         return [(v, e)]
-    Mbar = quot_proj * M * quot_sect
-    rest = _cyclic_generators(field, Mbar, q)
-    out = [(v, e)]
+    comp, _, quot_proj = _adapted_basis(field, cyc, n)
+    quot_sect = Matrix.from_columns(field, comp)
+    rest = _cyclic_generators(field, quot_proj * M * quot_sect, q)
+    # lift each generator w of the quotient and subtract the u in the cyclic
+    # span with q(M)^s u = q(M)^s w; one solve per distinct exponent s
     Cmat = Matrix.from_columns(field, cyc)
-    from .exact import solve
-    for wbar, s in rest:
-        w = quot_sect.apply(wbar)
+    lifts = [quot_sect.apply(wbar) for wbar, _ in rest]
+    fixed = {}
+    for s in sorted({s for _, s in rest}):
         P = Matrix.identity(field, n)
         for _ in range(s):
             P = P * Qm
-        r = P.apply(w)
-        coords = solve(P * Cmat, r)
+        idx = [i for i, (_, t) in enumerate(rest) if t == s]
+        coords = solve_many(P * Cmat, [P.apply(lifts[i]) for i in idx])
         if coords is None:
             raise RuntimeError("cyclic correction system is inconsistent")
-        u = Cmat.apply(coords)
-        w2 = tuple(field.sub(a, b) for a, b in zip(w, u))
-        out.append((w2, s))
-    return out
-
-
-def _quotient_maps(field, sub, n):
-    comp = extend_to_basis(field, sub, n)
-    if not comp:
-        return None, None
-    B = Matrix.from_columns(field, list(sub) + comp)
-    from .exact import inverse
-    Binv = inverse(B)
-    k = len(sub)
-    proj = Matrix(field, Binv.entries[k:], cols=n)
-    sect = Matrix.from_columns(field, comp)
-    return proj, sect
+        for i, x in zip(idx, coords):
+            fixed[i] = vsub(field, lifts[i], Cmat.apply(x))
+    return [(v, e)] + [(fixed[i], s) for i, (_, s) in enumerate(rest)]
 
 
 def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
@@ -751,7 +720,6 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
     n = m.rows
     if m.cols != n:
         raise ValueError("square matrix required")
-    from .exact import rank
     if rank(m) != n:
         raise ValueError("singular matrix: not a representation of Z")
     cp = polys.char_poly(m)
@@ -767,15 +735,10 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
             raise RuntimeError("primary component has unexpected dimension")
         # restrict m to the primary component
         proj_cols = Matrix.from_columns(f, comp_basis)
-        from .exact import solve
-        restricted_cols = []
-        for v in comp_basis:
-            img = m.apply(v)
-            coords = solve(proj_cols, img)
-            if coords is None:
-                raise RuntimeError("primary component is not invariant")
-            restricted_cols.append(coords)
-        Mq = Matrix.from_columns(f, restricted_cols)
+        restricted = solve_many(proj_cols, [m.apply(v) for v in comp_basis])
+        if restricted is None:
+            raise RuntimeError("primary component is not invariant")
+        Mq = Matrix.from_columns(f, restricted)
         for gen, e in _cyclic_generators(f, Mq, q):
             ambient = proj_cols.apply(gen)
             blocks.append(CyclicBlock(q, e, ambient))

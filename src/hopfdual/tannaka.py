@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bialgebra import BialgebraMorphism, FinBialgebra, check_morphism
-from .exact import FieldSpec, Matrix, Span, kron, solve
+from .exact import (FieldSpec, Matrix, Span, inverse, kernel_basis, kron,
+                    lincomb, rref, solve, solve_many)
 from .monoids import FiniteMonoid, monoid_algebra
 from .report import Report
 from .reps import AlgebraModule, Representation, rep_to_module
@@ -40,7 +41,6 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
                 X.algebra.field != A.field:
             raise ValueError("module is not over the given algebra")
     f = A.field
-    d2 = X.dim * X.dim
     flat = [_flatten(m) for m in X.matrices]
     if X.dim == 0:
         zero_alg = FinBialgebra(f, 0, (), {}, (), has_bialgebra=False)
@@ -48,44 +48,37 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
         return ReconstructionResult(zero_alg, qmap,
                                     AlgebraModule(zero_alg, [], validate=False),
                                     degenerate=True)
-    # basis of the image: pivot columns of the basis-wise action images
+    # basis of the image: pivot columns of the basis-wise action images; in
+    # reduced form the entries of column i are its coordinates over them
     image_cols = Matrix.from_columns(f, flat)
-    from .exact import rref
     ech = rref(image_cols)
     pivots = ech.pivots
     dim_q = len(pivots)
     basis_mats = [X.matrices[p] for p in pivots]
     basis_flat = Matrix.from_columns(f, [flat[p] for p in pivots])
-    # coordinates of each generator image over the chosen basis
-    qcols = []
-    for i in range(A.dim):
-        coords = solve(basis_flat, flat[i])
-        if coords is None:
-            raise RuntimeError("action image fell outside its own span")
-        qcols.append(coords)
-    qmap = Matrix.from_columns(f, qcols)
-    # induced product on the image basis
+    qmap = Matrix(f, ech.reduced.entries[:dim_q], cols=A.dim)
+    # induced product and unit on the image basis, from one elimination
+    ident = _flatten(Matrix.identity(f, X.dim))
+    coords = solve_many(basis_flat,
+                        [_flatten(a * b) for a in basis_mats for b in basis_mats]
+                        + [ident])
+    if coords is None:
+        if solve(basis_flat, ident) is None:
+            raise RuntimeError("identity action is outside the image span")
+        raise RuntimeError("image span is not closed under products")
+    *products, unit = coords
     mult = {}
-    for i in range(dim_q):
-        for j in range(dim_q):
-            prod = basis_mats[i] * basis_mats[j]
-            coords = solve(basis_flat, _flatten(prod))
-            if coords is None:
-                raise RuntimeError("image span is not closed under products")
-            for k, c in enumerate(coords):
-                if c != f.zero:
-                    mult[(i, j, k)] = c
-    unit = solve(basis_flat, _flatten(Matrix.identity(f, X.dim)))
-    if unit is None:
-        raise RuntimeError("identity action is outside the image span")
+    for ij, prod in enumerate(products):
+        for k, c in enumerate(prod):
+            if c != f.zero:
+                mult[divmod(ij, dim_q) + (k,)] = c
     names = tuple(f"[{A.name_of(p)}]" for p in pivots)
     AX = FinBialgebra(f, dim_q, names, mult, unit, has_bialgebra=False)
     action = AlgebraModule(AX, basis_mats, validate=True)
     # faithfulness: the basis matrices are linearly independent by choice
     # of pivots, so only 0 acts as 0; double-check the kernel dimensions.
     ann_dim = A.dim - dim_q
-    from .exact import kernel_basis
-    ann = kernel_basis(Matrix.from_columns(f, flat))
+    ann = kernel_basis(image_cols)
     if len(ann) != ann_dim:
         raise RuntimeError("annihilator dimension mismatch")
     for v in ann:
@@ -108,7 +101,6 @@ def reconstruct_from_regular(G: FiniteMonoid, F: FieldSpec) -> Report:
         BialgebraMorphism(A, result.algebra, result.quotient_map),
         kind="algebra")
     rep.extend(morph, prefix="canonical map: ")
-    from .exact import inverse
     rep.add("canonical map is bijective",
             result.algebra.dim == A.dim
             and inverse(result.quotient_map) is not None)
@@ -139,9 +131,9 @@ def tensor_coproduct_recovery(G: FiniteMonoid, reps) -> Report:
             ok = True
             for g in range(G.size):
                 lhs = XY.action(g)
-                rhs = Matrix.zero(f, XY.dim, XY.dim)
-                for (i, j), c in A.comult_basis(g).items():
-                    rhs = rhs + kron(X.action(i), Y.action(j)).scale(c)
+                rhs = lincomb(f, XY.dim, XY.dim,
+                              ((c, kron(X.action(i), Y.action(j)))
+                               for (i, j), c in A.comult_basis(g).items()))
                 if lhs != rhs:
                     ok = False
                     report.add(f"pair ({a_idx},{b_idx})", False,

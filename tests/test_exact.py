@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfdual.exact import (FieldMismatch, FieldSpec, Matrix, inverse,
-                            kernel_basis, kron, rref, solve, span_of)
+                            kernel_basis, kron, lincomb, rref, solve,
+                            solve_many, span_of, vbasis)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -185,3 +186,95 @@ def test_kernel_vectors_annihilated(r, c):
         Q, [[rng.randint(-4, 4) for _ in range(c + 1)] for _ in range(r + 1)])
     for v in kernel_basis(m):
         assert all(x == 0 for x in m.apply(v))
+
+
+# -- batched solving and linear combinations ------------------------------------
+
+FIELDS = (Q, F2, F5, FieldSpec.prime(7))
+
+
+@st.composite
+def low_rank_system(draw, max_dim=4):
+    """(field, m) with m = L R through an inner dimension that is often
+    smaller than both sides, so m is often rank deficient."""
+    field = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    inner = draw(st.integers(1, max_dim))
+
+    def block(r, c):
+        return Matrix.from_int_rows(field, draw(st.lists(
+            st.lists(small_int, min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+    return field, block(rows, inner) * block(inner, cols)
+
+
+def _in_column_space(m, b):
+    cols = [m.column(j) for j in range(m.cols)]
+    return rref(Matrix.from_columns(m.field, cols + [b])).rank == rref(m).rank
+
+
+@given(low_rank_system(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_many_matches_per_vector_solve(system, data):
+    field, m = system
+    vec = st.lists(small_int, min_size=m.cols, max_size=m.cols)
+    xs = data.draw(st.lists(vec, max_size=4))
+    rhs = [m.apply(tuple(field.from_int(x) for x in xv)) for xv in xs]
+    sols = solve_many(m, rhs)
+    assert sols == [solve(m, b) for b in rhs]
+    for x, b in zip(sols, rhs):
+        assert m.apply(x) == b
+    # one arbitrary right-hand side, anywhere in the batch
+    extra = tuple(field.from_int(x) for x in data.draw(
+        st.lists(small_int, min_size=m.rows, max_size=m.rows)))
+    at = data.draw(st.integers(0, len(rhs)))
+    batch = rhs[:at] + [extra] + rhs[at:]
+    if _in_column_space(m, extra):
+        assert solve_many(m, batch) == [solve(m, b) for b in batch]
+    else:
+        assert solve(m, extra) is None
+        assert solve_many(m, batch) is None
+
+
+@given(low_rank_system())
+@settings(max_examples=60, deadline=None)
+def test_inverse_is_solve_many_on_identity_columns(system):
+    field, m = system
+    if m.rows != m.cols:
+        return
+    n = m.rows
+    cols = solve_many(m, [vbasis(field, n, i) for i in range(n)])
+    inv = inverse(m)
+    if cols is None:
+        assert inv is None and rref(m).rank < n
+    else:
+        assert inv == Matrix.from_columns(field, cols)
+        assert inv * m == Matrix.identity(field, n)
+
+
+def test_solve_many_no_rhs_and_length_check():
+    m = Matrix.from_int_rows(Q, [[1, 2], [2, 4]])
+    assert solve_many(m, []) == []
+    with pytest.raises(ValueError):
+        solve_many(m, [(Fraction(1),)])
+
+
+@given(st.sampled_from(FIELDS), st.lists(
+    st.tuples(small_int, st.lists(small_int, min_size=4, max_size=4)),
+    max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_lincomb_matches_scaled_sum(field, terms):
+    terms = [(field.from_int(c), Matrix.from_int_rows(
+        field, [entries[:2], entries[2:]])) for c, entries in terms]
+    want = Matrix.zero(field, 2, 2)
+    for c, m in terms:
+        want = want + m.scale(c)
+    assert lincomb(field, 2, 2, terms) == want
+
+
+def test_lincomb_checks_shape_and_field():
+    with pytest.raises(ValueError):
+        lincomb(Q, 2, 2, [(Q.one, Matrix.identity(Q, 3))])
+    with pytest.raises(FieldMismatch):
+        lincomb(Q, 2, 2, [(Q.one, Matrix.identity(F5, 2))])

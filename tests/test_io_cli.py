@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hopfdual
 from hopfdual import io
 from hopfdual.bialgebra import same_structure
 from hopfdual.cli import main
@@ -17,6 +19,17 @@ CORPUS = Path(__file__).resolve().parents[1] / "src" / "hopfdual" / "corpus"
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_module(*argv):
+    """Run ``python -m <argv>`` on the package these tests import, whether or
+    not it is installed."""
+    env = dict(os.environ)
+    src = str(Path(hopfdual.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True,
+                          text=True, check=False, env=env)
 
 
 class TestScalarForms:
@@ -171,6 +184,15 @@ class TestCliContract:
                        str(CORPUS / "quotient_z2_f2.json"))
         assert code == 1
 
+    def test_exactness_dependent_subspace(self, tmp_path, capsys):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"subspace": [[1] * 6, [2] * 6]}),
+                     encoding="utf-8")
+        code = run_cli("exactness", str(CORPUS / "rep_s3_regular.json"),
+                       str(q))
+        assert code == 2
+        assert "dependent" in capsys.readouterr().err
+
     def test_pbw_cli(self):
         assert run_cli("pbw", str(CORPUS / "lie_heisenberg.json"),
                        "--order", "3") == 0
@@ -196,10 +218,7 @@ class TestCliContract:
 
 class TestReportReproducibility:
     def _json_report(self, tmp_path, name, *argv):
-        out = subprocess.run(
-            [sys.executable, "-m", "hopfdual.cli", "--format", "json",
-             *argv],
-            capture_output=True, text=True, check=False)
+        out = run_module("hopfdual.cli", "--format", "json", *argv)
         doc = json.loads(out.stdout)
         doc.pop("timing_ms")
         return doc, out.returncode
@@ -218,9 +237,24 @@ class TestReportReproducibility:
         assert doc["verdict"] == "pass"
 
 
+def _script_target(pyproject: Path, name: str) -> str:
+    """The [project.scripts] entry for name, read as plain text."""
+    section = None
+    for line in pyproject.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key == name:
+                return value.strip('"')
+    raise AssertionError(f"no [project.scripts] entry for {name}")
+
+
 def test_console_entry_point():
-    out = subprocess.run(["hopfdual", "verify",
-                          str(CORPUS / "rg_z3.json")],
-                         capture_output=True, text=True)
+    root = Path(__file__).resolve().parents[1]
+    assert _script_target(root / "pyproject.toml", "hopfdual") == \
+        "hopfdual.cli:main"
+    out = run_module("hopfdual", "verify", str(CORPUS / "rg_z3.json"))
     assert out.returncode == 0
     assert "pass" in out.stdout

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import (random_invariant_subspace, random_invertible, rng_for,
                       s3_catalogue, seeded_module)
-from hopfdual.exact import FieldSpec, Matrix, inverse, span_of
+from hopfdual.exact import FieldSpec, Matrix, inverse, span_of, vbasis
 from hopfdual.monoids import Character, FiniteMonoid, monoid_algebra
 from hopfdual.reps import (AlgebraModule, CharDividesOrder, NotAGroup,
                            NotASection, RepMorphism, Representation,
@@ -201,6 +201,19 @@ class TestEquivariantSection:
         bad = Matrix(Q, [[Q.one], [Q.one], [Q.zero]])  # pi.bad = 2, not 1
         with pytest.raises(NotASection):
             equivariant_section(pi, bad, w)
+
+
+def test_sub_rep_rejects_non_invariant_line():
+    reg = Representation.regular(S3, Q)
+    with pytest.raises(ValueError, match="not invariant"):
+        sub_rep(reg, [vbasis(Q, S3.size, 0)])
+
+
+def test_quotient_rep_rejects_dependent_basis():
+    reg = Representation.regular(S3, Q)
+    ones = (Q.one,) * S3.size
+    with pytest.raises(ValueError, match="dependent"):
+        quotient_rep(reg, [ones, tuple(2 * x for x in ones)])
 
 
 class TestInvariantExactness:
