@@ -3,18 +3,31 @@
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 (always reduced, positive denominator), ints in ``[0, p)`` over a prime
 field. A :class:`FieldSpec` carries the arithmetic; :class:`Matrix` is an
-immutable dense matrix over one field. Elimination always pivots on the
-first nonzero entry in column order, so every output is reproducible.
-:func:`rref` is the only elimination loop: :func:`solve_many` solves for
-many right-hand sides from one elimination of the augmented matrix, and
-:func:`solve` and :func:`inverse` are its one-vector and identity cases.
-:func:`lincomb` sums scaled matrices in one pass.
+immutable dense matrix over one field. Every entry a caller reads or passes
+in has one of those two forms.
+
+Inside, matrix products, matrix-vector products, :func:`lincomb` and
+:func:`rref` run on rows of plain ints and build scalars only at the end.
+Over Q an operand is scaled to integers by one common denominator, and
+elimination keeps each row primitive by dividing out the gcd of its
+entries. Over F_p a dot product or row operation sums int products and
+reduces mod p once per entry. Zero rows and zero pivot-column entries are
+skipped.
+
+Elimination always pivots on the first nonzero entry in column order, so
+every output is reproducible. :func:`rref` is the only elimination loop:
+:func:`solve_many` solves for many right-hand sides from one elimination of
+the augmented matrix, and :func:`solve` and :func:`inverse` are its
+one-vector and identity cases. :func:`lincomb` sums scaled matrices in one
+pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 
 class FieldMismatch(ValueError):
@@ -149,11 +162,39 @@ def vscale(field: FieldSpec, c, u) -> tuple:
     return tuple(field.mul(c, a) for a in u)
 
 
-def vdot(field: FieldSpec, u, v):
-    acc = field.zero
-    for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
+# -- integer rows ------------------------------------------------------------
+
+def _as_ints(field: FieldSpec, rows):
+    """(int rows, d) with rows == int rows / d; one d for all the rows."""
+    if field.p:
+        return rows, 1
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in rows], d
+
+
+def _scalars(field: FieldSpec, ints, d: int) -> list:
+    """The field's scalars ints[j] / d."""
+    if field.p:
+        return [x % field.p for x in ints]
+    if d == 1:
+        return [Fraction(x) for x in ints]
+    return [Fraction(x, d) for x in ints]
+
+
+def _products(field: FieldSpec, left, right) -> list:
+    """[[u . v for v in right] for u in left] as the field's scalars."""
+    a, da = _as_ints(field, left)
+    b, db = _as_ints(field, right)
+    zero_row = [field.zero] * len(b)
+    return [_scalars(field, [sum(map(mul, u, v)) for v in b], da * db)
+            if any(u) else zero_row for u in a]
+
+
+def _primitive(row: list) -> list:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 class Matrix:
@@ -228,9 +269,9 @@ class Matrix:
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
-        f = self.field
-        cols = list(zip(*other.entries)) if other.entries else []
-        return Matrix(f, [[vdot(f, row, col) for col in cols] for row in self.entries])
+        cols = list(zip(*other.entries)) if other.rows else [()] * other.cols
+        return Matrix(self.field, _products(self.field, self.entries, cols),
+                      cols=other.cols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
@@ -245,8 +286,7 @@ class Matrix:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError("length mismatch")
-        f = self.field
-        return tuple(vdot(f, row, vec) for row in self.entries)
+        return tuple(_products(self.field, [vec], self.entries)[0])
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
@@ -264,32 +304,47 @@ class Echelon:
 
 
 def rref(m: Matrix) -> Echelon:
-    """Reduced row-echelon form with first-nonzero pivoting; unique."""
+    """Reduced row-echelon form with first-nonzero pivoting; unique.
+
+    Rows are eliminated as integer rows, row_i <- pivot * row_i - a * row_r,
+    and each new row is normalised: reduced mod p, or divided by its gcd
+    over Q. Pivot rows are divided by their pivot only at the end."""
     f = m.field
-    rows = [list(r) for r in m.entries]
+    p = f.p
+    if p:
+        def normalise(row):
+            return [x % p for x in row]
+
+        def divide(row, pivot):
+            inv = pow(pivot, -1, p)
+            return [x * inv % p for x in row]
+    else:
+        normalise = _primitive
+
+        def divide(row, pivot):
+            return [Fraction(x, pivot) for x in row]
+    rows = [normalise(r) for r in _as_ints(f, m.entries)[0]]
     pivots = []
     r = 0
     for c in range(m.cols):
-        piv = None
-        for i in range(r, m.rows):
-            if rows[i][c] != f.zero:
-                piv = i
-                break
+        piv = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != f.zero:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y))
-                           for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if a and i != r:
+                rows[i] = normalise([pv * x - a * y
+                                     for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == m.rows:
             break
-    return Echelon(len(pivots), tuple(pivots), Matrix(f, rows))
+    reduced = [divide(rows[i], rows[i][c]) for i, c in enumerate(pivots)]
+    reduced += [[f.zero] * m.cols] * (m.rows - r)
+    return Echelon(len(pivots), tuple(pivots), Matrix(f, reduced, cols=m.cols))
 
 
 def rank(m: Matrix) -> int:
@@ -352,21 +407,27 @@ def inverse(m: Matrix) -> Matrix | None:
 
 def lincomb(field: FieldSpec, rows: int, cols: int, terms) -> Matrix:
     """Sum of c * M over the (c, M) pairs of terms, as a rows x cols matrix,
-    in one pass; zero coefficients and zero entries are skipped."""
-    z = field.zero
-    acc = [[z] * cols for _ in range(rows)]
+    in one pass over integer rows with one common denominator; zero
+    coefficients and zero rows are skipped."""
+    scaled = []
     for c, m in terms:
         if m.field != field:
             raise FieldMismatch(f"{m.field} vs {field}")
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError("shape mismatch")
-        if c == z:
-            continue
-        for out, row in zip(acc, m.entries):
-            for j, x in enumerate(row):
-                if x != z:
-                    out[j] = field.add(out[j], field.mul(c, x))
-    return Matrix(field, acc, cols=cols)
+        if c:
+            ints, d = _as_ints(field, m.entries)
+            scaled.append((c, ints, d))
+    # over Q, c * ints / d == c.numerator * k * ints / den for
+    # k = den / (d * c.denominator)
+    den = 1 if field.p else lcm(*[d * c.denominator for c, _, d in scaled])
+    acc = [[0] * cols for _ in range(rows)]
+    for c, ints, d in scaled:
+        k = c if field.p else c.numerator * (den // (d * c.denominator))
+        for i, row in enumerate(ints):
+            if any(row):
+                acc[i] = [s + k * x for s, x in zip(acc[i], row)]
+    return Matrix(field, [_scalars(field, row, den) for row in acc], cols=cols)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -377,7 +438,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     for ra in a.entries:
         for rb in b.entries:
             out.append([f.mul(x, y) for x in ra for y in rb])
-    return Matrix(f, out)
+    return Matrix(f, out, cols=a.cols * b.cols)
 
 
 def stack(matrices) -> Matrix:
@@ -392,7 +453,7 @@ def stack(matrices) -> Matrix:
         if m.cols != cols:
             raise ValueError("stack with unequal widths")
         rows.extend(m.entries)
-    return Matrix(f, rows)
+    return Matrix(f, rows, cols=cols)
 
 
 class Span:

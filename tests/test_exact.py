@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_kernel as ref
 from hopfdual.exact import (FieldMismatch, FieldSpec, Matrix, inverse,
                             kernel_basis, kron, lincomb, rref, solve,
-                            solve_many, span_of, vbasis)
+                            solve_many, span_of, stack, vbasis)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -278,3 +279,93 @@ def test_lincomb_checks_shape_and_field():
         lincomb(Q, 2, 2, [(Q.one, Matrix.identity(Q, 3))])
     with pytest.raises(FieldMismatch):
         lincomb(Q, 2, 2, [(Q.one, Matrix.identity(F5, 2))])
+
+
+# -- integer-row kernel vs the per-scalar reference ----------------------------
+
+KERNEL_FIELDS = (Q, F2, F5, FieldSpec.prime(2_147_483_647))
+dims = st.integers(0, 4)
+
+
+def scalars(field):
+    """Scalars of the field, zero often; over Q small integers and
+    fractions with denominators up to 10**6."""
+    if field.p:
+        return st.one_of(st.just(0), st.integers(0, field.p - 1))
+    return st.one_of(
+        st.just(Fraction(0)), st.integers(-9, 9).map(Fraction),
+        st.builds(Fraction, st.integers(-10**6, 10**6),
+                  st.integers(1, 10**6)))
+
+
+def matrices(field, rows, cols):
+    return st.lists(st.lists(scalars(field), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda e: Matrix(field, e, cols=cols))
+
+
+def assert_scalars(field, values):
+    for x in values:
+        if field.p:
+            assert type(x) is int and 0 <= x < field.p
+        else:
+            assert type(x) is Fraction
+
+
+def assert_shape_and_scalars(m, rows, cols):
+    assert (m.rows, m.cols) == (rows, cols)
+    assert_scalars(m.field, [x for row in m.entries for x in row])
+
+
+@given(st.sampled_from(KERNEL_FIELDS), dims, dims, dims, st.data())
+@settings(max_examples=150, deadline=None)
+def test_products_match_reference(field, r, k, c, data):
+    a = data.draw(matrices(field, r, k))
+    b = data.draw(matrices(field, k, c))
+    got = a * b
+    assert got == ref.matmul(a, b)
+    assert_shape_and_scalars(got, r, c)
+    (v,) = data.draw(matrices(field, 1, k)).entries
+    got = a.apply(v)
+    assert got == ref.apply(a, v) and len(got) == r
+    assert_scalars(field, got)
+
+
+@given(st.sampled_from(KERNEL_FIELDS), dims, dims, dims, st.booleans(),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_reference(field, r, c, inner, low_rank, data):
+    if low_rank:
+        m = ref.matmul(data.draw(matrices(field, r, inner)),
+                       data.draw(matrices(field, inner, c)))
+    else:
+        m = data.draw(matrices(field, r, c))
+    got = rref(m)
+    assert got == ref.rref(m)
+    assert_shape_and_scalars(got.reduced, r, c)
+
+
+@given(st.sampled_from(KERNEL_FIELDS), dims, dims, st.data())
+@settings(max_examples=100, deadline=None)
+def test_lincomb_matches_reference(field, r, c, data):
+    terms = data.draw(st.lists(
+        st.tuples(scalars(field), matrices(field, r, c)), max_size=4))
+    got = lincomb(field, r, c, terms)
+    assert got == ref.lincomb(field, r, c, terms)
+    assert_shape_and_scalars(got, r, c)
+
+
+def test_product_through_an_empty_inner_dimension():
+    for field in (Q, F5):
+        a = Matrix(field, [[], []], cols=0)
+        got = a * Matrix(field, [], cols=3)
+        assert got == Matrix.zero(field, 2, 3)
+        assert_shape_and_scalars(got, 2, 3)
+
+
+def test_no_rows_keep_the_width():
+    empty = Matrix(Q, [], cols=3)
+    ech = rref(empty)
+    assert ech.rank == 0 and (ech.reduced.rows, ech.reduced.cols) == (0, 3)
+    assert stack([empty, empty]).cols == 3
+    assert kron(Matrix(Q, [], cols=2), Matrix.identity(Q, 2)).cols == 4
