@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Layer microbenchmarks for the exact kernel.
+"""Layer microbenchmarks for the exact kernel and the polynomial routines.
 
     python3 scripts/bench.py --label after [--out DIR]
 
 Times matrix products, ``rref``, ``solve_many`` and ``Span.add`` on the
 action of the dihedral group D4 on two copies of its regular module
 (dimension 16), conjugated by a fixed random invertible matrix, over Q and
-over F_101. Each case runs ``REPEAT`` times; the best and the median
+over F_101. Times the two routines ``zrep`` is built on: ``char_poly`` of a
+conjugated 14x14 block-companion matrix over F_31, and ``factor_monic_fp``
+of a degree-4 irreducible times three linear factors over F_101. Each case
+runs ``REPEAT`` times; the best and the median
 seconds are kept, with a SHA-256 of the case's results so that two labels
 can be checked to compute the same thing. Writes ``BENCH_<label>.json``.
 End-to-end timings of the command line live in ``perfbench/``.
@@ -30,6 +33,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from hopfdual.exact import (FieldSpec, Matrix, inverse, rref,  # noqa: E402
                             solve_many, span_of)
 from hopfdual.monoids import FiniteMonoid  # noqa: E402
+from hopfdual.polys import char_poly, factor_monic_fp, mul  # noqa: E402
 from hopfdual.reps import Representation  # noqa: E402
 
 SEED = 16
@@ -74,24 +78,70 @@ def cases(field: FieldSpec) -> dict:
     }
 
 
+def block_companion(field: FieldSpec, polys) -> Matrix:
+    """Block-diagonal matrix of the companion matrices of monic polynomials
+    (low-to-high coefficients)."""
+    n = sum(len(poly) - 1 for poly in polys)
+    rows = []
+    off = 0
+    for poly in polys:
+        d = len(poly) - 1
+        for i in range(d):
+            row = [field.zero] * n
+            if i:
+                row[off + i - 1] = field.one
+            row[off + d - 1] = field.neg(poly[i])
+            rows.append(row)
+        off += d
+    return Matrix(field, rows)
+
+
+def polys_cases() -> dict:
+    """name -> (number of calls, thunk) for ``char_poly`` and
+    ``factor_monic_fp``."""
+    f31 = FieldSpec.prime(31)
+    rng = random.Random(SEED)
+    m = block_companion(f31, [tuple(rng.randrange(31) for _ in range(d))
+                              + (f31.one,) for d in (6, 5, 3)])
+    while True:
+        q = Matrix(f31, [[rng.randrange(31) for _ in range(m.rows)]
+                         for _ in range(m.rows)])
+        q_inv = inverse(q)
+        if q_inv is not None:
+            break
+    m = q * m * q_inv
+    f101 = FieldSpec.prime(101)
+    poly = (2, 0, 0, 0, 1)  # x^4 + 2, irreducible over F_101
+    for root in (1, 2, 3):
+        poly = mul(f101, poly, (f101.from_int(-root), 1))
+    return {
+        "F31.char_poly": (1, lambda: char_poly(m)),
+        "F101.factor_monic_fp": (1, lambda: factor_monic_fp(f101, poly)),
+    }
+
+
 def run() -> dict:
-    out = {}
+    every = {}
     for label, field in (("Q", FieldSpec.rationals()),
                          ("F101", FieldSpec.prime(101))):
-        for name, (calls, thunk) in cases(field).items():
-            times = []
-            for _ in range(REPEAT):
-                start = time.perf_counter()
-                result = thunk()
-                times.append(time.perf_counter() - start)
-            out[f"{label}.{name}"] = {
-                "calls": calls,
-                "best_s": round(min(times), 6),
-                "median_s": round(statistics.median(times), 6),
-                "repeat": REPEAT,
-                "result_sha256": hashlib.sha256(
-                    repr(result).encode()).hexdigest(),
-            }
+        for name, case in cases(field).items():
+            every[f"{label}.{name}"] = case
+    every.update(polys_cases())
+    out = {}
+    for name, (calls, thunk) in every.items():
+        times = []
+        for _ in range(REPEAT):
+            start = time.perf_counter()
+            result = thunk()
+            times.append(time.perf_counter() - start)
+        out[name] = {
+            "calls": calls,
+            "best_s": round(min(times), 6),
+            "median_s": round(statistics.median(times), 6),
+            "repeat": REPEAT,
+            "result_sha256": hashlib.sha256(
+                repr(result).encode()).hexdigest(),
+        }
     return out
 
 
@@ -110,7 +160,7 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
     for name, case in doc["cases"].items():
-        print(f"{name:16s} {case['calls']:4d} calls  best "
+        print(f"{name:22s} {case['calls']:4d} calls  best "
               f"{case['best_s'] * 1000:9.2f} ms  median "
               f"{case['median_s'] * 1000:9.2f} ms")
     print(f"wrote {path}")

@@ -50,6 +50,8 @@ def is_prime(n: int) -> bool:
 
 RATIONALS = "Rationals"
 PRIME_FIELD = "PrimeField"
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return 0 if self.p else Fraction(0)
+        return 0 if self.p else _Q_ZERO
 
     @property
     def one(self):
-        return 1 if self.p else Fraction(1)
+        return 1 if self.p else _Q_ONE
 
     def characteristic(self) -> int:
         return self.p or 0

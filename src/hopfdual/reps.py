@@ -525,7 +525,8 @@ def _field_eigenvalues(field, m: Matrix) -> list:
     cp = polys.char_poly(m)
     if field.p is None:
         return polys.rational_roots(cp)
-    return [x for x in range(field.p) if polys.eval_at(field, cp, x) == field.zero]
+    return sorted(field.neg(q[0]) for q in polys.factor_monic_fp(field, cp)
+                  if polys.degree(q) == 1)
 
 
 def _proper_invariant_subspace(rho, w, rng, attempts):
@@ -711,9 +712,10 @@ def _cyclic_generators(field, M: Matrix, q) -> list:
 
 def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
     """Primary decomposition of the F_p[x]-module defined by an invertible
-    matrix: factor the characteristic polynomial by exhaustive trial over
-    monic irreducibles, split into primary components, then into cyclic
-    blocks with explicit companion form and base change."""
+    matrix: factor the characteristic polynomial (Hessenberg reduction, then
+    square-free, distinct-degree and Cantor-Zassenhaus splitting), split into
+    primary components, then into cyclic blocks with explicit companion form
+    and base change."""
     f = m.field
     if f.p is None:
         raise ValueError("decomposition implemented over prime fields")

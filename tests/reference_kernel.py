@@ -1,9 +1,18 @@
 """Slow reference kernel: the per-scalar product, dot, linear-combination
 and elimination loops, one ``FieldSpec`` call per scalar operation. The
 integer-row kernel in ``hopfdual.exact`` must agree with these exactly;
-``test_exact`` compares the two."""
+``test_exact`` compares the two.
 
-from hopfdual.exact import Echelon, FieldMismatch, Matrix
+Below them, the small-n polynomial routines: the characteristic polynomial
+by minor expansion over column subsets (2^n), factoring over F_p by trial
+division over every monic candidate (p^d), and F_p eigenvalues by
+evaluation at every field element (p). ``test_polys`` and ``test_reps``
+compare ``hopfdual.polys`` and ``hopfdual.reps`` with them."""
+
+import itertools
+
+from hopfdual.exact import Echelon, FieldMismatch, FieldSpec, Matrix
+from hopfdual.polys import add, degree, divmod_poly, mul, normalize, scale
 
 
 def vdot(field, u, v):
@@ -70,3 +79,90 @@ def rref(m: Matrix) -> Echelon:
         if r == m.rows:
             break
     return Echelon(len(pivots), tuple(pivots), Matrix(f, rows, cols=m.cols))
+
+
+def char_poly(m: Matrix) -> tuple:
+    """Characteristic polynomial det(xI - m), monic, by minor expansion with
+    memoization over column subsets. Exact over any FieldSpec; intended for
+    small matrices."""
+    f = m.field
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("characteristic polynomial needs a square matrix")
+
+    def entry(i, j):
+        # (xI - m)[i][j]
+        if i == j:
+            return normalize(f, (f.neg(m.entries[i][j]), f.one))
+        return normalize(f, (f.neg(m.entries[i][j]),))
+
+    memo = {}
+
+    def det(r, cols):
+        if r == n:
+            return (f.one,)
+        key = (r, cols)
+        if key in memo:
+            return memo[key]
+        acc = ()
+        sign = False
+        for idx, j in enumerate(cols):
+            e = entry(r, j)
+            if e:
+                sub = det(r + 1, cols[:idx] + cols[idx + 1:])
+                term = mul(f, e, sub)
+                if idx % 2 == 1:
+                    term = scale(f, f.neg(f.one), term)
+                acc = add(f, acc, term)
+        memo[key] = acc
+        return acc
+
+    return det(0, tuple(range(n)))
+
+
+def factor_monic_fp(field: FieldSpec, poly) -> dict:
+    """Factor a monic polynomial over F_p into monic irreducibles by
+    exhaustive trial division in increasing degree.
+
+    Any divisor found at the smallest degree still dividing the remainder
+    is automatically irreducible; once no factor of degree <= deg/2 is
+    left, the remainder itself is irreducible.
+    """
+    if field.p is None:
+        raise ValueError("factorization implemented over prime fields only")
+    if not poly or poly[-1] != field.one:
+        raise ValueError("monic polynomial required")
+    p = field.p
+    factors: dict = {}
+    rem = poly
+    d = 1
+    while degree(rem) > 0:
+        if 2 * d > degree(rem):
+            factors[rem] = factors.get(rem, 0) + 1
+            break
+        for tail in itertools.product(range(p), repeat=d):
+            q = normalize(field, tuple(field.from_int(c) for c in tail)
+                          + (field.one,))
+            quo, r = divmod_poly(field, rem, q)
+            while not r:
+                factors[q] = factors.get(q, 0) + 1
+                rem = quo
+                quo, r = divmod_poly(field, rem, q)
+            if degree(rem) < 2 * d:
+                break
+        d += 1
+    return factors
+
+
+def field_eigenvalues(field, m: Matrix) -> list:
+    """Eigenvalues of m over F_p, by evaluating the characteristic
+    polynomial at every element of F_p."""
+    cp = char_poly(m)
+    return [x for x in range(field.p) if eval_at(field, cp, x) == field.zero]
+
+
+def eval_at(field, poly, x):
+    acc = field.zero
+    for c in reversed(poly):
+        acc = field.add(field.mul(acc, x), c)
+    return acc

@@ -34,6 +34,10 @@ class TestFieldSpec:
         assert F5.format(F5.parse("12")) == "2"
         assert F5.inv(2) == 3
 
+    def test_shared_rational_zero_and_one(self):
+        assert Q.zero is Q.zero and Q.one is Q.one
+        assert type(Q.zero) is type(Q.one) is Fraction
+
     def test_bad_scalar(self):
         with pytest.raises(ValueError):
             Q.parse("1/0")

@@ -5,7 +5,7 @@
 The cases cover every command that computes, over Q and over prime fields,
 on corpus files and on the seeded files in ``tests/data`` (conjugated
 modules with fractional entries, their invariant subspaces, sl2 over F_7
-and a conjugated block-companion matrix over F_31). Paths are relative to
+and conjugated block-companion matrices over F_31 and F_2). Paths are relative to
 the repository root, as the report prints them. After an intended output
 change, rewrite the digests with
 
@@ -66,6 +66,7 @@ CASES = [
     ["tannaka", C + "monoid_s3.json", D + "rep_s3_conj_f7.json", "--p", "7"],
     ["zrep", C + "matrix_f5.json"],
     ["zrep", D + "matrix_f31.json"],
+    ["zrep", D + "matrix_f2.json"],
     ["formal-matrices", "--n", "1", "--order", "3"],
     ["formal-matrices", "--n", "2", "--order", "3"],
 ]

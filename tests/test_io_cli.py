@@ -10,7 +10,7 @@ import hopfdual
 from hopfdual import io
 from hopfdual.bialgebra import same_structure
 from hopfdual.cli import main
-from hopfdual.exact import FieldSpec
+from hopfdual.exact import FieldSpec, Matrix, inverse
 from hopfdual.monoids import FiniteMonoid, monoid_algebra, submonoid_algebra
 
 Q = FieldSpec.rationals()
@@ -21,7 +21,7 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=None):
     """Run ``python -m <argv>`` on the package these tests import, whether or
     not it is installed."""
     env = dict(os.environ)
@@ -29,7 +29,7 @@ def run_module(*argv):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", *argv], capture_output=True,
-                          text=True, check=False, env=env)
+                          text=True, check=False, env=env, timeout=timeout)
 
 
 class TestScalarForms:
@@ -211,6 +211,40 @@ class TestCliContract:
 
     def test_zrep_cli(self):
         assert run_cli("zrep", str(CORPUS / "matrix_f5.json")) == 0
+
+    def test_zrep_large_prime_is_bounded(self, tmp_path):
+        # companion blocks of x^2 + 1 (irreducible: 2^31 - 1 is 3 mod 4),
+        # (x - 2)^2 and x - 3, conjugated; trial division would try p^2
+        # quadratics and an eigenvalue scan p field elements
+        p = 2**31 - 1
+        blocks = [[[0, p - 1], [1, 0]], [[0, p - 4], [1, 4]], [[3]]]
+        n = sum(len(b) for b in blocks)
+        m = [[0] * n for _ in range(n)]
+        off = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                m[off + i][off:off + len(row)] = row
+            off += len(b)
+        big = FieldSpec.prime(p)
+        u = Matrix.from_int_rows(big, [[int(j >= i) for j in range(n)]
+                                       for i in range(n)])
+        conj = u * Matrix.from_int_rows(big, m) * inverse(u)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "field": {"kind": "PrimeField", "p": p},
+            "matrix": [[str(x) for x in row] for row in conj.entries]}),
+            encoding="utf-8")
+        out = run_module("hopfdual", "--format", "json", "zrep", str(path),
+                         timeout=120)
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        assert doc["verdict"] == "pass"
+        assert [c["name"] for c in doc["checks"]] == [
+            "reassembled matrix is similar to the input",
+            "summand F_p[x]/((1 + x^2)^1)^1",
+            f"summand F_p[x]/(({p - 3} + x)^1)^1",
+            f"summand F_p[x]/(({p - 2} + x)^2)^1",
+        ]
 
     def test_formal_matrices_cli(self):
         assert run_cli("formal-matrices", "--n", "2", "--order", "2") == 0

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_kernel as ref
 from conftest import (random_invariant_subspace, random_invertible, rng_for,
                       s3_catalogue, seeded_module)
 from hopfdual.exact import FieldSpec, Matrix, inverse, span_of, vbasis
@@ -15,6 +18,7 @@ from hopfdual.reps import (AlgebraModule, CharDividesOrder, NotAGroup,
                            invariant_integral, invariants, module_to_rep,
                            quotient_rep, rep_to_module, reynolds,
                            split_group_algebra, sub_rep, twist_by_character)
+from hopfdual.reps import _field_eigenvalues
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -318,6 +322,27 @@ class TestCompleteReducibility:
         # every summand is a subrepresentation: restriction must be valid
         for s in summands:
             Representation(S3, Q, s.rep.matrices)  # validates the action
+
+
+class TestFieldEigenvalues:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 31, 101]), st.data())
+    def test_matches_scan_over_the_field(self, p, data):
+        f = FieldSpec.prime(p)
+        n = data.draw(st.integers(0, 6))
+        m = Matrix(f, [[data.draw(st.integers(0, p - 1)) for _ in range(n)]
+                       for _ in range(n)], cols=n)
+        assert _field_eigenvalues(f, m) == ref.field_eigenvalues(f, m)
+
+    def test_large_prime_split(self):
+        # 2^31 - 1 is 1 mod 3, so the regular module of Z3 splits into
+        # three lines; a scan over the field would take 2^31 evaluations
+        big = FieldSpec.prime(2**31 - 1)
+        reg = Representation.regular(Z3, big)
+        summands = complete_reducibility(reg, invariant_integral(Z3, big),
+                                         seed=0)
+        assert sorted(len(s.embedding) for s in summands) == [1, 1, 1]
+        assemble_summands(reg, summands)
 
 
 class TestSubAndQuotient:
