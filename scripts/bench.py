@@ -3,15 +3,17 @@
 
     python3 scripts/bench.py --label after [--out DIR]
 
-Times matrix products, ``rref``, ``solve_many`` and ``Span.add`` on the
-action of the dihedral group D4 on two copies of its regular module
-(dimension 16), conjugated by a fixed random invertible matrix, over Q and
-over F_101. Times the two routines ``zrep`` is built on: ``char_poly`` of a
-conjugated 14x14 block-companion matrix over F_31, and ``factor_monic_fp``
-of a degree-4 irreducible times three linear factors over F_101. Each case
-runs ``REPEAT`` times; the best and the median
-seconds are kept, with a SHA-256 of the case's results so that two labels
-can be checked to compute the same thing. Writes ``BENCH_<label>.json``.
+Times matrix products, ``rref``, ``solve_many``, ``Span.add`` and
+``Span.reduce`` on the action of the dihedral group D4 on two copies of its
+regular module (dimension 16), conjugated by a fixed random invertible
+matrix, over Q and over F_101; ``Span.reduce`` reduces the 64 flattened
+products and 64 seeded random vectors against the span of the products.
+Times the two routines ``zrep`` is built on: ``char_poly`` of a conjugated
+14x14 block-companion matrix over F_31, and ``factor_monic_fp`` of a
+degree-4 irreducible times three linear factors over F_101. Each case runs
+``REPEAT`` times; the best and the median seconds are kept, with a SHA-256
+of the case's results so that two labels can be checked to compute the same
+thing. Writes ``BENCH_<label>.json``.
 End-to-end timings of the command line live in ``perfbench/``.
 """
 
@@ -66,6 +68,11 @@ def cases(field: FieldSpec) -> dict:
     squares = [a * a for a in acts]
     flat = [tuple(x for row in (a * b).entries for x in row)
             for a in acts for b in acts]
+    built = span_of(field, flat, n * n)
+    rng = random.Random(SEED)
+    probes = flat + [tuple(field.div(field.from_int(rng.randint(-9, 9)),
+                                     field.from_int(rng.randint(1, 9)))
+                           for _ in range(n * n)) for _ in flat]
     return {
         "matmul": (len(acts) ** 2,
                    lambda: [a * b for a in acts for b in acts]),
@@ -75,6 +82,8 @@ def cases(field: FieldSpec) -> dict:
             for a, s in zip(acts, squares)]),
         "span_add": (len(flat),
                      lambda: span_of(field, flat, n * n).basis()),
+        "span_reduce": (len(probes),
+                        lambda: [built.reduce(v) for v in probes]),
     }
 
 

@@ -7,23 +7,26 @@ immutable dense matrix over one field. Every entry a caller reads or passes
 in has one of those two forms.
 
 Inside, matrix products, matrix-vector products, :func:`lincomb` and
-:func:`rref` run on rows of plain ints and build scalars only at the end.
-Over Q an operand is scaled to integers by one common denominator, and
-elimination keeps each row primitive by dividing out the gcd of its
-entries. Over F_p a dot product or row operation sums int products and
-reduces mod p once per entry. Zero rows and zero pivot-column entries are
-skipped.
+elimination run on rows of plain ints and build scalars only at the end.
+Over Q an operand is scaled to integers by one common denominator; over F_p
+a dot product or row operation sums int products and reduces mod p once per
+entry. Zero rows and zero pivot-column entries are skipped.
 
-Elimination always pivots on the first nonzero entry in column order, so
-every output is reproducible. :func:`rref` is the only elimination loop:
-:func:`solve_many` solves for many right-hand sides from one elimination of
-the augmented matrix, and :func:`solve` and :func:`inverse` are its
-one-vector and identity cases. :func:`lincomb` sums scaled matrices in one
-pass.
+:class:`Span` keeps a row space in reduced echelon form as int rows, and
+its insert step is the only elimination loop: a new row is reduced against
+the stored rows by v <- pivot * v - v[c] * row (then divided by its gcd
+over Q, or reduced mod p), pivots on its first nonzero entry and clears
+that column from the stored rows. The reduced echelon form is unique, so
+every output is reproducible. :func:`rref` feeds a matrix's rows through
+that step; :func:`kernel_basis` reads its result, :func:`solve_many` solves
+for many right-hand sides from one :func:`rref` of the augmented matrix,
+and :func:`solve` and :func:`inverse` are its one-vector and identity
+cases. :func:`lincomb` sums scaled matrices in one pass.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -306,47 +309,19 @@ class Echelon:
 
 
 def rref(m: Matrix) -> Echelon:
-    """Reduced row-echelon form with first-nonzero pivoting; unique.
+    """Reduced row-echelon form; unique.
 
-    Rows are eliminated as integer rows, row_i <- pivot * row_i - a * row_r,
-    and each new row is normalised: reduced mod p, or divided by its gcd
-    over Q. Pivot rows are divided by their pivot only at the end."""
+    The rows go one by one through the insert step of a fresh
+    :class:`Span`, which keeps them reduced; the span's basis is the
+    nonzero part of the form."""
     f = m.field
-    p = f.p
-    if p:
-        def normalise(row):
-            return [x % p for x in row]
-
-        def divide(row, pivot):
-            inv = pow(pivot, -1, p)
-            return [x * inv % p for x in row]
-    else:
-        normalise = _primitive
-
-        def divide(row, pivot):
-            return [Fraction(x, pivot) for x in row]
-    rows = [normalise(r) for r in _as_ints(f, m.entries)[0]]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        for i, row in enumerate(rows):
-            a = row[c]
-            if a and i != r:
-                rows[i] = normalise([pv * x - a * y
-                                     for x, y in zip(row, prow)])
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
+    sp = Span(f, m.cols)
+    for row in _as_ints(f, m.entries)[0]:
+        if sp.dim == m.cols:
             break
-    reduced = [divide(rows[i], rows[i][c]) for i, c in enumerate(pivots)]
-    reduced += [[f.zero] * m.cols] * (m.rows - r)
-    return Echelon(len(pivots), tuple(pivots), Matrix(f, reduced, cols=m.cols))
+        sp._insert(row)
+    reduced = sp.basis() + [[f.zero] * m.cols] * (m.rows - sp.dim)
+    return Echelon(sp.dim, tuple(sp.pivots), Matrix(f, reduced, cols=m.cols))
 
 
 def rank(m: Matrix) -> int:
@@ -459,68 +434,100 @@ def stack(matrices) -> Matrix:
 
 
 class Span:
-    """Row space maintained in reduced echelon form, for membership tests."""
+    """Row space kept in reduced echelon form, for membership tests.
+
+    The rows are int rows in pivot order, each zero in the pivot column of
+    every other row: over Q primitive with a positive pivot, over F_p with
+    pivot 1. :meth:`basis` divides a row by its pivot when it is read."""
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
-        self.rows = []      # echelon rows
+        self.rows = []      # int echelon rows
         self.pivots = []    # pivot column of each row
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    def _ints(self, vec) -> tuple:
+        """(int row, d) with vec == int row / d."""
+        if len(vec) != self.width:
+            raise ValueError(f"vector of length {len(vec)} for a span of "
+                             f"width {self.width}")
+        (v,), d = _as_ints(self.field, [vec])
+        return v, d
+
+    def _cancel(self, u, row, c: int) -> tuple:
+        """(w, g): w = (row[c] * u - u[c] * row) / g, which is zero in
+        column c, the pivot column of row. Over Q g is the gcd of the
+        entries (0 if they all vanish); over F_p row[c] is 1, w is reduced
+        mod p and g is 1."""
+        p = self.field.p
+        b = u[c]
+        if p:
+            return [(x - b * y) % p for x, y in zip(u, row)], 1
+        a = row[c]
+        h = gcd(a, b)
+        if h > 1:
+            a //= h
+            b //= h
+        w = [a * x - b * y for x, y in zip(u, row)]
+        g = gcd(*w)
+        return ([x // g for x in w] if g > 1 else w), g * h
+
+    def _reduce(self, v) -> tuple:
+        """(w, n, d) with v == (n / d) * w modulo the span and w zero in
+        every pivot column."""
+        n = d = 1
+        for row, c in zip(self.rows, self.pivots):
+            if v[c]:
+                d *= row[c]
+                v, g = self._cancel(v, row, c)
+                n *= g
+        return v, n, d
+
+    def _insert(self, v) -> bool:
+        """Reduce an int row, normalise it, clear its pivot column from the
+        stored rows and insert it in pivot order; True if the span grew."""
+        v = self._reduce(v)[0]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        p = self.field.p
+        if p:
+            if v[c] != 1:
+                inv = pow(v[c], -1, p)
+                v = [x * inv % p for x in v]
+        else:
+            v = _primitive(v)
+            if v[c] < 0:
+                v = [-x for x in v]
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if row[c]:
+                rows[i] = self._cancel(row, v, c)[0]
+        at = bisect(self.pivots, c)
+        rows.insert(at, v)
+        self.pivots.insert(at, c)
+        return True
+
     def reduce(self, vec) -> tuple:
         """Residue of vec modulo the current span."""
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != f.zero:
-                c = v[p]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        v, d = self._ints(vec)
+        w, n, e = self._reduce(v)
+        return tuple(_scalars(self.field, [n * x for x in w], d * e))
 
     def contains(self, vec) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.reduce(vec))
+        return not any(self._reduce(self._ints(vec)[0])[0])
 
     def add(self, vec) -> bool:
         """Insert vec; returns True if it enlarged the span."""
-        f = self.field
-        v = list(self.reduce(vec))
-        piv = next((j for j, x in enumerate(v) if x != f.zero), None)
-        if piv is None:
-            return False
-        inv = f.inv(v[piv])
-        v = [f.mul(inv, x) for x in v]
-        # keep earlier rows reduced against the new one
-        for i, row in enumerate(self.rows):
-            if row[piv] != f.zero:
-                c = row[piv]
-                self.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)]
-        at = next((k for k, p in enumerate(self.pivots) if p > piv),
-                  len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
-        return True
-
-    def coordinates(self, vec) -> tuple | None:
-        """Coefficients of vec over the stored echelon rows, or None."""
-        f = self.field
-        v = list(vec)
-        coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c != f.zero:
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        if any(x != f.zero for x in v):
-            return None
-        return tuple(coeffs)
+        return self._insert(self._ints(vec)[0])
 
     def basis(self) -> list:
-        return [tuple(r) for r in self.rows]
+        return [tuple(_scalars(self.field, row, row[c]))
+                for row, c in zip(self.rows, self.pivots)]
 
 
 def span_of(field: FieldSpec, vectors, width: int) -> Span:

@@ -443,8 +443,7 @@ class TensorAlgebraOracle:
             diff[tuple(w)] = f.add(diff.get(tuple(w), f.zero), c)
         for w, c in combo_b.items():
             diff[tuple(w)] = f.sub(diff.get(tuple(w), f.zero), c)
-        residue = self.ideal.reduce(self.element(diff))
-        return all(x == f.zero for x in residue)
+        return self.ideal.contains(self.element(diff))
 
     def check_product(self, U: TruncatedEnveloping, a: int, b: int) -> bool:
         """Does word(a) word(b) agree with the straightened product in the

@@ -350,12 +350,11 @@ def points(A: FinBialgebra, budget: int = 10**7) -> list:
         while queue:
             row = queue.pop(0)
             vec, val = row[:n], row[n]
-            coords = sp.coordinates(row)
-            if coords is not None:
+            red = sp.reduce(row)
+            if not any(red):
                 continue  # already implied
             # value on a vector already in span must agree
-            red = sp.reduce(row)
-            if all(x == f.zero for x in red[:n]) and red[n] != f.zero:
+            if not any(red[:n]):
                 return None  # 0 vector with nonzero value: contradiction
             sp.add(row)
             listed.append((vec, val))

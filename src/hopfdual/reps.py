@@ -583,21 +583,12 @@ def complete_reducibility(rho: Representation, w: InvariantIntegral,
         img = span_of(f, [Q.column(j) for j in range(piece.dim)],
                       piece.dim).basis()
         ker = kernel_basis(Q)
+        push = Matrix.from_columns(f, embedding)
         out = []
         for part in (img, ker):
             sub = sub_rep(piece, part)
-            emb = [_push(embedding, v, f) for v in part]
-            out.extend(split(sub, emb))
+            out.extend(split(sub, [push.apply(v) for v in part]))
         return out
-
-    def _push(embedding, coords, field):
-        # coords over the embedding basis -> ambient vector
-        acc = [field.zero] * rho.dim
-        for c, base in zip(coords, embedding):
-            if c != field.zero:
-                for t, x in enumerate(base):
-                    acc[t] = field.add(acc[t], field.mul(c, x))
-        return tuple(acc)
 
     ambient = [vbasis(f, rho.dim, i) for i in range(rho.dim)]
     return split(rho, ambient)

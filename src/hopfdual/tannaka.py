@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bialgebra import BialgebraMorphism, FinBialgebra, check_morphism
-from .exact import (FieldSpec, Matrix, Span, inverse, kernel_basis, kron,
-                    lincomb, rref, solve, solve_many)
+from .exact import (FieldSpec, Matrix, inverse, kernel_basis, kron, lincomb,
+                    rank, rref, solve, solve_many)
 from .monoids import FiniteMonoid, monoid_algebra
 from .report import Report
 from .reps import AlgebraModule, Representation, rep_to_module
@@ -148,8 +148,5 @@ def tensor_coproduct_recovery(G: FiniteMonoid, reps) -> Report:
 def image_span_dimension(X: Representation) -> int:
     """Dimension of the span of the action matrices inside End(X); equals
     the dimension of the reconstructed algebra."""
-    f = X.field
-    sp = Span(f, X.dim * X.dim)
-    for m in X.matrices:
-        sp.add(_flatten(m))
-    return sp.dim
+    return rank(Matrix(X.field, [_flatten(m) for m in X.matrices],
+                       cols=X.dim ** 2))

@@ -1,7 +1,7 @@
 """Slow reference kernel: the per-scalar product, dot, linear-combination
-and elimination loops, one ``FieldSpec`` call per scalar operation. The
-integer-row kernel in ``hopfdual.exact`` must agree with these exactly;
-``test_exact`` compares the two.
+and elimination loops and the echelon ``Span``, one ``FieldSpec`` call per
+scalar operation. The integer-row kernel in ``hopfdual.exact`` must agree
+with these exactly; ``test_exact`` compares the two.
 
 Below them, the small-n polynomial routines: the characteristic polynomial
 by minor expansion over column subsets (2^n), factoring over F_p by trial
@@ -79,6 +79,71 @@ def rref(m: Matrix) -> Echelon:
         if r == m.rows:
             break
     return Echelon(len(pivots), tuple(pivots), Matrix(f, rows, cols=m.cols))
+
+
+class Span:
+    """Row space maintained in reduced echelon form, for membership tests."""
+
+    def __init__(self, field: FieldSpec, width: int):
+        self.field = field
+        self.width = width
+        self.rows = []      # echelon rows
+        self.pivots = []    # pivot column of each row
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec) -> tuple:
+        """Residue of vec modulo the current span."""
+        f = self.field
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p] != f.zero:
+                c = v[p]
+                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+        return tuple(v)
+
+    def contains(self, vec) -> bool:
+        z = self.field.zero
+        return all(x == z for x in self.reduce(vec))
+
+    def add(self, vec) -> bool:
+        """Insert vec; returns True if it enlarged the span."""
+        f = self.field
+        v = list(self.reduce(vec))
+        piv = next((j for j, x in enumerate(v) if x != f.zero), None)
+        if piv is None:
+            return False
+        inv = f.inv(v[piv])
+        v = [f.mul(inv, x) for x in v]
+        # keep earlier rows reduced against the new one
+        for i, row in enumerate(self.rows):
+            if row[piv] != f.zero:
+                c = row[piv]
+                self.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)]
+        at = next((k for k, p in enumerate(self.pivots) if p > piv),
+                  len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, piv)
+        return True
+
+    def coordinates(self, vec) -> tuple | None:
+        """Coefficients of vec over the stored echelon rows, or None."""
+        f = self.field
+        v = list(vec)
+        coeffs = []
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            coeffs.append(c)
+            if c != f.zero:
+                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+        if any(x != f.zero for x in v):
+            return None
+        return tuple(coeffs)
+
+    def basis(self) -> list:
+        return [tuple(r) for r in self.rows]
 
 
 def char_poly(m: Matrix) -> tuple:

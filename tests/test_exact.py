@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
-from hopfdual.exact import (FieldMismatch, FieldSpec, Matrix, inverse,
+from hopfdual.exact import (FieldMismatch, FieldSpec, Matrix, Span, inverse,
                             kernel_basis, kron, lincomb, rref, solve,
-                            solve_many, span_of, stack, vbasis)
+                            solve_many, span_of, stack, vadd, vbasis, vscale,
+                            vzero)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -373,3 +374,58 @@ def test_no_rows_keep_the_width():
     assert ech.rank == 0 and (ech.reduced.rows, ech.reduced.cols) == (0, 3)
     assert stack([empty, empty]).cols == 3
     assert kron(Matrix(Q, [], cols=2), Matrix.identity(Q, 2)).cols == 4
+
+
+@st.composite
+def span_programs(draw):
+    """A field, a width and a sequence of (operation, vector) calls. The
+    vectors are fresh, zero, repeated, or sums of multiples of earlier
+    ones, so that both members and non-members come up."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    width = draw(st.integers(0, 5))
+    seen = [vzero(field, width)]
+    calls = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combine")))
+        if kind == "fresh":
+            vec = tuple(draw(st.lists(scalars(field), min_size=width,
+                                      max_size=width)))
+        elif kind == "zero":
+            vec = vzero(field, width)
+        elif kind == "repeat":
+            vec = draw(st.sampled_from(seen))
+        else:
+            u, w = draw(st.sampled_from(seen)), draw(st.sampled_from(seen))
+            vec = vadd(field, vscale(field, draw(scalars(field)), u), w)
+        seen.append(vec)
+        calls.append((draw(st.sampled_from(("add", "contains", "reduce"))),
+                      vec))
+    return field, width, calls
+
+
+@given(span_programs())
+@settings(max_examples=200, deadline=None)
+def test_span_matches_reference(program):
+    field, width, calls = program
+    sp, want = Span(field, width), ref.Span(field, width)
+    for op, vec in calls:
+        got = getattr(sp, op)(vec)
+        assert got == getattr(want, op)(vec)
+        if op == "reduce":
+            assert_scalars(field, got)
+        if op == "contains":
+            assert got == (want.coordinates(vec) is not None)
+        assert sp.dim == want.dim
+        assert sp.basis() == want.basis()
+        assert_scalars(field, [x for row in sp.basis() for x in row])
+
+
+def test_span_rejects_a_vector_of_the_wrong_length():
+    sp = Span(Q, 3)
+    for op in (sp.add, sp.contains, sp.reduce):
+        for vec in ((Q.one, Q.zero), (Q.one,) * 4):
+            with pytest.raises(ValueError, match="length"):
+                op(vec)
+    assert sp.dim == 0
+    sp.add((Q.one, Q.zero, Q.zero))
+    assert not sp.contains((Q.one, Q.zero, Fraction(5)))

@@ -55,6 +55,7 @@ CASES = [
     ["exactness", D + "rep_s3_conj_f7.json", D + "quotient_s3_conj_f7.json"],
     ["exactness", C + "rep_z2_f2_unipotent.json", C + "quotient_z2_f2.json"],
     ["pbw", C + "lie_sl2.json", "--order", "3"],
+    ["pbw", C + "lie_sl2.json", "--order", "4"],
     ["pbw", C + "lie_heisenberg.json", "--order", "3"],
     ["pbw", C + "lie_sl2_bad.json", "--order", "2"],
     ["pbw", D + "lie_sl2_f7.json", "--order", "3"],
