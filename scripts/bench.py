@@ -3,11 +3,15 @@
 
     python3 scripts/bench.py --label after [--out DIR]
 
-Times matrix products, ``rref``, ``solve_many``, ``Span.add`` and
-``Span.reduce`` on the action of the dihedral group D4 on two copies of its
-regular module (dimension 16), conjugated by a fixed random invertible
-matrix, over Q and over F_101; ``Span.reduce`` reduces the 64 flattened
-products and 64 seeded random vectors against the span of the products.
+Times matrix sums, products, Kronecker products and equality tests,
+``rref``, ``inverse`` (``solve_many`` on the identity), ``Span.add``,
+``Span.reduce`` and the validation of a ``Representation`` on the action of
+the dihedral group D4 on two copies of its regular module (dimension 16),
+conjugated by a fixed random invertible matrix, over Q and over F_101.
+``Span.reduce`` reduces the 64 flattened products and 64 seeded random
+vectors against the span of the products; ``kron`` takes each action
+matrix times the top-left 4x4 block of another; ``eq`` compares each of
+the 64 products with the action of the product element.
 Times the two routines ``zrep`` is built on: ``char_poly`` of a conjugated
 14x14 block-companion matrix over F_31, and ``factor_monic_fp`` of a
 degree-4 irreducible times three linear factors over F_101. Each case runs
@@ -32,8 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from hopfdual.exact import (FieldSpec, Matrix, inverse, rref,  # noqa: E402
-                            solve_many, span_of)
+from hopfdual.exact import (FieldSpec, Matrix, inverse, kron,  # noqa: E402
+                            rref, span_of)
 from hopfdual.monoids import FiniteMonoid  # noqa: E402
 from hopfdual.polys import char_poly, factor_monic_fp, mul  # noqa: E402
 from hopfdual.reps import Representation  # noqa: E402
@@ -42,9 +46,11 @@ SEED = 16
 REPEAT = 11
 
 
+D4 = FiniteMonoid.dihedral(4)
+
+
 def d4_action(field: FieldSpec) -> list:
     """Action matrices of D4 on a conjugated sum of two regular modules."""
-    D4 = FiniteMonoid.dihedral(4)
     reg = Representation.regular(D4, field)
     rho = Representation.direct_sum(reg, reg)
     rng = random.Random(SEED)
@@ -65,25 +71,33 @@ def cases(field: FieldSpec) -> dict:
     augmented = [Matrix(field, [r + e for r, e in zip(a.entries,
                                                       ident.entries)])
                  for a in acts]
-    squares = [a * a for a in acts]
+    products = [(a * b, acts[D4.table[i][j]]) for i, a in enumerate(acts)
+                for j, b in enumerate(acts)]
+    blocks = [Matrix(field, [row[:4] for row in a.entries[:4]])
+              for a in acts]
     flat = [tuple(x for row in (a * b).entries for x in row)
             for a in acts for b in acts]
     built = span_of(field, flat, n * n)
     rng = random.Random(SEED)
-    probes = flat + [tuple(field.div(field.from_int(rng.randint(-9, 9)),
-                                     field.from_int(rng.randint(1, 9)))
+    probes = flat + [tuple(field.mul(field.from_int(rng.randint(-9, 9)),
+                                     field.inv(field.from_int(
+                                         rng.randint(1, 9))))
                            for _ in range(n * n)) for _ in flat]
     return {
         "matmul": (len(acts) ** 2,
                    lambda: [a * b for a in acts for b in acts]),
+        "add": (len(acts) ** 2,
+                lambda: [a + b for a in acts for b in acts]),
+        "kron": (len(acts), lambda: [kron(a, b) for a, b in
+                                     zip(acts, blocks[1:] + blocks[:1])]),
+        "eq": (len(products), lambda: [ab == c for ab, c in products]),
         "rref": (len(augmented), lambda: [rref(m) for m in augmented]),
-        "solve_many": (len(acts), lambda: [
-            solve_many(a, [s.column(j) for j in range(n)])
-            for a, s in zip(acts, squares)]),
+        "inverse": (len(acts), lambda: [inverse(a) for a in acts]),
         "span_add": (len(flat),
                      lambda: span_of(field, flat, n * n).basis()),
         "span_reduce": (len(probes),
                         lambda: [built.reduce(v) for v in probes]),
+        "validate": (1, lambda: Representation(D4, field, acts).dim),
     }
 
 

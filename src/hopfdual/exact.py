@@ -2,26 +2,28 @@
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 (always reduced, positive denominator), ints in ``[0, p)`` over a prime
-field. A :class:`FieldSpec` carries the arithmetic; :class:`Matrix` is an
-immutable dense matrix over one field. Every entry a caller reads or passes
-in has one of those two forms.
+field. A :class:`FieldSpec` carries the arithmetic. Vectors are tuples of
+scalars, and every scalar a caller reads or passes in has one of those two
+forms.
 
-Inside, matrix products, matrix-vector products, :func:`lincomb` and
-elimination run on rows of plain ints and build scalars only at the end.
-Over Q an operand is scaled to integers by one common denominator; over F_p
-a dot product or row operation sums int products and reduces mod p once per
-entry. Zero rows and zero pivot-column entries are skipped.
+A :class:`Matrix` is immutable and stores int rows plus one denominator:
+the matrix is ints / den. Over Q the form is normalised (den positive and
+coprime to the entries taken together), so it is unique; over F_p the
+entries are in ``[0, p)`` and den is 1. Sums, products, scaling,
+Kronecker products, transposes, :func:`lincomb`, equality and hashing work
+on that form with plain int arithmetic (over F_p one reduction per entry)
+and never build a scalar; ``Matrix.entries`` is a view of the scalars,
+built when it is first read. Zero rows are skipped in products.
 
 :class:`Span` keeps a row space in reduced echelon form as int rows, and
 its insert step is the only elimination loop: a new row is reduced against
 the stored rows by v <- pivot * v - v[c] * row (then divided by its gcd
 over Q, or reduced mod p), pivots on its first nonzero entry and clears
 that column from the stored rows. The reduced echelon form is unique, so
-every output is reproducible. :func:`rref` feeds a matrix's rows through
-that step; :func:`kernel_basis` reads its result, :func:`solve_many` solves
-for many right-hand sides from one :func:`rref` of the augmented matrix,
-and :func:`solve` and :func:`inverse` are its one-vector and identity
-cases. :func:`lincomb` sums scaled matrices in one pass.
+every output is reproducible. :func:`rref` feeds a matrix's int rows
+through that step; the :class:`Echelon` it returns reads off the kernel,
+:func:`solve_many` solves m X = B from one :func:`rref` of [m | B], and
+:func:`solve` and :func:`inverse` are its one-vector and identity cases.
 """
 
 from __future__ import annotations
@@ -121,9 +123,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- string forms --------------------------------------------------------
 
     def parse(self, s: str):
@@ -147,30 +146,14 @@ class FieldSpec:
 
 # -- vector helpers (tuples of scalars) --------------------------------------
 
-def vzero(field: FieldSpec, n: int) -> tuple:
-    return (field.zero,) * n
-
-
 def vbasis(field: FieldSpec, n: int, i: int) -> tuple:
     return tuple(field.one if j == i else field.zero for j in range(n))
-
-
-def vadd(field: FieldSpec, u, v) -> tuple:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vsub(field: FieldSpec, u, v) -> tuple:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
-def vscale(field: FieldSpec, c, u) -> tuple:
-    return tuple(field.mul(c, a) for a in u)
 
 
 # -- integer rows ------------------------------------------------------------
 
 def _as_ints(field: FieldSpec, rows):
-    """(int rows, d) with rows == int rows / d; one d for all the rows."""
+    """(int rows, d) with rows of scalars == int rows / d; one d for all."""
     if field.p:
         return rows, 1
     d = lcm(*[x.denominator for row in rows for x in row])
@@ -187,52 +170,89 @@ def _scalars(field: FieldSpec, ints, d: int) -> list:
     return [Fraction(x, d) for x in ints]
 
 
-def _products(field: FieldSpec, left, right) -> list:
-    """[[u . v for v in right] for u in left] as the field's scalars."""
-    a, da = _as_ints(field, left)
-    b, db = _as_ints(field, right)
-    zero_row = [field.zero] * len(b)
-    return [_scalars(field, [sum(map(mul, u, v)) for v in b], da * db)
-            if any(u) else zero_row for u in a]
-
-
 def _primitive(row: list) -> list:
     """An integer row divided by the gcd of its entries."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-class Matrix:
-    """Immutable dense matrix; entries share one FieldSpec."""
+def _normal(field: FieldSpec, ints, den: int, cols: int) -> "Matrix":
+    """The matrix ints / den. Over F_p the entries must be in [0, p) and
+    den 1; over Q the rows and den are divided by their common gcd."""
+    if den != 1:
+        g = gcd(den, *[gcd(*row) for row in ints])
+        if g > 1:
+            ints = [[x // g for x in row] for row in ints]
+            den //= g
+    return Matrix._of(field, ints, den, cols)
 
-    __slots__ = ("field", "rows", "cols", "entries")
+
+class Matrix:
+    """Immutable dense matrix over one field, stored as int rows ``ints``
+    and one denominator ``den``: the matrix is ints / den.
+
+    Over Q den is positive and has no common factor with all the entries
+    of ints, so the form is unique; over F_p the entries are in ``[0, p)``
+    and den is 1. Equality and hashing compare the int form. ``entries``
+    is the view as the field's scalars, built when it is first read."""
+
+    __slots__ = ("field", "rows", "cols", "ints", "den", "_entries")
 
     def __init__(self, field: FieldSpec, entries, cols: int | None = None):
-        entries = tuple(tuple(row) for row in entries)
+        entries = [tuple(row) for row in entries]
         if cols is None:
             cols = len(entries[0]) if entries else 0
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged rows")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        ints, den = _as_ints(field, entries)
+        if field.p:
+            ints = [[x % field.p for x in row] for row in ints]
+        self._set(field, ints, den, cols)
+
+    def _set(self, field, ints, den, cols):
+        ints = tuple(map(tuple, ints))
+        put = object.__setattr__
+        put(self, "field", field)
+        put(self, "rows", len(ints))
+        put(self, "cols", cols)
+        put(self, "ints", ints)
+        put(self, "den", den)
+        put(self, "_entries", None)
+
+    @classmethod
+    def _of(cls, field: FieldSpec, ints, den: int, cols: int) -> "Matrix":
+        """The matrix ints / den from int rows already in normal form."""
+        m = object.__new__(cls)
+        m._set(field, ints, den, cols)
+        return m
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def entries(self) -> tuple:
+        """Rows of scalars: Fractions over Q, ints in [0, p) over F_p."""
+        if self.field.p:
+            return self.ints
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(
+                tuple(_scalars(self.field, row, self.den))
+                for row in self.ints))
+        return self._entries
+
     @staticmethod
     def from_int_rows(field: FieldSpec, rows) -> "Matrix":
-        return Matrix(field, [[field.from_int(x) for x in row] for row in rows])
+        return Matrix(field, rows)
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        return Matrix(field, [vbasis(field, n, i) for i in range(n)])
+        return Matrix._of(field, [[int(i == j) for j in range(n)]
+                                  for i in range(n)], 1, n)
 
     @staticmethod
     def zero(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, [vzero(field, cols)] * rows, cols=cols)
+        return Matrix._of(field, [[0] * cols] * rows, 1, cols)
 
     @staticmethod
     def from_columns(field: FieldSpec, columns) -> "Matrix":
@@ -246,59 +266,122 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.entries == other.entries)
+                and self.den == other.den and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.field, self.entries))
+        return hash((self.field, self.den, self.ints))
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.format(x) for x in row)
                          for row in self.entries)
         return f"Matrix({self.field.describe()}, [{body}])"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other."""
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        f = self.field
-        return Matrix(f, [vadd(f, r, s) for r, s in zip(self.entries, other.entries)])
+        p = self.field.p
+        if p:
+            return Matrix._of(self.field, [
+                [(x + sign * y) % p for x, y in zip(r, s)]
+                for r, s in zip(self.ints, other.ints)], 1, self.cols)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return _normal(self.field, [[a * x + b * y for x, y in zip(r, s)]
+                                    for r, s in zip(self.ints, other.ints)],
+                       den, self.cols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        return Matrix(f, [vsub(f, r, s) for r, s in zip(self.entries, other.entries)])
+        return self._plus(other, -1)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
-        cols = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        return Matrix(self.field, _products(self.field, self.entries, cols),
-                      cols=other.cols)
+        cols = list(zip(*other.ints)) if other.rows else [()] * other.cols
+        zero = [0] * other.cols
+        p = self.field.p
+        if p:
+            return Matrix._of(self.field, [
+                [sum(map(mul, u, v)) % p for v in cols] if any(u) else zero
+                for u in self.ints], 1, other.cols)
+        return _normal(self.field, [
+            [sum(map(mul, u, v)) for v in cols] if any(u) else zero
+            for u in self.ints], self.den * other.den, other.cols)
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, [vscale(f, c, row) for row in self.entries])
+        p = self.field.p
+        if p:
+            return Matrix._of(self.field, [[c * x % p for x in row]
+                                           for row in self.ints], 1, self.cols)
+        n = c.numerator
+        return _normal(self.field, [[n * x for x in row] for row in self.ints],
+                       self.den * c.denominator, self.cols)
+
+    def shift(self, c) -> "Matrix":
+        """self + c * identity, for a square matrix."""
+        if self.rows != self.cols:
+            raise ValueError("not square")
+        p = self.field.p
+        if p:
+            rows = [list(row) for row in self.ints]
+            for i, row in enumerate(rows):
+                row[i] = (row[i] + c) % p
+            return Matrix._of(self.field, rows, 1, self.cols)
+        den = lcm(self.den, c.denominator)
+        k = den // self.den
+        rows = [[k * x for x in row] for row in self.ints]
+        a = c.numerator * (den // c.denominator)
+        for i, row in enumerate(rows):
+            row[i] += a
+        return _normal(self.field, rows, den, self.cols)
+
+    def __pow__(self, e: int) -> "Matrix":
+        """self ** e for a square matrix and e >= 0, by repeated squaring."""
+        if self.rows != self.cols:
+            raise ValueError("not square")
+        if e < 0:
+            raise ValueError("negative power")
+        out, base = None, self
+        while e:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return Matrix.identity(self.field, self.rows) if out is None else out
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The entries, read row by row, as a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError("shape mismatch")
+        flat = [x for row in self.ints for x in row]
+        return Matrix._of(self.field, [flat[i * cols:(i + 1) * cols]
+                                       for i in range(rows)], self.den, cols)
 
     def transpose(self) -> "Matrix":
-        if not self.entries:
-            return Matrix(self.field, [[]] * self.cols, cols=0)
-        return Matrix(self.field, list(zip(*self.entries)), cols=self.rows)
+        ints = list(zip(*self.ints)) if self.rows else [()] * self.cols
+        return Matrix._of(self.field, ints, self.den, self.rows)
 
     def apply(self, vec) -> tuple:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ValueError("length mismatch")
-        return tuple(_products(self.field, [vec], self.entries)[0])
+        (v,), d = _as_ints(self.field, [vec])
+        return tuple(_scalars(self.field, [sum(map(mul, row, v))
+                                           for row in self.ints],
+                              d * self.den))
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
+        return tuple(_scalars(self.field, [row[j] for row in self.ints],
+                              self.den))
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.entries for x in row)
+        return not any(map(any, self.ints))
 
 
 @dataclass(frozen=True)
@@ -307,21 +390,44 @@ class Echelon:
     pivots: tuple
     reduced: Matrix
 
+    def kernel(self) -> list:
+        """Basis of the right null space of the matrix this is the form of;
+        one vector per free column."""
+        red = self.reduced
+        free = sorted(set(range(red.cols)) - set(self.pivots))
+        basis = []
+        for j in free:
+            v = [0] * red.cols
+            v[j] = red.den
+            for r, c in enumerate(self.pivots):
+                v[c] = -red.ints[r][j]
+            basis.append(tuple(_scalars(red.field, v, red.den)))
+        return basis
+
 
 def rref(m: Matrix) -> Echelon:
     """Reduced row-echelon form; unique.
 
-    The rows go one by one through the insert step of a fresh
-    :class:`Span`, which keeps them reduced; the span's basis is the
-    nonzero part of the form."""
+    The int rows go one by one through the insert step of a fresh
+    :class:`Span`, which keeps them reduced (scaling a row does not change
+    the row space, so the denominator plays no part); the span's rows,
+    each divided by its pivot, are the nonzero part of the form."""
     f = m.field
     sp = Span(f, m.cols)
-    for row in _as_ints(f, m.entries)[0]:
+    for row in m.ints:
         if sp.dim == m.cols:
             break
         sp._insert(row)
-    reduced = sp.basis() + [[f.zero] * m.cols] * (m.rows - sp.dim)
-    return Echelon(sp.dim, tuple(sp.pivots), Matrix(f, reduced, cols=m.cols))
+    zero = [0] * m.cols
+    if f.p:
+        den = 1
+        rows = sp.rows
+    else:
+        den = lcm(*[row[c] for row, c in zip(sp.rows, sp.pivots)])
+        rows = [[den // row[c] * x for x in row]
+                for row, c in zip(sp.rows, sp.pivots)]
+    reduced = _normal(f, rows + [zero] * (m.rows - sp.dim), den, m.cols)
+    return Echelon(sp.dim, tuple(sp.pivots), reduced)
 
 
 def rank(m: Matrix) -> int:
@@ -330,61 +436,47 @@ def rank(m: Matrix) -> int:
 
 def kernel_basis(m: Matrix) -> list:
     """Basis of the right null space; one vector per free column."""
-    ech = rref(m)
-    f = m.field
-    pivot_set = set(ech.pivots)
-    basis = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = [f.zero] * m.cols
-        v[j] = f.one
-        for r, c in enumerate(ech.pivots):
-            v[c] = f.neg(ech.reduced.entries[r][j])
-        basis.append(tuple(v))
-    return basis
+    return rref(m).kernel()
 
 
-def solve_many(m: Matrix, rhs) -> list | None:
-    """Solutions of m x = b for every b in rhs from one elimination of
-    [m | b_1 ... b_k], or None if any b is outside the column space; free
-    variables are set to zero."""
-    rhs = [tuple(b) for b in rhs]
-    if any(len(b) != m.rows for b in rhs):
+def solve_many(m: Matrix, b: Matrix) -> Matrix | None:
+    """A solution X of m X = b, one column per column of b, from one
+    elimination of [m | b], or None if a column of b is outside the column
+    space of m; free variables are set to zero."""
+    m._check(b)
+    if b.rows != m.rows:
         raise ValueError("rhs length mismatch")
     f = m.field
     n = m.cols
-    aug = Matrix(f, [row + tuple(b[i] for b in rhs)
-                     for i, row in enumerate(m.entries)], cols=n + len(rhs))
-    ech = rref(aug)
+    den = lcm(m.den, b.den)
+    k, kb = den // m.den, den // b.den
+    aug = [[k * x for x in row] + [kb * y for y in rb]
+           for row, rb in zip(m.ints, b.ints)]
+    ech = rref(_normal(f, aug, den, n + b.cols))
     if ech.pivots and ech.pivots[-1] >= n:
         return None  # pivot in an augmented column: inconsistent
-    out = []
-    for k in range(n, n + len(rhs)):
-        x = [f.zero] * n
-        for r, c in enumerate(ech.pivots):
-            x[c] = ech.reduced.entries[r][k]
-        out.append(tuple(x))
-    return out
+    red = ech.reduced
+    x = [[0] * b.cols for _ in range(n)]
+    for r, c in enumerate(ech.pivots):
+        x[c] = red.ints[r][n:]
+    return _normal(f, x, red.den, b.cols)
 
 
 def solve(m: Matrix, b) -> tuple | None:
     """One solution of m x = b, or None; free variables are set to zero."""
-    sols = solve_many(m, [b])
-    return None if sols is None else sols[0]
+    x = solve_many(m, Matrix(m.field, [[c] for c in b], cols=1))
+    return None if x is None else x.column(0)
 
 
 def inverse(m: Matrix) -> Matrix | None:
     if m.rows != m.cols:
         raise ValueError("not square")
-    f = m.field
-    cols = solve_many(m, [vbasis(f, m.rows, i) for i in range(m.rows)])
-    return None if cols is None else Matrix(f, list(zip(*cols)), cols=m.rows)
+    return solve_many(m, Matrix.identity(m.field, m.rows))
 
 
 def lincomb(field: FieldSpec, rows: int, cols: int, terms) -> Matrix:
     """Sum of c * M over the (c, M) pairs of terms, as a rows x cols matrix,
-    in one pass over integer rows with one common denominator; zero
+    in one pass over the int rows with one common denominator; zero
     coefficients and zero rows are skipped."""
     scaled = []
     for c, m in terms:
@@ -393,29 +485,30 @@ def lincomb(field: FieldSpec, rows: int, cols: int, terms) -> Matrix:
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError("shape mismatch")
         if c:
-            ints, d = _as_ints(field, m.entries)
-            scaled.append((c, ints, d))
+            scaled.append((c, m))
+    p = field.p
     # over Q, c * ints / d == c.numerator * k * ints / den for
     # k = den / (d * c.denominator)
-    den = 1 if field.p else lcm(*[d * c.denominator for c, _, d in scaled])
+    den = 1 if p else lcm(*[m.den * c.denominator for c, m in scaled])
     acc = [[0] * cols for _ in range(rows)]
-    for c, ints, d in scaled:
-        k = c if field.p else c.numerator * (den // (d * c.denominator))
-        for i, row in enumerate(ints):
+    for c, m in scaled:
+        k = c if p else c.numerator * (den // (m.den * c.denominator))
+        for i, row in enumerate(m.ints):
             if any(row):
                 acc[i] = [s + k * x for s, x in zip(acc[i], row)]
-    return Matrix(field, [_scalars(field, row, den) for row in acc], cols=cols)
+    if p:
+        acc = [[x % p for x in row] for row in acc]
+    return _normal(field, acc, den, cols)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i, j) of the tensor basis maps to i*dim(b)+j."""
     a._check(b)
-    f = a.field
-    out = []
-    for ra in a.entries:
-        for rb in b.entries:
-            out.append([f.mul(x, y) for x in ra for y in rb])
-    return Matrix(f, out, cols=a.cols * b.cols)
+    p = a.field.p
+    out = [[x * y for x in ra for y in rb] for ra in a.ints for rb in b.ints]
+    if p:
+        out = [[x % p for x in row] for row in out]
+    return _normal(a.field, out, a.den * b.den, a.cols * b.cols)
 
 
 def stack(matrices) -> Matrix:
@@ -423,14 +516,20 @@ def stack(matrices) -> Matrix:
     matrices = list(matrices)
     f = matrices[0].field
     cols = matrices[0].cols
-    rows = []
     for m in matrices:
         if m.field != f:
             raise FieldMismatch("stack over mixed fields")
         if m.cols != cols:
             raise ValueError("stack with unequal widths")
-        rows.extend(m.entries)
-    return Matrix(f, rows, cols=cols)
+    # each block is in normal form, so the rows over the lcm of the
+    # denominators are too
+    den = lcm(*[m.den for m in matrices])
+    rows = []
+    for m in matrices:
+        k = den // m.den
+        rows.extend(m.ints if k == 1 else [[k * x for x in row]
+                                           for row in m.ints])
+    return Matrix._of(f, rows, den, cols)
 
 
 class Span:

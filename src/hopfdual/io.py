@@ -194,10 +194,6 @@ def load_monoid(path) -> FiniteMonoid:
     return monoid_from_json(_load_json(path), str(path))
 
 
-def save_monoid(G: FiniteMonoid, path) -> None:
-    Path(path).write_text(dump_canonical(monoid_to_json(G)), encoding="utf-8")
-
-
 # -- representation files --------------------------------------------------------
 
 def representation_to_json(rho: Representation) -> dict:
@@ -308,10 +304,6 @@ def lie_from_json(obj, path="<lie>") -> LieAlgebra:
 
 def load_lie(path) -> LieAlgebra:
     return lie_from_json(_load_json(path), str(path))
-
-
-def save_lie(L: LieAlgebra, path) -> None:
-    Path(path).write_text(dump_canonical(lie_to_json(L)), encoding="utf-8")
 
 
 # -- matrix files ----------------------------------------------------------------

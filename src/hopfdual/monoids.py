@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bialgebra import FinBialgebra, dualize, same_structure
 from .exact import FieldSpec, Matrix, PRIME_FIELD, Span, solve
@@ -77,6 +78,30 @@ class FiniteMonoid:
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
+
+    @cached_property
+    def generators(self) -> tuple:
+        """A generating set chosen greedily in element order: an element is
+        taken when the submonoid generated by those taken before misses it.
+        Every element is a product of generators (the unit is the empty
+        product)."""
+        table = self.table
+        reached = {self.unit}
+        gens = []
+        for g in range(self.size):
+            if g in reached:
+                continue
+            gens.append(g)
+            # close under left multiplication by every generator so far
+            todo = list(reached)
+            while todo:
+                x = todo.pop()
+                for s in gens:
+                    y = table[s][x]
+                    if y not in reached:
+                        reached.add(y)
+                        todo.append(y)
+        return tuple(gens)
 
     def inv(self, i: int) -> int:
         v = self._inverse[i]

@@ -71,10 +71,10 @@ def divmod_poly(field: FieldSpec, a, b):
 
 
 def eval_at_matrix(field: FieldSpec, poly, m: Matrix) -> Matrix:
-    n = m.rows
-    acc = Matrix.zero(field, n, n)
+    """poly(m) by Horner's rule, each step adding c on the diagonal."""
+    acc = Matrix.zero(field, m.rows, m.rows)
     for c in reversed(poly):
-        acc = acc * m + Matrix.identity(field, n).scale(c)
+        acc = (acc * m).shift(c)
     return acc
 
 

@@ -13,7 +13,7 @@ from . import polys
 from .bialgebra import BialgebraMorphism, FinBialgebra, check_morphism
 from .exact import (FieldMismatch, FieldSpec, Matrix, extend_to_basis,
                     inverse, kernel_basis, kron, lincomb, rank, solve,
-                    solve_many, span_of, stack, vbasis, vsub)
+                    solve_many, span_of, stack, vbasis)
 from .monoids import Character, FiniteMonoid, monoid_algebra
 from .report import Report
 
@@ -31,7 +31,16 @@ class NotASection(ValueError):
 
 
 class Representation:
-    """A finite monoid acting on F^dim through one matrix per element."""
+    """A finite monoid acting on F^dim through one matrix per element.
+
+    Validation checks that the unit acts as the identity and that
+    action(s) * action(h) == action(sh) for every s in the monoid's greedy
+    generating set and every element h. That is as strong as checking the
+    whole table: by induction on the length of a word g = s g' in the
+    generators, action(g) action(h) = action(s) action(g') action(h) =
+    action(s) action(g'h) = action(s(g'h)) = action(gh), using the
+    associativity that FiniteMonoid verifies. It takes |S| |G| products
+    instead of |G|^2, and a failure names the concrete pair (s, h)."""
 
     def __init__(self, monoid: FiniteMonoid, field: FieldSpec, matrices,
                  validate: bool = True):
@@ -51,7 +60,7 @@ class Representation:
             ident = Matrix.identity(field, self.dim)
             if self.matrices[monoid.unit] != ident:
                 raise ValueError("unit must act as the identity")
-            for i in range(monoid.size):
+            for i in monoid.generators:
                 for j in range(monoid.size):
                     if self.matrices[i] * self.matrices[j] != \
                             self.matrices[monoid.table[i][j]]:
@@ -85,11 +94,6 @@ class Representation:
             cols = [vbasis(field, n, monoid.table[g][h]) for h in range(n)]
             mats.append(Matrix.from_columns(field, cols))
         return Representation(monoid, field, mats, validate=False)
-
-    @staticmethod
-    def from_character(chi: Character, field: FieldSpec) -> "Representation":
-        mats = [Matrix(field, [[chi(i)]]) for i in range(chi.domain.size)]
-        return Representation(chi.domain, field, mats, validate=False)
 
     @staticmethod
     def direct_sum(a: "Representation", b: "Representation") -> "Representation":
@@ -424,10 +428,11 @@ def sub_rep(rho: Representation, basis) -> Representation:
     f = rho.field
     basis = list(basis)
     k = len(basis)
-    coords = solve_many(Matrix.from_columns(f, basis),
-                        [m.apply(v) for m in rho.matrices for v in basis])
+    coords = solve_many(Matrix.from_columns(f, basis), Matrix.from_columns(
+        f, [m.apply(v) for m in rho.matrices for v in basis]))
     if coords is None:
         raise ValueError("subspace is not invariant")
+    coords = coords.transpose().entries
     mats = [Matrix.from_columns(f, coords[g * k:(g + 1) * k])
             for g in range(rho.monoid.size)]
     return Representation(rho.monoid, f, mats, validate=False)
@@ -689,15 +694,13 @@ def _cyclic_generators(field, M: Matrix, q) -> list:
     lifts = [quot_sect.apply(wbar) for wbar, _ in rest]
     fixed = {}
     for s in sorted({s for _, s in rest}):
-        P = Matrix.identity(field, n)
-        for _ in range(s):
-            P = P * Qm
+        P = Qm ** s
         idx = [i for i, (_, t) in enumerate(rest) if t == s]
-        coords = solve_many(P * Cmat, [P.apply(lifts[i]) for i in idx])
+        L = Matrix.from_columns(field, [lifts[i] for i in idx])
+        coords = solve_many(P * Cmat, P * L)
         if coords is None:
             raise RuntimeError("cyclic correction system is inconsistent")
-        for i, x in zip(idx, coords):
-            fixed[i] = vsub(field, lifts[i], Cmat.apply(x))
+        fixed.update(zip(idx, (L - Cmat * coords).transpose().entries))
     return [(v, e)] + [(fixed[i], s) for i, (_, s) in enumerate(rest)]
 
 
@@ -720,18 +723,14 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
     blocks = []
     for q in sorted(factors):
         a = factors[q]
-        qa = (f.one,)
-        for _ in range(a):
-            qa = polys.mul(f, qa, q)
-        comp_basis = kernel_basis(polys.eval_at_matrix(f, qa, m))
+        comp_basis = kernel_basis(polys.eval_at_matrix(f, q, m) ** a)
         if len(comp_basis) != polys.degree(q) * a:
             raise RuntimeError("primary component has unexpected dimension")
         # restrict m to the primary component
         proj_cols = Matrix.from_columns(f, comp_basis)
-        restricted = solve_many(proj_cols, [m.apply(v) for v in comp_basis])
-        if restricted is None:
+        Mq = solve_many(proj_cols, m * proj_cols)
+        if Mq is None:
             raise RuntimeError("primary component is not invariant")
-        Mq = Matrix.from_columns(f, restricted)
         for gen, e in _cyclic_generators(f, Mq, q):
             ambient = proj_cols.apply(gen)
             blocks.append(CyclicBlock(q, e, ambient))

@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bialgebra import BialgebraMorphism, FinBialgebra, check_morphism
-from .exact import (FieldSpec, Matrix, inverse, kernel_basis, kron, lincomb,
-                    rank, rref, solve, solve_many)
+from .exact import (FieldSpec, Matrix, inverse, kron, lincomb, rank, rref,
+                    solve_many, stack)
 from .monoids import FiniteMonoid, monoid_algebra
 from .report import Report
 from .reps import AlgebraModule, Representation, rep_to_module
@@ -29,8 +29,10 @@ class ReconstructionResult:
     degenerate: bool
 
 
-def _flatten(m: Matrix) -> tuple:
-    return tuple(x for row in m.entries for x in row)
+def _flat_columns(mats) -> Matrix:
+    """The matrix whose j-th column lists the entries of mats[j] row by
+    row."""
+    return stack([m.reshape(1, m.rows * m.cols) for m in mats]).transpose()
 
 
 def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionResult:
@@ -41,7 +43,6 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
                 X.algebra.field != A.field:
             raise ValueError("module is not over the given algebra")
     f = A.field
-    flat = [_flatten(m) for m in X.matrices]
     if X.dim == 0:
         zero_alg = FinBialgebra(f, 0, (), {}, (), has_bialgebra=False)
         qmap = Matrix.zero(f, 0, A.dim)
@@ -50,23 +51,21 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
                                     degenerate=True)
     # basis of the image: pivot columns of the basis-wise action images; in
     # reduced form the entries of column i are its coordinates over them
-    image_cols = Matrix.from_columns(f, flat)
-    ech = rref(image_cols)
+    ech = rref(_flat_columns(X.matrices))
     pivots = ech.pivots
     dim_q = len(pivots)
     basis_mats = [X.matrices[p] for p in pivots]
-    basis_flat = Matrix.from_columns(f, [flat[p] for p in pivots])
+    basis_flat = _flat_columns(basis_mats)
     qmap = Matrix(f, ech.reduced.entries[:dim_q], cols=A.dim)
     # induced product and unit on the image basis, from one elimination
-    ident = _flatten(Matrix.identity(f, X.dim))
-    coords = solve_many(basis_flat,
-                        [_flatten(a * b) for a in basis_mats for b in basis_mats]
-                        + [ident])
+    ident = Matrix.identity(f, X.dim)
+    coords = solve_many(basis_flat, _flat_columns(
+        [a * b for a in basis_mats for b in basis_mats] + [ident]))
     if coords is None:
-        if solve(basis_flat, ident) is None:
+        if solve_many(basis_flat, _flat_columns([ident])) is None:
             raise RuntimeError("identity action is outside the image span")
         raise RuntimeError("image span is not closed under products")
-    *products, unit = coords
+    *products, unit = coords.transpose().entries
     mult = {}
     for ij, prod in enumerate(products):
         for k, c in enumerate(prod):
@@ -78,7 +77,7 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
     # faithfulness: the basis matrices are linearly independent by choice
     # of pivots, so only 0 acts as 0; double-check the kernel dimensions.
     ann_dim = A.dim - dim_q
-    ann = kernel_basis(image_cols)
+    ann = ech.kernel()
     if len(ann) != ann_dim:
         raise RuntimeError("annihilator dimension mismatch")
     for v in ann:
@@ -148,5 +147,4 @@ def tensor_coproduct_recovery(G: FiniteMonoid, reps) -> Report:
 def image_span_dimension(X: Representation) -> int:
     """Dimension of the span of the action matrices inside End(X); equals
     the dimension of the reconstructed algebra."""
-    return rank(Matrix(X.field, [_flatten(m) for m in X.matrices],
-                       cols=X.dim ** 2))
+    return rank(_flat_columns(X.matrices))

@@ -1,7 +1,9 @@
-"""Slow reference kernel: the per-scalar product, dot, linear-combination
-and elimination loops and the echelon ``Span``, one ``FieldSpec`` call per
-scalar operation. The integer-row kernel in ``hopfdual.exact`` must agree
-with these exactly; ``test_exact`` compares the two.
+"""Slow reference kernel: the per-scalar matrix operations (sum, difference,
+scaling, Kronecker product, transpose, equality, zero test, product, dot,
+linear combination and elimination) and the echelon ``Span``, one
+``FieldSpec`` call per scalar operation on ``Fraction`` or mod-p entries.
+The integer-row kernel in ``hopfdual.exact`` must agree with these exactly;
+``test_exact`` compares the two.
 
 Below them, the small-n polynomial routines: the characteristic polynomial
 by minor expansion over column subsets (2^n), factoring over F_p by trial
@@ -13,6 +15,67 @@ import itertools
 
 from hopfdual.exact import Echelon, FieldMismatch, FieldSpec, Matrix
 from hopfdual.polys import add, degree, divmod_poly, mul, normalize, scale
+
+
+def _check(a: Matrix, b: Matrix):
+    if a.field != b.field:
+        raise FieldMismatch(f"{a.field} vs {b.field}")
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+
+
+def matadd(a: Matrix, b: Matrix) -> Matrix:
+    _check(a, b)
+    f = a.field
+    return Matrix(f, [[f.add(x, y) for x, y in zip(r, s)]
+                      for r, s in zip(a.entries, b.entries)], cols=a.cols)
+
+
+def matsub(a: Matrix, b: Matrix) -> Matrix:
+    _check(a, b)
+    f = a.field
+    return Matrix(f, [[f.sub(x, y) for x, y in zip(r, s)]
+                      for r, s in zip(a.entries, b.entries)], cols=a.cols)
+
+
+def matscale(m: Matrix, c) -> Matrix:
+    f = m.field
+    return Matrix(f, [[f.mul(c, x) for x in row] for row in m.entries],
+                  cols=m.cols)
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    if a.field != b.field:
+        raise FieldMismatch(f"{a.field} vs {b.field}")
+    f = a.field
+    return Matrix(f, [[f.mul(x, y) for x in ra for y in rb]
+                      for ra in a.entries for rb in b.entries],
+                  cols=a.cols * b.cols)
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.field, [m.column(j) for j in range(m.cols)],
+                  cols=m.rows)
+
+
+def equal(a: Matrix, b: Matrix) -> bool:
+    return a.field == b.field and a.entries == b.entries
+
+
+def is_zero(m: Matrix) -> bool:
+    z = m.field.zero
+    return all(x == z for row in m.entries for x in row)
+
+
+def eval_at_matrix(field, poly, m: Matrix) -> Matrix:
+    """poly(m) by Horner's rule with a scaled identity added per step."""
+    n = m.rows
+    ident = Matrix(field, [[field.one if i == j else field.zero
+                            for j in range(n)] for i in range(n)], cols=n)
+    acc = Matrix(field, [[field.zero] * n for _ in range(n)], cols=n)
+    for c in reversed(poly):
+        acc = matadd(matmul(acc, m), matscale(ident, c))
+    return acc
 
 
 def vdot(field, u, v):

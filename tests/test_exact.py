@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 import reference_kernel as ref
 from hopfdual.exact import (FieldMismatch, FieldSpec, Matrix, Span, inverse,
                             kernel_basis, kron, lincomb, rref, solve,
-                            solve_many, span_of, stack, vadd, vbasis, vscale,
-                            vzero)
+                            solve_many, span_of, stack, vbasis)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -220,27 +219,41 @@ def _in_column_space(m, b):
     return rref(Matrix.from_columns(m.field, cols + [b])).rank == rref(m).rank
 
 
+def columns(field, rows, vectors):
+    """The rows x len(vectors) matrix with the given columns."""
+    return Matrix(field, [[v[i] for v in vectors] for i in range(rows)],
+                  cols=len(vectors))
+
+
 @given(low_rank_system(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_solve_many_matches_per_vector_solve(system, data):
     field, m = system
+    # denominators in m and in the right-hand sides that need not agree
+    third = field.inv(field.from_int(3))
+    if data.draw(st.booleans()):
+        m = m.scale(third)
     vec = st.lists(small_int, min_size=m.cols, max_size=m.cols)
     xs = data.draw(st.lists(vec, max_size=4))
-    rhs = [m.apply(tuple(field.from_int(x) for x in xv)) for xv in xs]
-    sols = solve_many(m, rhs)
-    assert sols == [solve(m, b) for b in rhs]
-    for x, b in zip(sols, rhs):
-        assert m.apply(x) == b
+    rhs = [m.apply(tuple(field.mul(field.from_int(x), third) for x in xv))
+           for xv in xs]
+    sols = solve_many(m, columns(field, m.rows, rhs))
+    assert_shape_and_scalars(sols, m.cols, len(rhs))
+    assert [sols.column(j) for j in range(len(rhs))] == \
+        [solve(m, b) for b in rhs]
+    assert m * sols == columns(field, m.rows, rhs)
     # one arbitrary right-hand side, anywhere in the batch
     extra = tuple(field.from_int(x) for x in data.draw(
         st.lists(small_int, min_size=m.rows, max_size=m.rows)))
     at = data.draw(st.integers(0, len(rhs)))
     batch = rhs[:at] + [extra] + rhs[at:]
+    sols = solve_many(m, columns(field, m.rows, batch))
     if _in_column_space(m, extra):
-        assert solve_many(m, batch) == [solve(m, b) for b in batch]
+        assert [sols.column(j) for j in range(len(batch))] == \
+            [solve(m, b) for b in batch]
     else:
         assert solve(m, extra) is None
-        assert solve_many(m, batch) is None
+        assert sols is None
 
 
 @given(low_rank_system())
@@ -250,9 +263,9 @@ def test_inverse_is_solve_many_on_identity_columns(system):
     if m.rows != m.cols:
         return
     n = m.rows
-    cols = solve_many(m, [vbasis(field, n, i) for i in range(n)])
+    cols = [solve(m, vbasis(field, n, i)) for i in range(n)]
     inv = inverse(m)
-    if cols is None:
+    if None in cols:
         assert inv is None and rref(m).rank < n
     else:
         assert inv == Matrix.from_columns(field, cols)
@@ -261,9 +274,11 @@ def test_inverse_is_solve_many_on_identity_columns(system):
 
 def test_solve_many_no_rhs_and_length_check():
     m = Matrix.from_int_rows(Q, [[1, 2], [2, 4]])
-    assert solve_many(m, []) == []
+    assert solve_many(m, columns(Q, 2, [])) == Matrix(Q, [[], []], cols=0)
     with pytest.raises(ValueError):
-        solve_many(m, [(Fraction(1),)])
+        solve_many(m, Matrix(Q, [[1]]))
+    with pytest.raises(FieldMismatch):
+        solve_many(m, Matrix(F5, [[1], [2]]))
 
 
 @given(st.sampled_from(FIELDS), st.lists(
@@ -317,8 +332,23 @@ def assert_scalars(field, values):
             assert type(x) is Fraction
 
 
+def assert_normal(m):
+    """The int form is the unique one: over Q a positive denominator with
+    no factor common to all the entries, over F_p entries in [0, p) over
+    1."""
+    assert len(m.ints) == m.rows
+    assert all(len(row) == m.cols for row in m.ints)
+    flat = [x for row in m.ints for x in row]
+    assert all(type(x) is int for x in flat) and type(m.den) is int
+    if m.field.p:
+        assert m.den == 1 and all(0 <= x < m.field.p for x in flat)
+    else:
+        assert m.den > 0 and math.gcd(m.den, *flat) == 1
+
+
 def assert_shape_and_scalars(m, rows, cols):
     assert (m.rows, m.cols) == (rows, cols)
+    assert_normal(m)
     assert_scalars(m.field, [x for row in m.entries for x in row])
 
 
@@ -360,6 +390,69 @@ def test_lincomb_matches_reference(field, r, c, data):
     assert_shape_and_scalars(got, r, c)
 
 
+def assert_same(got, want):
+    """Equal entries and shape, and got in normal form."""
+    assert got.entries == want.entries
+    assert_shape_and_scalars(got, want.rows, want.cols)
+
+
+@given(st.sampled_from(KERNEL_FIELDS), dims, dims, st.data())
+@settings(max_examples=150, deadline=None)
+def test_elementwise_ops_match_reference(field, r, c, data):
+    a = data.draw(matrices(field, r, c))
+    b = data.draw(matrices(field, r, c))
+    k = data.draw(scalars(field))
+    assert_shape_and_scalars(a, r, c)
+    assert_same(a + b, ref.matadd(a, b))
+    assert_same(a - b, ref.matsub(a, b))
+    assert_same(a.scale(k), ref.matscale(a, k))
+    assert_same(a.transpose(), ref.transpose(a))
+    assert a.is_zero() == ref.is_zero(a)
+    assert (a - a).is_zero() and (a.scale(field.zero)).is_zero()
+    for other in (b, (a + b) - b, Matrix(field, a.entries, cols=c)):
+        assert (a == other) == ref.equal(a, other)
+        if a == other:
+            assert hash(a) == hash(other)
+    assert (a + b) - b == a
+
+
+@given(st.sampled_from(KERNEL_FIELDS), dims, dims, dims, dims, st.data())
+@settings(max_examples=100, deadline=None)
+def test_kron_matches_reference(field, r, c, s, t, data):
+    a = data.draw(matrices(field, r, c))
+    b = data.draw(matrices(field, s, t))
+    assert_same(kron(a, b), ref.kron(a, b))
+
+
+@given(st.sampled_from(KERNEL_FIELDS), dims, st.integers(0, 5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_shift_and_power_match_reference(field, n, e, data):
+    m = data.draw(matrices(field, n, n))
+    k = data.draw(scalars(field))
+    ident = Matrix.identity(field, n)
+    assert_same(m.shift(k), ref.matadd(m, ref.matscale(ident, k)))
+    want = ident
+    for _ in range(e):
+        want = ref.matmul(want, m)
+    assert_same(m ** e, want)
+
+
+def test_entries_view_gives_the_field_scalars():
+    m = Matrix(Q, [[1, 2], [3, 4]])
+    assert (m.ints, m.den) == (((1, 2), (3, 4)), 1)
+    assert_scalars(Q, [x for row in m.entries for x in row])
+    m = Matrix(Q, [[Fraction(2, 4), Fraction(-6, 8)]])
+    assert (m.ints, m.den) == (((2, -3),), 4)
+    assert m.entries == ((Fraction(1, 2), Fraction(-3, 4)),)
+    assert Matrix(Q, [[Fraction(1, 3)]]).scale(Fraction(3)).den == 1
+    halves = Matrix(Q, [[Fraction(1, 2), Fraction(3, 2)]])
+    assert halves.ints == Matrix(Q, [[1, 3]]).ints
+    assert halves != Matrix(Q, [[1, 3]])
+    m = Matrix(F5, [[7, -1]])
+    assert m.ints == m.entries == ((2, 4),) and m.den == 1
+    assert m == Matrix(F5, [[2, 4]]) and hash(m) == hash(Matrix(F5, [[2, 4]]))
+
+
 def test_product_through_an_empty_inner_dimension():
     for field in (Q, F5):
         a = Matrix(field, [[], []], cols=0)
@@ -383,7 +476,7 @@ def span_programs(draw):
     ones, so that both members and non-members come up."""
     field = draw(st.sampled_from(KERNEL_FIELDS))
     width = draw(st.integers(0, 5))
-    seen = [vzero(field, width)]
+    seen = [(field.zero,) * width]
     calls = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combine")))
@@ -391,12 +484,13 @@ def span_programs(draw):
             vec = tuple(draw(st.lists(scalars(field), min_size=width,
                                       max_size=width)))
         elif kind == "zero":
-            vec = vzero(field, width)
+            vec = (field.zero,) * width
         elif kind == "repeat":
             vec = draw(st.sampled_from(seen))
         else:
             u, w = draw(st.sampled_from(seen)), draw(st.sampled_from(seen))
-            vec = vadd(field, vscale(field, draw(scalars(field)), u), w)
+            c = draw(scalars(field))
+            vec = tuple(field.add(field.mul(c, x), y) for x, y in zip(u, w))
         seen.append(vec)
         calls.append((draw(st.sampled_from(("add", "contains", "reduce"))),
                       vec))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import reference_kernel as ref
 from hopfdual.exact import FieldSpec, Matrix
-from hopfdual.polys import char_poly, degree, factor_monic_fp, mul
+from hopfdual.polys import (char_poly, degree, eval_at_matrix,
+                            factor_monic_fp, mul)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -91,6 +92,17 @@ class TestCharPoly:
         assert got == ref.char_poly(m)
         assert len(got) == m.rows + 1 and got[-1] == field.one
         assert all(type(c) is type(field.zero) for c in got)
+
+    @pytest.mark.parametrize("field", [Q, F2, F5, BIG],
+                             ids=["Q", "F2", "F5", "F2147483647"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_eval_at_matrix_matches_horner_with_identity(self, field, data):
+        m = data.draw(square_matrices(field, max_n=4))
+        poly = tuple(data.draw(st.lists(scalars(field), max_size=4)))
+        got = eval_at_matrix(field, poly, m)
+        assert got == ref.eval_at_matrix(field, poly, m)
+        assert got.entries == ref.eval_at_matrix(field, poly, m).entries
 
     def test_companion_matrix(self):
         # companion matrix of x^3 + 2x + 3 over F_5

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,135 @@ class TestRepresentation:
         assert hom_dim_reps(triv, reg) == 1
         assert hom_dim_reps(std, reg) == 2
         assert hom_dim_reps(triv, sign) == 0
+
+
+def witness(G, message):
+    """The pair (s, h) named by a validation failure."""
+    s, h = re.match(r"action\((.+)\)\*action\((.+)\) disagrees",
+                    message).groups()
+    return G.index_of(s), G.index_of(h)
+
+
+def generated(G, gens):
+    """Elements reached from the unit by left multiplication by gens."""
+    reached, todo = {G.unit}, [G.unit]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            if G.table[s][x] not in reached:
+                reached.add(G.table[s][x])
+                todo.append(G.table[s][x])
+    return reached
+
+
+BOOL = FiniteMonoid.bool_and()
+VALIDATED_MONOIDS = (Z2, Z3, S3, FiniteMonoid.cyclic(4), BOOL,
+                     FiniteMonoid.direct_product(BOOL, Z2),
+                     FiniteMonoid.direct_product(Z2, BOOL))
+
+
+class TestGeneratingSetValidation:
+    def test_generating_sets(self):
+        Z3xZ3 = FiniteMonoid.direct_product(Z3, Z3)
+        assert S3.generators == (S3.index_of("021"), S3.index_of("102"))
+        assert D4.generators == (D4.index_of("r1"), D4.index_of("s0"))
+        assert len(Z3xZ3.generators) == 2
+        assert BOOL.generators == (BOOL.index_of("0"),)
+        assert FiniteMonoid.trivial().generators == ()
+        for G in VALIDATED_MONOIDS + (D4, Z3xZ3):
+            assert generated(G, G.generators) == set(range(G.size))
+
+    def test_wrong_matrix_at_a_non_generator_is_rejected(self):
+        _, _, _, std, _ = s3_catalogue(Q)
+        bad = S3.index_of("210")
+        assert bad not in S3.generators
+        mats = list(std.matrices)
+        mats[bad] = mats[bad].scale(Q.from_int(2))
+        with pytest.raises(ValueError, match="disagrees") as exc:
+            Representation(S3, Q, mats)
+        s, h = witness(S3, str(exc.value))
+        assert s in S3.generators
+        assert bad in (h, S3.table[s][h])
+        assert mats[s] * mats[h] != mats[S3.table[s][h]]
+
+    def test_non_group_monoid(self):
+        zero = BOOL.index_of("0")
+        ident = Matrix.identity(Q, 2)
+        proj = Matrix.from_int_rows(Q, [[1, 0], [0, 0]])
+        mats = [None, None]
+        mats[BOOL.unit], mats[zero] = ident, proj
+        assert Representation(BOOL, Q, mats).action(zero) == proj
+        # 0 must act idempotently; only the pair (0, 0) can see that
+        mats[zero] = Matrix.from_int_rows(Q, [[2, 0], [0, 0]])
+        with pytest.raises(ValueError, match=r"action\(0\)\*action\(0\)"):
+            Representation(BOOL, Q, mats)
+        mats[BOOL.unit], mats[zero] = proj, ident
+        with pytest.raises(ValueError, match="unit"):
+            Representation(BOOL, Q, mats)
+
+
+def unitriangular(field, n, draw):
+    return Matrix(field, [[field.one if i == j else
+                           field.from_int(draw(st.integers(-2, 2))) if i < j
+                           else field.zero for j in range(n)]
+                          for i in range(n)])
+
+
+@st.composite
+def perturbed_modules(draw):
+    """A monoid, a field and action matrices: a conjugated regular module,
+    plus a trivial line sometimes, then perturbed or not."""
+    G = draw(st.sampled_from(VALIDATED_MONOIDS))
+    field = draw(st.sampled_from((Q, F2, F3, F5)))
+    rho = Representation.regular(G, field)
+    if draw(st.booleans()):
+        rho = Representation.direct_sum(rho, Representation.trivial(G, field))
+    rho = rho.conjugate(unitriangular(field, rho.dim, draw))
+    mats = list(rho.matrices)
+    elements = st.integers(0, G.size - 1)
+    kind = draw(st.sampled_from(("none", "entry", "swap", "identity",
+                                 "conjugate some", "scale")))
+    if kind == "entry":
+        g, i, j = draw(elements), draw(st.integers(0, rho.dim - 1)), \
+            draw(st.integers(0, rho.dim - 1))
+        rows = [list(row) for row in mats[g].entries]
+        rows[i][j] = field.add(rows[i][j], field.one)
+        mats[g] = Matrix(field, rows)
+    elif kind == "swap":
+        g, h = draw(elements), draw(elements)
+        mats[g], mats[h] = mats[h], mats[g]
+    elif kind == "identity":
+        mats[draw(elements)] = Matrix.identity(field, rho.dim)
+    elif kind == "conjugate some":
+        q = unitriangular(field, rho.dim, draw)
+        q_inv = inverse(q)
+        for g in draw(st.sets(elements)):
+            mats[g] = q * mats[g] * q_inv
+    elif kind == "scale":
+        g = draw(elements)
+        mats[g] = mats[g].scale(field.from_int(draw(st.integers(-1, 2))))
+    return G, field, mats
+
+
+@given(perturbed_modules())
+@settings(max_examples=150, deadline=None)
+def test_generating_set_check_rejects_what_the_full_table_rejects(case):
+    G, field, mats = case
+    n = mats[0].rows
+    full_table_ok = ref.equal(mats[G.unit], Matrix.identity(field, n)) and all(
+        ref.equal(ref.matmul(mats[i], mats[j]), mats[G.table[i][j]])
+        for i in range(G.size) for j in range(G.size))
+    try:
+        Representation(G, field, mats)
+    except ValueError as exc:
+        assert not full_table_ok
+        if "disagrees" in str(exc):
+            s, h = witness(G, str(exc))
+            assert s in G.generators
+            assert not ref.equal(ref.matmul(mats[s], mats[h]),
+                                 mats[G.table[s][h]])
+    else:
+        assert full_table_ok
 
 
 class TestInvariants:
