@@ -14,7 +14,11 @@ matrix times the top-left 4x4 block of another; ``eq`` compares each of
 the 64 products with the action of the product element.
 Times the two routines ``zrep`` is built on: ``char_poly`` of a conjugated
 14x14 block-companion matrix over F_31, and ``factor_monic_fp`` of a
-degree-4 irreducible times three linear factors over F_101. Each case runs
+degree-4 irreducible times three linear factors over F_101. Times the
+structure-tensor sweeps: ``verify_bialgebra`` on the monoid and function
+algebras of D4, ``coproduct_on_U`` on sl2 at order 5,
+``dist_at_identity("gm", 6)`` and ``divided_power_bialgebra(8)``, all over
+Q; their hash is of the ``repr`` of the report's checks. Each case runs
 ``REPEAT`` times; the best and the median seconds are kept, with a SHA-256
 of the case's results so that two labels can be checked to compute the same
 thing. Writes ``BENCH_<label>.json``.
@@ -38,7 +42,12 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from hopfdual.exact import (FieldSpec, Matrix, inverse, kron,  # noqa: E402
                             rref, span_of)
-from hopfdual.monoids import FiniteMonoid  # noqa: E402
+from hopfdual.bialgebra import verify_bialgebra  # noqa: E402
+from hopfdual.lie import (LieAlgebra, TruncatedEnveloping,  # noqa: E402
+                          coproduct_on_U, dist_at_identity,
+                          divided_power_bialgebra)
+from hopfdual.monoids import (FiniteMonoid, function_bialgebra,  # noqa: E402
+                              monoid_algebra)
 from hopfdual.polys import char_poly, factor_monic_fp, mul  # noqa: E402
 from hopfdual.reps import Representation  # noqa: E402
 
@@ -143,6 +152,25 @@ def polys_cases() -> dict:
     }
 
 
+def sweep_cases() -> dict:
+    """name -> (number of calls, thunk returning the report's checks) for
+    the bialgebra axiom sweeps and the enveloping/divided-power/distribution
+    comparisons built on them."""
+    q = FieldSpec.rationals()
+    rg = monoid_algebra(D4, q)
+    fn = function_bialgebra(D4, q)
+    return {
+        "Q.verify_bialgebra.rg_d4": (1, lambda: verify_bialgebra(rg).checks),
+        "Q.verify_bialgebra.fn_d4": (1, lambda: verify_bialgebra(fn).checks),
+        "Q.coproduct_on_U.sl2_5": (1, lambda: coproduct_on_U(
+            TruncatedEnveloping(LieAlgebra.sl2(q), 5))[1].checks),
+        "Q.dist_at_identity.gm_6": (
+            1, lambda: dist_at_identity("gm", 6, q)[1].checks),
+        "Q.divided_power_bialgebra.8": (
+            1, lambda: divided_power_bialgebra(8, q)[1].checks),
+    }
+
+
 def run() -> dict:
     every = {}
     for label, field in (("Q", FieldSpec.rationals()),
@@ -150,6 +178,7 @@ def run() -> dict:
         for name, case in cases(field).items():
             every[f"{label}.{name}"] = case
     every.update(polys_cases())
+    every.update(sweep_cases())
     out = {}
     for name, (calls, thunk) in every.items():
         times = []
@@ -183,7 +212,7 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
     for name, case in doc["cases"].items():
-        print(f"{name:22s} {case['calls']:4d} calls  best "
+        print(f"{name:30s} {case['calls']:4d} calls  best "
               f"{case['best_s'] * 1000:9.2f} ms  median "
               f"{case['median_s'] * 1000:9.2f} ms")
     print(f"wrote {path}")

@@ -11,11 +11,20 @@ Conventions, fixed globally:
 * Tensor-square indices follow the Kronecker rule ``(i, j) -> i*dim + j``.
 
 Tensors are stored sparsely (zero entries dropped) and compared exactly.
+
+This module owns the arithmetic on sparse tensors: ``sparse_sum``,
+``comult_of`` and the coassociativity, ``Delta(xy) = Delta(x)Delta(y)``,
+``(F (x) F) Delta = Delta F`` and primitive-space sweeps. They take plain
+data -- per-basis coproducts ``deltas[k] = {(i, j): c}``, a basis-product
+function ``mul_basis(a, b) -> {k: c}`` and basis names for witnesses -- so
+the enveloping truncations, divided powers and distribution algebras of
+``lie`` run the same sweeps as ``FinBialgebra``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .exact import (FieldMismatch, FieldSpec, Matrix, kernel_basis, kron,
                     solve, vbasis)
@@ -28,6 +37,101 @@ def _clean_tensor(field, tensor):
         if c != field.zero:
             out[tuple(key)] = c
     return out
+
+
+# -- sparse tensors -----------------------------------------------------------
+
+_NO_TERMS = MappingProxyType({})  # the zero product, shared and read only
+
+
+def sparse_sum(f: FieldSpec, terms) -> dict:
+    """Sum of ``(key, coefficient)`` terms as a sparse dict, zeros dropped."""
+    acc = {}
+    get, add, zero = acc.get, f.add, f.zero
+    for key, c in terms:
+        acc[key] = add(get(key, zero), c)
+    return {key: c for key, c in acc.items() if c != zero}
+
+
+def nonzero(f: FieldSpec, vec) -> dict:
+    """A dense coefficient vector as a sparse ``{index: c}`` dict."""
+    return {i: c for i, c in enumerate(vec) if c != f.zero}
+
+
+def comult_of(f: FieldSpec, deltas, x: dict) -> dict:
+    """Delta of the sparse element ``x = {k: c}``."""
+    return sparse_sum(f, ((key, f.mul(c, d)) for k, c in x.items()
+                          for key, d in deltas[k].items()))
+
+
+def coassociativity_sweep(rep: Report, name: str, f: FieldSpec, deltas,
+                          names) -> bool:
+    """(Delta (x) id) Delta = (id (x) Delta) Delta on every basis element,
+    compared as sparse (a, b, c)-keyed tensors."""
+    def failures():
+        for k in range(len(deltas)):
+            dk = deltas[k].items()
+            lhs = sparse_sum(f, (((a, b, j), f.mul(c, d)) for (i, j), c in dk
+                                 for (a, b), d in deltas[i].items()))
+            rhs = sparse_sum(f, (((i, a, b), f.mul(c, d)) for (i, j), c in dk
+                                 for (a, b), d in deltas[j].items()))
+            if lhs != rhs:
+                yield names[k]
+    return rep.sweep(name, failures())
+
+
+def multiplicativity_sweep(rep: Report, name: str, f: FieldSpec, deltas,
+                           mul_basis, names, pairs) -> bool:
+    """Delta(e_a e_b) = Delta(e_a) Delta(e_b) in A (x) A for each basis pair
+    ``(a, b)`` in ``pairs``; ``mul_basis`` must be defined on every product
+    the two sides form."""
+    def square_product(s, t):
+        def terms():
+            for (i1, j1), c1 in s.items():
+                for (i2, j2), c2 in t.items():
+                    c = f.mul(c1, c2)
+                    right = mul_basis(j1, j2).items()
+                    for a, ca in mul_basis(i1, i2).items():
+                        ca = f.mul(c, ca)
+                        for b, cb in right:
+                            yield (a, b), f.mul(ca, cb)
+        return sparse_sum(f, terms())
+    return rep.sweep(name, (
+        f"({names[a]},{names[b]})" for a, b in pairs
+        if comult_of(f, deltas, mul_basis(a, b))
+        != square_product(deltas[a], deltas[b])))
+
+
+def comult_morphism_sweep(rep: Report, name: str, f: FieldSpec, cols,
+                          source_deltas, target_deltas, names) -> bool:
+    """Delta F = (F (x) F) Delta on every source basis element, for the
+    linear map with ``cols[k] = F(e_k)`` as sparse ``{index: c}`` dicts."""
+    def image(t):
+        # (F (x) F) applied to a pair tensor
+        return sparse_sum(f, (((a, b), f.mul(c, f.mul(ca, cb)))
+                              for (i, j), c in t.items()
+                              for a, ca in cols[i].items()
+                              for b, cb in cols[j].items()))
+    return rep.sweep(name, (
+        names[k] for k in range(len(cols))
+        if comult_of(f, target_deltas, cols[k]) != image(source_deltas[k])))
+
+
+def primitive_space(f: FieldSpec, deltas, unit) -> list:
+    """Basis of the solutions of Delta(a) = a (x) 1 + 1 (x) a, for the dense
+    unit vector ``unit``: one equation per basis pair."""
+    n = len(deltas)
+    rows = {}
+    for k in range(n):
+        for key, c in deltas[k].items():
+            row = rows.setdefault(key, [f.zero] * n)
+            row[k] = f.add(row[k], c)
+        for j, u in enumerate(unit):
+            if u != f.zero:
+                for key in ((k, j), (j, k)):
+                    row = rows.setdefault(key, [f.zero] * n)
+                    row[k] = f.sub(row[k], u)
+    return kernel_basis(Matrix(f, [rows[key] for key in sorted(rows)], n))
 
 
 class FinBialgebra:
@@ -74,6 +178,17 @@ class FinBialgebra:
         if has_bialgebra is None:
             has_bialgebra = self.has_algebra and self.has_coalgebra
         self.has_bialgebra = has_bialgebra
+        # pair-indexed views of the tensors, read by the sweeps; safe because
+        # instances are immutable by convention
+        self._products = self.deltas = None
+        if self.has_algebra:
+            self._products = {}
+            for (i, j, k), c in self.mult.items():
+                self._products.setdefault((i, j), {})[k] = c
+        if self.has_coalgebra:
+            self.deltas = [{} for _ in range(dim)]
+            for (k, i, j), c in self.comult.items():
+                self.deltas[k][(i, j)] = c
 
     # -- presence flags -------------------------------------------------------
 
@@ -92,29 +207,18 @@ class FinBialgebra:
     # -- basic structure maps --------------------------------------------------
 
     def mul_basis(self, i: int, j: int) -> dict:
-        return dict(self._mult_by_pair().get((i, j), ()))
-
-    def _mult_by_pair(self):
-        # cached pair-indexed view of the product tensor; safe because
-        # instances are immutable by convention
-        cached = getattr(self, "_pair_cache", None)
-        if cached is None:
-            cached = {}
-            for (i, j, k), c in self.mult.items():
-                cached.setdefault((i, j), {})[k] = c
-            self._pair_cache = cached
-        return cached
+        """``e_i * e_j`` as ``{k: c}``; read only, it is the cached entry."""
+        return self._products.get((i, j), _NO_TERMS)
 
     def mul_vec(self, x, y) -> tuple:
         """Product of two coefficient vectors."""
         f = self.field
-        by_pair = self._mult_by_pair()
         acc = [f.zero] * self.dim
         xs = [(i, xi) for i, xi in enumerate(x) if xi != f.zero]
         ys = [(j, yj) for j, yj in enumerate(y) if yj != f.zero]
         for i, xi in xs:
             for j, yj in ys:
-                entry = by_pair.get((i, j))
+                entry = self._products.get((i, j))
                 if not entry:
                     continue
                 c = f.mul(xi, yj)
@@ -123,22 +227,10 @@ class FinBialgebra:
         return tuple(acc)
 
     def comult_basis(self, k: int) -> dict:
-        cached = getattr(self, "_comult_cache", None)
-        if cached is None:
-            cached = {}
-            for (kk, i, j), c in self.comult.items():
-                cached.setdefault(kk, {})[(i, j)] = c
-            self._comult_cache = cached
-        return dict(cached.get(k, ()))
+        return dict(self.deltas[k])
 
     def comult_vec(self, x) -> dict:
-        f = self.field
-        acc = {}
-        for (k, i, j), c in self.comult.items():
-            if x[k] != f.zero:
-                key = (i, j)
-                acc[key] = f.add(acc.get(key, f.zero), f.mul(x[k], c))
-        return {k: v for k, v in acc.items() if v != f.zero}
+        return comult_of(self.field, self.deltas, nonzero(self.field, x))
 
     def counit_vec(self, x):
         f = self.field
@@ -152,14 +244,22 @@ class FinBialgebra:
 
     def left_mult_matrix(self, x) -> Matrix:
         """Matrix of y -> x*y on coefficient vectors."""
-        f = self.field
-        cols = [self.mul_vec(x, self.basis_vec(j)) for j in range(self.dim)]
-        return Matrix.from_columns(f, cols)
+        return self._mult_matrix(x, left=True)
 
     def right_mult_matrix(self, x) -> Matrix:
+        """Matrix of y -> y*x on coefficient vectors."""
+        return self._mult_matrix(x, left=False)
+
+    def _mult_matrix(self, x, left: bool) -> Matrix:
+        # one pass over the product tensor: L_x[k][j] = sum_i x_i mult(i,j,k)
+        # and R_x[k][i] = sum_j x_j mult(i,j,k)
         f = self.field
-        cols = [self.mul_vec(self.basis_vec(j), x) for j in range(self.dim)]
-        return Matrix.from_columns(f, cols)
+        rows = [[f.zero] * self.dim for _ in range(self.dim)]
+        for (i, j, k), m in self.mult.items():
+            s, t = (i, j) if left else (j, i)
+            if x[s] != f.zero:
+                rows[k][t] = f.add(rows[k][t], f.mul(x[s], m))
+        return Matrix(f, rows)
 
     def is_commutative(self) -> bool:
         dense = self.mult
@@ -214,36 +314,22 @@ def verify_algebra(A: FinBialgebra) -> Report:
         raise ValueError("no algebra structure present")
     f = A.field
     rep = Report(f"algebra axioms ({A!r})")
-    by_pair = A._mult_by_pair()
-    zero = {}
-
-    def mul_dict(d, j_right=None, j_left=None):
-        # multiply a sparse e_k-combination on the right/left by a basis vector
-        acc = {}
-        for k, c in d.items():
-            pair = (k, j_right) if j_right is not None else (j_left, k)
-            for t, m in by_pair.get(pair, zero).items():
-                v = f.add(acc.get(t, f.zero), f.mul(c, m))
-                if v == f.zero:
-                    acc.pop(t, None)
-                else:
-                    acc[t] = v
-        return acc
-
+    mul = A.mul_basis
     n = A.dim
-    ok_assoc = True
-    for i in range(n):
-        for j in range(n):
-            ij = by_pair.get((i, j), zero)
-            for k in range(n):
-                left = mul_dict(ij, j_right=k)
-                right = mul_dict(by_pair.get((j, k), zero), j_left=i)
-                if left != right:
-                    ok_assoc = False
-                    rep.add("associativity", False,
-                            f"({A.name_of(i)},{A.name_of(j)},{A.name_of(k)})")
-    if ok_assoc:
-        rep.add("associativity", True)
+
+    def failures():
+        for i in range(n):
+            for j in range(n):
+                ij = mul(i, j).items()
+                for k in range(n):
+                    left = sparse_sum(f, ((t, f.mul(c, m)) for s, c in ij
+                                          for t, m in mul(s, k).items()))
+                    right = sparse_sum(f, ((t, f.mul(c, m))
+                                           for s, c in mul(j, k).items()
+                                           for t, m in mul(i, s).items()))
+                    if left != right:
+                        yield f"({A.name_of(i)},{A.name_of(j)},{A.name_of(k)})"
+    rep.sweep("associativity", failures())
     one = A.unit
     ok_unit = True
     for i in range(n):
@@ -266,30 +352,12 @@ def verify_coalgebra(A: FinBialgebra) -> Report:
     f = A.field
     rep = Report(f"coalgebra axioms ({A!r})")
     n = A.dim
-    delta = [A.comult_basis(k) for k in range(n)]
-    ok = True
-    for k in range(n):
-        # (Delta (x) id) Delta vs (id (x) Delta) Delta on e_k, as (a,b,c) tensors
-        lhs, rhs = {}, {}
-        for (i, j), c in delta[k].items():
-            for (a, b), d in delta[i].items():
-                key = (a, b, j)
-                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(c, d))
-            for (a, b), d in delta[j].items():
-                key = (i, a, b)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(c, d))
-        lhs = {k2: v for k2, v in lhs.items() if v != f.zero}
-        rhs = {k2: v for k2, v in rhs.items() if v != f.zero}
-        if lhs != rhs:
-            ok = False
-            rep.add("coassociativity", False, A.name_of(k))
-    if ok:
-        rep.add("coassociativity", True)
+    coassociativity_sweep(rep, "coassociativity", f, A.deltas, A.basis)
     ok = True
     for k in range(n):
         left = [f.zero] * n
         right = [f.zero] * n
-        for (i, j), c in delta[k].items():
+        for (i, j), c in A.deltas[k].items():
             left[j] = f.add(left[j], f.mul(A.counit[i], c))
             right[i] = f.add(right[i], f.mul(A.counit[j], c))
         e = list(A.basis_vec(k))
@@ -304,21 +372,10 @@ def verify_coalgebra(A: FinBialgebra) -> Report:
     return rep
 
 
-def _tensor_square_product(A: FinBialgebra, s: dict, t: dict) -> dict:
-    """Product in A (x) A of two sparse (i, j)-keyed tensors."""
-    f = A.field
-    by_pair = A._mult_by_pair()
-    zero = {}
-    acc = {}
-    for (i1, j1), c1 in s.items():
-        for (i2, j2), c2 in t.items():
-            c = f.mul(c1, c2)
-            for a, ca in by_pair.get((i1, i2), zero).items():
-                for b, cb in by_pair.get((j1, j2), zero).items():
-                    key = (a, b)
-                    acc[key] = f.add(acc.get(key, f.zero),
-                                     f.mul(c, f.mul(ca, cb)))
-    return {k: v for k, v in acc.items() if v != f.zero}
+def _outer_square(f: FieldSpec, a) -> dict:
+    """a (x) a as a sparse pair tensor."""
+    nz = nonzero(f, a).items()
+    return {(i, j): f.mul(ci, cj) for i, ci in nz for j, cj in nz}
 
 
 def verify_bialgebra(A: FinBialgebra) -> Report:
@@ -331,40 +388,15 @@ def verify_bialgebra(A: FinBialgebra) -> Report:
     rep.extend(verify_algebra(A))
     rep.extend(verify_coalgebra(A))
     n = A.dim
-    delta = [A.comult_basis(k) for k in range(n)]
-    ok = True
-    for i in range(n):
-        di = delta[i]
-        for j in range(n):
-            lhs = A.comult_vec(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
-            rhs = _tensor_square_product(A, di, delta[j])
-            if lhs != rhs:
-                ok = False
-                rep.add("comult multiplicative", False,
-                        f"({A.name_of(i)},{A.name_of(j)})")
-    if ok:
-        rep.add("comult multiplicative", True)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    multiplicativity_sweep(rep, "comult multiplicative", f, A.deltas,
+                           A.mul_basis, A.basis, pairs)
     one = A.unit
-    d1 = A.comult_vec(one)
-    unit_tensor = {}
-    for i, ci in enumerate(one):
-        if ci == f.zero:
-            continue
-        for j, cj in enumerate(one):
-            if cj != f.zero:
-                unit_tensor[(i, j)] = f.mul(ci, cj)
-    rep.add("comult(1) = 1 (x) 1", d1 == unit_tensor)
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            lhs = A.counit_vec(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
-            rhs = f.mul(A.counit[i], A.counit[j])
-            if lhs != rhs:
-                ok = False
-                rep.add("counit multiplicative", False,
-                        f"({A.name_of(i)},{A.name_of(j)})")
-    if ok:
-        rep.add("counit multiplicative", True)
+    rep.add("comult(1) = 1 (x) 1", A.comult_vec(one) == _outer_square(f, one))
+    rep.sweep("counit multiplicative", (
+        f"({A.name_of(i)},{A.name_of(j)})" for i, j in pairs
+        if A.counit_vec(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
+        != f.mul(A.counit[i], A.counit[j])))
     rep.add("counit(1) = 1", A.counit_vec(one) == f.one)
     return rep
 
@@ -514,66 +546,25 @@ def check_morphism(f_map: BialgebraMorphism, kind: str = "bialgebra") -> Report:
     f = A.field
     rep = Report(f"{kind} morphism check")
     if kind in ("algebra", "bialgebra"):
-        ok = True
-        for i in range(A.dim):
-            fi = F.column(i)
-            for j in range(A.dim):
-                lhs = F.apply(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
-                rhs = B.mul_vec(fi, F.column(j))
-                if lhs != rhs:
-                    ok = False
-                    rep.add("f(xy) = f(x)f(y)", False,
-                            f"({A.name_of(i)},{A.name_of(j)})")
-        if ok:
-            rep.add("f(xy) = f(x)f(y)", True)
+        rep.sweep("f(xy) = f(x)f(y)", (
+            f"({A.name_of(i)},{A.name_of(j)})"
+            for i in range(A.dim) for j in range(A.dim)
+            if F.apply(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
+            != B.mul_vec(F.column(i), F.column(j))))
         rep.add("f(1) = 1", F.apply(A.unit) == B.unit)
     if kind in ("coalgebra", "bialgebra"):
-        ok = True
-        for k in range(A.dim):
-            lhs = B.comult_vec(F.column(k))
-            rhs = {}
-            for (i, j), c in A.comult_basis(k).items():
-                fi, fj = F.column(i), F.column(j)
-                for a, ca in enumerate(fi):
-                    if ca == f.zero:
-                        continue
-                    for b, cb in enumerate(fj):
-                        if cb == f.zero:
-                            continue
-                        key = (a, b)
-                        rhs[key] = f.add(rhs.get(key, f.zero),
-                                         f.mul(c, f.mul(ca, cb)))
-            rhs = {k2: v for k2, v in rhs.items() if v != f.zero}
-            if lhs != rhs:
-                ok = False
-                rep.add("Delta f = (f (x) f) Delta", False, A.name_of(k))
-        if ok:
-            rep.add("Delta f = (f (x) f) Delta", True)
-        ok = True
-        for k in range(A.dim):
-            if B.counit_vec(F.column(k)) != A.counit[k]:
-                ok = False
-                rep.add("counit f = counit", False, A.name_of(k))
-        if ok:
-            rep.add("counit f = counit", True)
+        comult_morphism_sweep(rep, "Delta f = (f (x) f) Delta", f,
+                              [nonzero(f, F.column(k)) for k in range(A.dim)],
+                              A.deltas, B.deltas, A.basis)
+        rep.sweep("counit f = counit", (
+            A.name_of(k) for k in range(A.dim)
+            if B.counit_vec(F.column(k)) != A.counit[k]))
     return rep
 
 
 def primitives(A: FinBialgebra) -> list:
     """Basis of the space of primitive elements: Delta(a) = a (x) 1 + 1 (x) a."""
-    f = A.field
-    n = A.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [f.zero] * n
-            for k in range(n):
-                row[k] = A.comult.get((k, i, j), f.zero)
-            # subtract a (x) 1 and 1 (x) a contributions
-            row[i] = f.sub(row[i], A.unit[j])
-            row[j] = f.sub(row[j], A.unit[i])
-            rows.append(row)
-    return kernel_basis(Matrix(f, rows))
+    return primitive_space(A.field, A.deltas, A.unit)
 
 
 def check_grouplike(A: FinBialgebra, a) -> bool:
@@ -581,11 +572,4 @@ def check_grouplike(A: FinBialgebra, a) -> bool:
     f = A.field
     if A.counit_vec(a) != f.one:
         return False
-    outer = {}
-    for i, ci in enumerate(a):
-        if ci == f.zero:
-            continue
-        for j, cj in enumerate(a):
-            if cj != f.zero:
-                outer[(i, j)] = f.mul(ci, cj)
-    return A.comult_vec(a) == outer
+    return A.comult_vec(a) == _outer_square(f, a)

@@ -10,6 +10,10 @@ is total on the truncation.
 Also here: the brute-force tensor-algebra oracle used to cross-check the
 straightening product, the divided-power truncation, distribution algebras
 of the preset one-parameter groups, and augmentation-power gradings.
+
+The coassociativity, multiplicativity, morphism and primitive checks run
+the sparse-tensor sweeps of ``bialgebra`` on plain data: the cached
+``comult_monomial`` dicts, ``product_monomials`` and the monomial names.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .bialgebra import (FinBialgebra, _tensor_square_product, dualize,
-                        same_structure)
+from .bialgebra import (FinBialgebra, coassociativity_sweep,
+                        comult_morphism_sweep, dualize, multiplicativity_sweep,
+                        nonzero, primitive_space, same_structure, sparse_sum)
 from .exact import (FieldSpec, Matrix, Span, inverse, kernel_basis, span_of,
                     vbasis)
 from .report import Report
@@ -241,19 +246,15 @@ class TruncatedEnveloping:
 
     def product_vec(self, x: dict, y: dict) -> dict:
         f = self.field
-        acc = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                c = f.mul(ca, cb)
-                if c == f.zero:
-                    continue
-                for k, ck in self.product_monomials(a, b).items():
-                    v = f.add(acc.get(k, f.zero), f.mul(c, ck))
-                    if v == f.zero:
-                        acc.pop(k, None)
-                    else:
-                        acc[k] = v
-        return acc
+
+        def terms():
+            for a, ca in x.items():
+                for b, cb in y.items():
+                    c = f.mul(ca, cb)
+                    if c != f.zero:
+                        for k, ck in self.product_monomials(a, b).items():
+                            yield k, f.mul(c, ck)
+        return sparse_sum(f, terms())
 
     # -- coproduct --------------------------------------------------------------
 
@@ -276,38 +277,6 @@ class TruncatedEnveloping:
             out[(self.index[left], self.index[right])] = f.from_int(coeff)
         self._comult_cache[idx] = out
         return out
-
-    def comult_vec(self, x: dict) -> dict:
-        f = self.field
-        acc = {}
-        for k, c in x.items():
-            for key, d in self.comult_monomial(k).items():
-                v = f.add(acc.get(key, f.zero), f.mul(c, d))
-                if v == f.zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = v
-        return acc
-
-    def tensor_product_vec(self, s: dict, t: dict) -> dict:
-        """Componentwise product in U (x) U of sparse pair-keyed tensors."""
-        f = self.field
-        acc = {}
-        for (a1, b1), c1 in s.items():
-            for (a2, b2), c2 in t.items():
-                c = f.mul(c1, c2)
-                left = self.product_monomials(a1, a2)
-                right = self.product_monomials(b1, b2)
-                for la, ca in left.items():
-                    for rb, cb in right.items():
-                        key = (la, rb)
-                        v = f.add(acc.get(key, f.zero),
-                                  f.mul(c, f.mul(ca, cb)))
-                        if v == f.zero:
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = v
-        return acc
 
     def __repr__(self):
         return f"TruncatedEnveloping({self.lie!r}, order={self.order}, " \
@@ -334,63 +303,25 @@ def coproduct_on_U(U: TruncatedEnveloping):
     f = U.field
     rep = Report(f"coproduct on {U!r}")
     tensor = {k: dict(U.comult_monomial(k)) for k in range(U.dim)}
-    ok = True
-    for k in range(U.dim):
-        lhs, rhs = {}, {}
-        for (i, j), c in tensor[k].items():
-            for (a, b), d in tensor[i].items():
-                key = (a, b, j)
-                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(c, d))
-            for (a, b), d in tensor[j].items():
-                key = (i, a, b)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(c, d))
-        lhs = {k2: v for k2, v in lhs.items() if v != f.zero}
-        rhs = {k2: v for k2, v in rhs.items() if v != f.zero}
-        if lhs != rhs:
-            ok = False
-            rep.add("coassociativity", False, U.names[k])
-    if ok:
-        rep.add("coassociativity", True)
+    coassociativity_sweep(rep, "coassociativity", f, tensor, U.names)
     unit_idx = U.index[(0,) * U.lie.dim]
-    ok = True
-    for k in range(U.dim):
-        left = {}
-        right = {}
-        for (i, j), c in tensor[k].items():
-            if i == unit_idx:
-                right[j] = f.add(right.get(j, f.zero), c)
-            if j == unit_idx:
-                left[i] = f.add(left.get(i, f.zero), c)
-        left = {a: v for a, v in left.items() if v != f.zero}
-        right = {a: v for a, v in right.items() if v != f.zero}
-        if left != {k: f.one} or right != {k: f.one}:
-            ok = False
-            rep.add("counit laws", False, U.names[k])
-    if ok:
-        rep.add("counit laws", True)
-    ok = True
-    for a in range(U.dim):
-        for b in range(U.dim):
-            if U.degree(a) + U.degree(b) > U.order:
-                continue
-            lhs = U.comult_vec(U.product_monomials(a, b))
-            rhs = U.tensor_product_vec(tensor[a], tensor[b])
-            if lhs != rhs:
-                ok = False
-                rep.add("Delta(xy) = Delta(x)Delta(y) in range", False,
-                        f"({U.names[a]},{U.names[b]})")
-    if ok:
-        rep.add("Delta(xy) = Delta(x)Delta(y) in range", True)
-    gen_ok = True
-    for g in range(U.lie.dim):
-        mono = tuple(1 if t == g else 0 for t in range(U.lie.dim))
-        idx = U.index[mono]
-        want = {(idx, unit_idx): f.one, (unit_idx, idx): f.one}
-        if tensor[idx] != want:
-            gen_ok = False
-            rep.add("generators are primitive", False, U.lie.names[g])
-    if gen_ok:
-        rep.add("generators are primitive", True)
+
+    def counit_fails(k):
+        items = tensor[k].items()
+        left = sparse_sum(f, ((i, c) for (i, j), c in items if j == unit_idx))
+        right = sparse_sum(f, ((j, c) for (i, j), c in items if i == unit_idx))
+        return left != {k: f.one} or right != {k: f.one}
+    rep.sweep("counit laws",
+              (U.names[k] for k in range(U.dim) if counit_fails(k)))
+    pairs = [(a, b) for a in range(U.dim) for b in range(U.dim)
+             if U.degree(a) + U.degree(b) <= U.order]
+    multiplicativity_sweep(rep, "Delta(xy) = Delta(x)Delta(y) in range", f,
+                           tensor, U.product_monomials, U.names, pairs)
+    generators = [U.index[tuple(int(t == g) for t in range(U.lie.dim))]
+                  for g in range(U.lie.dim)]
+    rep.sweep("generators are primitive", (
+        U.lie.names[g] for g, idx in enumerate(generators)
+        if tensor[idx] != {(idx, unit_idx): f.one, (unit_idx, idx): f.one}))
     return tensor, rep
 
 
@@ -480,21 +411,10 @@ def graded_piece(U: TruncatedEnveloping, n: int) -> GradedPiece:
         raise ValueError("degree out of range")
     f = U.field
     idxs = U.monomials_of_degree(n)
-    pos = {k: t for t, k in enumerate(idxs)}
-    inv_fact = f.inv(f.from_int(math.factorial(n)))
     cols = []
     for k in idxs:
-        word = U.word_of(U.monomials[k])
-        weight = f.mul(inv_fact, f.from_int(_stabilizer_size(word)))
-        acc = {}
-        for perm in _distinct_permutations(word):
-            for t, c in U.normal_form(perm).items():
-                acc[t] = f.add(acc.get(t, f.zero), f.mul(weight, c))
-        col = [f.zero] * len(idxs)
-        for t, c in acc.items():
-            if U.degree(t) == n:
-                col[pos[t]] = c
-        cols.append(col)
+        sym = _symmetrization(U, k)
+        cols.append([sym.get(t, f.zero) for t in idxs])
     from_sym = Matrix.from_columns(f, cols)
     to_sym = inverse(from_sym)
     if to_sym is None:
@@ -527,18 +447,20 @@ def graded_check(U: TruncatedEnveloping) -> Report:
     return rep
 
 
-def _distinct_permutations(word):
-    return sorted(set(itertools.permutations(word)))
-
-
-def _stabilizer_size(word) -> int:
-    counts = {}
-    for x in word:
-        counts[x] = counts.get(x, 0) + 1
-    size = 1
-    for c in counts.values():
-        size *= math.factorial(c)
-    return size
+def _symmetrization(U: TruncatedEnveloping, k: int) -> dict:
+    """Top-degree part of the average over all orderings of the word of the
+    degree-n monomial e_k: (1/n!) sum over its distinct rearrangements, each
+    weighted by the size of its stabilizer."""
+    f = U.field
+    word = U.word_of(U.monomials[k])
+    n = len(word)
+    weight = f.mul(f.inv(f.from_int(math.factorial(n))),
+                   f.from_int(math.prod(math.factorial(e)
+                                        for e in U.monomials[k])))
+    return sparse_sum(f, ((t, f.mul(weight, c))
+                          for perm in sorted(set(itertools.permutations(word)))
+                          for t, c in U.normal_form(perm).items()
+                          if U.degree(t) == n))
 
 
 def symmetrized_pairing(U: TruncatedEnveloping, n: int) -> Matrix:
@@ -548,50 +470,24 @@ def symmetrized_pairing(U: TruncatedEnveloping, n: int) -> Matrix:
     n! factors."""
     f = U.field
     idxs = U.monomials_of_degree(n)
-    pos = {k: t for t, k in enumerate(idxs)}
-    inv_fact = f.inv(f.from_int(math.factorial(n)))
+    # split each monomial of the symmetrization into the all-degree-one
+    # component of the iterated coproduct, collected in the orbit-sum basis
+    orbit = [f.from_int(math.prod(math.factorial(e) for e in U.monomials[t]))
+             for t in idxs]
     out_cols = []
     for k in idxs:
-        word = U.word_of(U.monomials[k])
-        # symmetrize into U, keep the degree-n part
-        sym = {}
-        for perm in _distinct_permutations(word):
-            weight = f.mul(inv_fact,
-                           f.from_int(_stabilizer_size(word)))
-            for t, c in U.normal_form(perm).items():
-                if U.degree(t) == n:
-                    sym[t] = f.add(sym.get(t, f.zero), f.mul(weight, c))
-        # split each monomial into the all-degree-one component of the
-        # iterated coproduct, collected in the orbit-sum basis
-        col = [f.zero] * len(idxs)
-        for t, c in sym.items():
-            mono = U.monomials[t]
-            orbit_coeff = 1
-            for e in mono:
-                orbit_coeff *= math.factorial(e)
-            col[pos[t]] = f.add(col[pos[t]],
-                                f.mul(c, f.from_int(orbit_coeff)))
-        out_cols.append(col)
+        sym = _symmetrization(U, k)
+        out_cols.append([f.mul(sym.get(t, f.zero), o)
+                         for t, o in zip(idxs, orbit)])
     return Matrix.from_columns(f, out_cols)
 
 
 def primitives_of_U(U: TruncatedEnveloping) -> list:
     """Solution space of Delta(a) = a (x) 1 + 1 (x) a over the whole
     truncation; in characteristic zero this is the degree-one span."""
-    f = U.field
-    n = U.dim
-    unit_idx = U.index[(0,) * U.lie.dim]
-    rows = {}
-    for k in range(n):
-        for (i, j), c in U.comult_monomial(k).items():
-            rows.setdefault((i, j), [f.zero] * n)[k] = \
-                f.add(rows.setdefault((i, j), [f.zero] * n)[k], c)
-    for k in range(n):
-        row = rows.setdefault((k, unit_idx), [f.zero] * n)
-        row[k] = f.sub(row[k], f.one)
-        row = rows.setdefault((unit_idx, k), [f.zero] * n)
-        row[k] = f.sub(row[k], f.one)
-    return kernel_basis(Matrix(f, [rows[key] for key in sorted(rows)]))
+    unit = vbasis(U.field, U.dim, U.index[(0,) * U.lie.dim])
+    return primitive_space(U.field, [U.comult_monomial(k)
+                                     for k in range(U.dim)], unit)
 
 
 def lie_morphism_functor(fmat: Matrix, source: LieAlgebra,
@@ -606,21 +502,18 @@ def lie_morphism_functor(fmat: Matrix, source: LieAlgebra,
     rep = Report("enveloping extension of a linear map")
     if (fmat.rows, fmat.cols) != (target.dim, source.dim):
         raise ValueError("map shape disagrees with the Lie algebras")
-    ok = True
-    for i in range(source.dim):
-        for j in range(i + 1, source.dim):
-            img = [f.zero] * target.dim
-            for k, c in source.bracket_entries(i, j):
-                for t, x in enumerate(fmat.column(k)):
-                    img[t] = f.add(img[t], f.mul(c, x))
-            want = target.bracket_vec(fmat.column(i), fmat.column(j))
-            if tuple(img) != want:
-                ok = False
-                rep.add("bracket preserved", False,
-                        f"({source.names[i]},{source.names[j]})")
-    if ok:
-        rep.add("bracket preserved", True)
-    else:
+
+    def bracket_image(i, j):
+        img = [f.zero] * target.dim
+        for k, c in source.bracket_entries(i, j):
+            for t, x in enumerate(fmat.column(k)):
+                img[t] = f.add(img[t], f.mul(c, x))
+        return tuple(img)
+    if not rep.sweep("bracket preserved", (
+            f"({source.names[i]},{source.names[j]})"
+            for i in range(source.dim) for j in range(i + 1, source.dim)
+            if bracket_image(i, j)
+            != target.bracket_vec(fmat.column(i), fmat.column(j)))):
         return None, rep
 
     Us = TruncatedEnveloping(source, order)
@@ -643,62 +536,28 @@ def lie_morphism_functor(fmat: Matrix, source: LieAlgebra,
         cols.append(col)
     F = Matrix.from_columns(f, cols)
 
-    ok = True
-    for a in range(Us.dim):
-        for b in range(Us.dim):
-            if Us.degree(a) + Us.degree(b) > order:
-                continue
-            lhs = {}
-            for k, c in Us.product_monomials(a, b).items():
-                for t, x in enumerate(F.column(k)):
-                    if x != f.zero:
-                        lhs[t] = f.add(lhs.get(t, f.zero), f.mul(c, x))
-            rhs = Ut.product_vec(
-                {t: c for t, c in enumerate(F.column(a)) if c != f.zero},
-                {t: c for t, c in enumerate(F.column(b)) if c != f.zero})
-            lhs = {k2: v for k2, v in lhs.items() if v != f.zero}
-            if lhs != rhs:
-                ok = False
-                rep.add("extension multiplicative in range", False,
-                        f"({Us.names[a]},{Us.names[b]})")
-    if ok:
-        rep.add("extension multiplicative in range", True)
-    ok = True
-    for k in range(Us.dim):
-        lhs = Ut.comult_vec(
-            {t: c for t, c in enumerate(F.column(k)) if c != f.zero})
-        rhs = {}
-        for (i, j), c in Us.comult_monomial(k).items():
-            fi = F.column(i)
-            fj = F.column(j)
-            for a, ca in enumerate(fi):
-                if ca == f.zero:
-                    continue
-                for b, cb in enumerate(fj):
-                    if cb == f.zero:
-                        continue
-                    key = (a, b)
-                    rhs[key] = f.add(rhs.get(key, f.zero),
-                                     f.mul(c, f.mul(ca, cb)))
-        rhs = {k2: v for k2, v in rhs.items() if v != f.zero}
-        if lhs != rhs:
-            ok = False
-            rep.add("extension respects coproducts", False, Us.names[k])
-    if ok:
-        rep.add("extension respects coproducts", True)
+    images = [nonzero(f, F.column(k)) for k in range(Us.dim)]
+
+    def image_of(x):
+        return sparse_sum(f, ((t, f.mul(c, y)) for k, c in x.items()
+                              for t, y in images[k].items()))
+    rep.sweep("extension multiplicative in range", (
+        f"({Us.names[a]},{Us.names[b]})"
+        for a in range(Us.dim) for b in range(Us.dim)
+        if Us.degree(a) + Us.degree(b) <= order
+        and image_of(Us.product_monomials(a, b))
+        != Ut.product_vec(images[a], images[b])))
+    comult_morphism_sweep(rep, "extension respects coproducts", f, images,
+                          [Us.comult_monomial(k) for k in range(Us.dim)],
+                          [Ut.comult_monomial(k) for k in range(Ut.dim)],
+                          Us.names)
+    unit_t = Ut.index[(0,) * target.dim]
     rep.add("unit maps to unit",
-            F.column(Us.index[(0,) * source.dim])
-            == tuple(vbasis(f, Ut.dim, Ut.index[(0,) * target.dim])))
-    ok = True
-    for k in range(Us.dim):
-        acc = f.zero
-        for t, c in enumerate(F.column(k)):
-            acc = f.add(acc, f.mul(c, Ut.counit(t)))
-        if acc != Us.counit(k):
-            ok = False
-            rep.add("extension respects counits", False, Us.names[k])
-    if ok:
-        rep.add("extension respects counits", True)
+            images[Us.index[(0,) * source.dim]] == {unit_t: f.one})
+    # the counit of U_t reads off the coefficient of its unit
+    rep.sweep("extension respects counits", (
+        Us.names[k] for k in range(Us.dim)
+        if images[k].get(unit_t, f.zero) != Us.counit(k)))
     return F, rep
 
 
@@ -732,17 +591,12 @@ def divided_power_bialgebra(N: int, F: FieldSpec):
                      has_bialgebra=False)
 
     rep = Report(f"divided powers at order {N} over {F.describe()}")
-    ok = True
-    for i in range(N + 1):
-        for j in range(N + 1 - i):
-            got = A.mul_vec(A.basis_vec(i), A.basis_vec(j))
-            want = [f.zero] * (N + 1)
-            want[i + j] = f.from_int(math.comb(i + j, i))
-            if got != tuple(want):
-                ok = False
-                rep.add("w_i w_j = C(i+j, i) w_{i+j}", False, f"(w{i},w{j})")
-    if ok:
-        rep.add("w_i w_j = C(i+j, i) w_{i+j}", True)
+    pairs = [(i, j) for i in range(N + 1) for j in range(N + 1 - i)]
+    rep.sweep("w_i w_j = C(i+j, i) w_{i+j}", (
+        f"(w{i},w{j})" for i, j in pairs
+        if A.mul_vec(A.basis_vec(i), A.basis_vec(j))
+        != tuple(f.mul(f.from_int(math.comb(i + j, i)), x)
+                 for x in A.basis_vec(i + j))))
     ok = True
     power = A.basis_vec(0)
     w1 = A.basis_vec(1)
@@ -760,52 +614,28 @@ def divided_power_bialgebra(N: int, F: FieldSpec):
 
     if F.characteristic() == 0:
         U = TruncatedEnveloping(LieAlgebra.abelian(F, 1, ("x",)), N)
-        scale = [f.from_int(math.factorial(n)) for n in range(N + 1)]
-        ok = True
-        for i in range(N + 1):
-            for j in range(N + 1 - i):
-                image = A.mul_vec(
-                    tuple(f.mul(scale[i], x) for x in A.basis_vec(i)),
-                    tuple(f.mul(scale[j], x) for x in A.basis_vec(j)))
-                want = [f.zero] * (N + 1)
-                want[i + j] = scale[i + j]
-                if image != tuple(want):
-                    ok = False
-                    rep.add("x^n -> n! w_n intertwines products", False,
-                            f"({i},{j})")
-        if ok:
-            rep.add("x^n -> n! w_n intertwines products", True)
-        ok = True
-        for n in range(N + 1):
-            lhs = {}
-            for (i, j), c in U.comult_monomial(U.index[(n,)]).items():
-                di = sum(U.monomials[i])
-                dj = sum(U.monomials[j])
-                lhs[(di, dj)] = f.mul(c, f.mul(scale[di], scale[dj]))
-            rhs = {}
-            for (i, j), c in A.comult_basis(n).items():
-                rhs[(i, j)] = f.mul(c, scale[n])
-            lhs = {k: v for k, v in lhs.items() if v != f.zero}
-            rhs = {k: v for k, v in rhs.items() if v != f.zero}
-            if lhs != rhs:
-                ok = False
-                rep.add("x^n -> n! w_n intertwines coproducts", False,
-                        f"n = {n}")
-        if ok:
-            rep.add("x^n -> n! w_n intertwines coproducts", True)
-    ok = True
-    for i in range(N + 1):
-        for j in range(N + 1 - i):
-            lhs = A.comult_vec(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
-            rhs = _tensor_square_product(A, A.comult_basis(i),
-                                         A.comult_basis(j))
-            if lhs != rhs:
-                ok = False
-                rep.add("Delta multiplicative in range", False,
-                        f"(w{i},w{j})")
-    if ok:
-        rep.add("Delta multiplicative in range", True)
+        _line_comparison(rep, U, A, [
+            tuple(f.mul(f.from_int(math.factorial(n)), x)
+                  for x in A.basis_vec(n)) for n in range(N + 1)], "n! w_n")
+    multiplicativity_sweep(rep, "Delta multiplicative in range", f, A.deltas,
+                           A.mul_basis, A.basis, pairs)
     return A, rep
+
+
+def _line_comparison(rep: Report, U: TruncatedEnveloping, A: FinBialgebra,
+                     vecs, label: str) -> None:
+    """x^n -> vecs[n], from the enveloping truncation U of the line into A,
+    intertwines products (within the truncation) and coproducts."""
+    f = A.field
+    N = U.order
+    rep.sweep(f"x^n -> {label} intertwines products", (
+        f"({i},{j})" for i in range(N + 1) for j in range(N + 1 - i)
+        if A.mul_vec(vecs[i], vecs[j]) != vecs[i + j]))
+    # U's basis index of x^n is n
+    comult_morphism_sweep(rep, f"x^n -> {label} intertwines coproducts", f,
+                          [nonzero(f, v) for v in vecs],
+                          [U.comult_monomial(n) for n in range(N + 1)],
+                          A.deltas, [f"n = {n}" for n in range(N + 1)])
 
 
 GA, GM, U2 = "ga", "gm", "u2"
@@ -901,38 +731,8 @@ def dist_at_identity(preset: str, N: int, F: FieldSpec):
                     f"n = {n}")
     if ok:
         rep.add("delta_1^n = n! delta_n + lower terms", True)
-    ok = True
-    for i in range(N + 1):
-        for j in range(N + 1 - i):
-            if D.mul_vec(powers[i], powers[j]) != powers[i + j]:
-                ok = False
-                rep.add("x^n -> delta_1^n intertwines products", False,
-                        f"({i},{j})")
-    if ok:
-        rep.add("x^n -> delta_1^n intertwines products", True)
     U = TruncatedEnveloping(LieAlgebra.abelian(F, 1, ("x",)), N)
-    ok = True
-    for n in range(N + 1):
-        lhs = D.comult_vec(powers[n])
-        rhs = {}
-        for (i, j), c in U.comult_monomial(U.index[(n,)]).items():
-            di, dj = sum(U.monomials[i]), sum(U.monomials[j])
-            for a, ca in enumerate(powers[di]):
-                if ca == f.zero:
-                    continue
-                for b, cb in enumerate(powers[dj]):
-                    if cb == f.zero:
-                        continue
-                    key = (a, b)
-                    rhs[key] = f.add(rhs.get(key, f.zero),
-                                     f.mul(c, f.mul(ca, cb)))
-        rhs = {k: v for k, v in rhs.items() if v != f.zero}
-        if lhs != rhs:
-            ok = False
-            rep.add("x^n -> delta_1^n intertwines coproducts", False,
-                    f"n = {n}")
-    if ok:
-        rep.add("x^n -> delta_1^n intertwines coproducts", True)
+    _line_comparison(rep, U, D, powers, "delta_1^n")
     ok = all(len(U.monomials_of_degree(n)) == 1 for n in range(N + 1))
     rep.add("graded pieces all one-dimensional", ok)
     return D, rep

@@ -26,6 +26,17 @@ class Report:
         self.checks.append(Check(name, bool(ok), witness))
         return bool(ok)
 
+    def sweep(self, name: str, failures) -> bool:
+        """One failed check per witness in ``failures``, in order, or a
+        single passed check if there are none."""
+        ok = True
+        for witness in failures:
+            self.add(name, False, witness)
+            ok = False
+        if ok:
+            self.add(name, True)
+        return ok
+
     def extend(self, other: "Report", prefix: str = "") -> None:
         for c in other.checks:
             self.checks.append(Check(prefix + c.name, c.ok, c.witness))

@@ -10,7 +10,8 @@ import random
 from dataclasses import dataclass
 
 from . import polys
-from .bialgebra import BialgebraMorphism, FinBialgebra, check_morphism
+from .bialgebra import (BialgebraMorphism, FinBialgebra, check_morphism,
+                        sparse_sum)
 from .exact import (FieldMismatch, FieldSpec, Matrix, extend_to_basis,
                     inverse, kernel_basis, kron, lincomb, rank, solve,
                     solve_many, span_of, stack, vbasis)
@@ -183,20 +184,14 @@ def module_to_rep(mod: AlgebraModule, monoid: FiniteMonoid) -> Representation:
 
 
 def _intertwiner_space_dim(field, left_mats, right_mats, dim_src, dim_tgt):
-    # f with f*L_i = R_i*f for all i; unknowns f (dim_tgt x dim_src)
-    rows = []
-    for L, R in zip(left_mats, right_mats):
-        for a in range(dim_tgt):
-            for b in range(dim_src):
-                row = [field.zero] * (dim_tgt * dim_src)
-                for c in range(dim_src):
-                    row[a * dim_src + c] = field.add(
-                        row[a * dim_src + c], L.entries[c][b])
-                for c in range(dim_tgt):
-                    row[c * dim_src + b] = field.sub(
-                        row[c * dim_src + b], R.entries[a][c])
-                rows.append(row)
-    return len(kernel_basis(Matrix(field, rows)))
+    # f with f*L_i = R_i*f for all i; the unknowns f (dim_tgt x dim_src)
+    # are read row by row, so vec(f L) = (I (x) L^T) vec(f) and
+    # vec(R f) = (R (x) I) vec(f)
+    i_src = Matrix.identity(field, dim_src)
+    i_tgt = Matrix.identity(field, dim_tgt)
+    return len(kernel_basis(stack(
+        [kron(i_tgt, L.transpose()) - kron(R, i_src)
+         for L, R in zip(left_mats, right_mats)])))
 
 
 def hom_dim_reps(a: Representation, b: Representation) -> int:
@@ -798,24 +793,21 @@ def formal_matrix_integral(n: int, N: int, F: FieldSpec) -> Report:
     index = {mo: i for i, mo in enumerate(monos)}
     f = F
 
+    def bump(mono, var):
+        out = list(mono)
+        out[var] += 1
+        return tuple(out)
+
     def comult(mono):
-        """Delta of a monomial in the matrix coproduct, as {(mL, mR): c}."""
+        """Delta of a monomial in the matrix coproduct, as {(mL, mR): c};
+        each variable x_ij splits as sum_l x_il (x) x_lj."""
         acc = {((0,) * nv, (0,) * nv): f.one}
         for var, exp in enumerate(mono):
             i, j = divmod(var, n)
             for _ in range(exp):
-                nxt = {}
-                for (ml, mr), c in acc.items():
-                    for l in range(n):
-                        vl = i * n + l
-                        vr = l * n + j
-                        ml2 = list(ml)
-                        ml2[vl] += 1
-                        mr2 = list(mr)
-                        mr2[vr] += 1
-                        key = (tuple(ml2), tuple(mr2))
-                        nxt[key] = f.add(nxt.get(key, f.zero), c)
-                acc = nxt
+                acc = sparse_sum(f, (
+                    ((bump(ml, i * n + l), bump(mr, l * n + j)), c)
+                    for (ml, mr), c in acc.items() for l in range(n)))
         return acc
 
     delta = {mono: comult(mono) for mono in monos}

@@ -242,3 +242,15 @@ def test_dualize_maps_passing_algebras_to_passing_coalgebras():
         A = monoid_algebra(G, Q)
         assert verify_algebra(A).passed
         assert verify_coalgebra(dualize(A)).passed
+
+
+@pytest.mark.parametrize("field", [Q, F3])
+def test_mult_matrices_match_products(field):
+    # read off the product tensor in one pass; column j is x*e_j (or e_j*x)
+    A = monoid_algebra(FiniteMonoid.symmetric(3), field)
+    x = tuple(field.from_int(i * i - 7 * i) for i in range(A.dim))
+    for mat, product in ((A.left_mult_matrix(x), lambda e: A.mul_vec(x, e)),
+                         (A.right_mult_matrix(x), lambda e: A.mul_vec(e, x))):
+        assert mat == Matrix.from_columns(
+            field, [product(A.basis_vec(j)) for j in range(A.dim)])
+    assert A.left_mult_matrix(x) != A.right_mult_matrix(x)

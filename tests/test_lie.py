@@ -119,6 +119,64 @@ class TestCoproduct:
             enveloping_truncated(LieAlgebra.heisenberg(Q), 3))
         assert rep.passed
 
+    @staticmethod
+    def corrupted_sl2(mono, dropped):
+        """sl2 at order 3 with the term ``dropped`` (a pair of exponent
+        tuples) removed from the cached coproduct of ``mono``."""
+        U = enveloping_truncated(LieAlgebra.sl2(Q), 3)
+        k = U.index[mono]
+        delta = dict(U.comult_monomial(k))
+        del delta[tuple(U.index[m] for m in dropped)]
+        U._comult_cache[k] = delta
+        return U
+
+    MUL = "Delta(xy) = Delta(x)Delta(y) in range"
+    EF_PRODUCTS = ["(h,e*f)", "(f,e)", "(f,e*f)", "(e,f)", "(e,e*f)",
+                   "(f*h,e)", "(e*h,f)", "(e*f,h)", "(e*f,f)", "(e*f,e)"]
+
+    def checks(self, U):
+        tensor, rep = coproduct_on_U(U)
+        assert tensor == {k: U.comult_monomial(k) for k in range(U.dim)}
+        return [(c.name, c.ok, c.witness) for c in rep.checks]
+
+    def test_dropped_middle_term_witnesses(self):
+        # Delta(e*f) loses e (x) f: counits and generators still hold
+        U = self.corrupted_sl2((1, 1, 0), ((1, 0, 0), (0, 1, 0)))
+        assert self.checks(U) == [
+            ("coassociativity", False, "e*f*h"),
+            ("coassociativity", False, "e*f^2"),
+            ("coassociativity", False, "e^2*f"),
+            ("counit laws", True, None),
+            *[(self.MUL, False, w) for w in self.EF_PRODUCTS],
+            ("generators are primitive", True, None)]
+
+    def test_dropped_unit_term_breaks_counit(self):
+        # Delta(e*f) loses 1 (x) e*f
+        U = self.corrupted_sl2((1, 1, 0), ((0, 0, 0), (1, 1, 0)))
+        assert self.checks(U) == [
+            ("coassociativity", False, "e*f"),
+            ("coassociativity", False, "e*f*h"),
+            ("coassociativity", False, "e*f^2"),
+            ("coassociativity", False, "e^2*f"),
+            ("counit laws", False, "e*f"),
+            *[(self.MUL, False, w) for w in self.EF_PRODUCTS],
+            ("generators are primitive", True, None)]
+
+    def test_non_primitive_generator_witnesses(self):
+        # Delta(e) loses 1 (x) e
+        U = self.corrupted_sl2((1, 0, 0), ((0, 0, 0), (1, 0, 0)))
+        coassoc = ["e*h", "e*f", "e^2", "e*h^2", "e*f*h", "e*f^2", "e^2*h",
+                   "e^2*f", "e^3"]
+        products = ["(h,e)", "(f,e)", "(f,e^2)", "(e,h)", "(e,f)", "(e,e)",
+                    "(e,h^2)", "(e,f*h)", "(e,f^2)", "(e,e*h)", "(e,e*f)",
+                    "(e,e^2)", "(h^2,e)", "(f*h,e)", "(f^2,e)", "(e*h,e)",
+                    "(e*f,e)", "(e^2,e)"]
+        assert self.checks(U) == [
+            *[("coassociativity", False, w) for w in coassoc],
+            ("counit laws", False, "e"),
+            *[(self.MUL, False, w) for w in products],
+            ("generators are primitive", False, "e")]
+
 
 class TestGraded:
     @pytest.mark.parametrize("L,N", [

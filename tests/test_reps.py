@@ -76,6 +76,14 @@ class TestRepresentation:
         assert hom_dim_reps(std, reg) == 2
         assert hom_dim_reps(triv, sign) == 0
 
+    def test_hom_dims_s3_table(self):
+        # Schur's lemma on the irreducibles; each occurs in the regular
+        # module as often as its dimension, and End(regular) = QS3
+        _, triv, sign, std, reg = s3_catalogue(Q)
+        reps = (triv, sign, std, reg)
+        assert [[hom_dim_reps(a, b) for b in reps] for a in reps] == [
+            [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 2], [1, 1, 2, 6]]
+
 
 def witness(G, message):
     """The pair (s, h) named by a validation failure."""
