@@ -18,28 +18,39 @@ degree-4 irreducible times three linear factors over F_101. Times the
 structure-tensor sweeps: ``verify_bialgebra`` on the monoid and function
 algebras of D4, ``coproduct_on_U`` on sl2 at order 5,
 ``dist_at_identity("gm", 6)`` and ``divided_power_bialgebra(8)``, all over
-Q; their hash is of the ``repr`` of the report's checks. Each case runs
-``REPEAT`` times; the best and the median seconds are kept, with a SHA-256
-of the case's results so that two labels can be checked to compute the same
-thing. Writes ``BENCH_<label>.json``.
+Q; their hash is of the report's checks. Times ten in-process
+``cli.main`` calls of ``--format json verify`` on the corpus file
+``rg_d4.json``, hashing their exit codes and output without the timing
+field. Each case runs ``REPEAT`` times; the best and the median seconds
+are kept, with a SHA-256 of the case's results so that two labels can be
+checked to compute the same thing. The hash prints every rational as "a/b"
+or "a", so it does not depend on whether an integral rational is an
+``int`` or a ``Fraction``. Writes ``BENCH_<label>.json``. Runs from the
+root of the checkout it sits in, whatever the working directory.
 End-to-end timings of the command line live in ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import platform
 import random
+import re
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from hopfdual import cli  # noqa: E402
 from hopfdual.exact import (FieldSpec, Matrix, inverse, kron,  # noqa: E402
                             rref, span_of)
 from hopfdual.bialgebra import verify_bialgebra  # noqa: E402
@@ -53,6 +64,8 @@ from hopfdual.reps import Representation  # noqa: E402
 
 SEED = 16
 REPEAT = 11
+RG_D4 = "src/hopfdual/corpus/rg_d4.json"
+TIMING = re.compile(r'^ "timing_ms": -?\d+,\n', re.M)
 
 
 D4 = FiniteMonoid.dihedral(4)
@@ -171,6 +184,31 @@ def sweep_cases() -> dict:
     }
 
 
+def cli_cases() -> dict:
+    """Ten in-process ``verify`` runs of the command line, one parser per
+    process: (exit codes, output without the timing field)."""
+    argv = ["--format", "json", "verify", RG_D4]
+
+    def repeat():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [cli.main(argv) for _ in range(10)]
+        return codes, TIMING.sub("", out.getvalue())
+    return {"cli_repeat": (10, repeat)}
+
+
+def printed(x) -> str:
+    """x printed with every rational as "a/b" or "a"."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, (list, tuple)):
+        return "[" + ", ".join(map(printed, x)) + "]"
+    if isinstance(x, dict):
+        return "{" + ", ".join(f"{printed(k)}: {printed(v)}"
+                               for k, v in x.items()) + "}"
+    return repr(x)
+
+
 def run() -> dict:
     every = {}
     for label, field in (("Q", FieldSpec.rationals()),
@@ -179,6 +217,7 @@ def run() -> dict:
             every[f"{label}.{name}"] = case
     every.update(polys_cases())
     every.update(sweep_cases())
+    every.update(cli_cases())
     out = {}
     for name, (calls, thunk) in every.items():
         times = []
@@ -192,7 +231,7 @@ def run() -> dict:
             "median_s": round(statistics.median(times), 6),
             "repeat": REPEAT,
             "result_sha256": hashlib.sha256(
-                repr(result).encode()).hexdigest(),
+                printed(result).encode()).hexdigest(),
         }
     return out
 
@@ -202,13 +241,15 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True)
     ap.add_argument("--out", default=str(ROOT))
     args = ap.parse_args(argv)
+    out_dir = Path(args.out).resolve()
+    os.chdir(ROOT)
     doc = {
         "label": args.label,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cases": run(),
     }
-    path = Path(args.out) / f"BENCH_{args.label}.json"
+    path = out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
     for name, case in doc["cases"].items():

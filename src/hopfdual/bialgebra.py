@@ -543,6 +543,11 @@ def check_morphism(f_map: BialgebraMorphism, kind: str = "bialgebra") -> Report:
     if kind not in ("algebra", "coalgebra", "bialgebra"):
         raise ValueError(f"unknown morphism kind {kind!r}")
     A, B, F = f_map.source, f_map.target, f_map.matrix
+    for role, X in (("source", A), ("target", B)):
+        if kind != "coalgebra" and not X.has_algebra:
+            raise ValueError(f"no algebra structure present on the {role}")
+        if kind != "algebra" and not X.has_coalgebra:
+            raise ValueError(f"no coalgebra structure present on the {role}")
     f = A.field
     rep = Report(f"{kind} morphism check")
     if kind in ("algebra", "bialgebra"):
@@ -564,6 +569,11 @@ def check_morphism(f_map: BialgebraMorphism, kind: str = "bialgebra") -> Report:
 
 def primitives(A: FinBialgebra) -> list:
     """Basis of the space of primitive elements: Delta(a) = a (x) 1 + 1 (x) a."""
+    if not A.has_coalgebra:
+        raise ValueError("no coalgebra structure present")
+    if not A.has_algebra:
+        raise ValueError("no algebra structure present (primitives need "
+                         "the unit)")
     return primitive_space(A.field, A.deltas, A.unit)
 
 

@@ -9,6 +9,7 @@ fixed inputs and seed, except for the timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -324,10 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` builds once per process and reuses: parse_args
+    keeps no state between calls, and building it costs more than many
+    commands (argparse formats help for each subparser)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     started = time.perf_counter()

@@ -1,10 +1,13 @@
 """Exact scalars and dense linear algebra over the rationals and prime fields.
 
-Scalars are plain Python values: ``fractions.Fraction`` over the rationals
-(always reduced, positive denominator), ints in ``[0, p)`` over a prime
-field. A :class:`FieldSpec` carries the arithmetic. Vectors are tuples of
-scalars, and every scalar a caller reads or passes in has one of those two
-forms.
+Scalars are plain Python values. Over the rationals a scalar is an ``int``
+when its value is an integer and a reduced ``fractions.Fraction`` with
+denominator > 1 otherwise; over a prime field it is an int in ``[0, p)``.
+A :class:`FieldSpec` carries the arithmetic and returns every result in
+that canonical form, so the integral structure constants of the paper's
+objects (0, +-1, binomials, factorials) stay machine integers through the
+axiom sweeps. Callers may pass any ``Fraction`` in, ``Fraction(3)``
+included. Vectors are tuples of scalars.
 
 A :class:`Matrix` is immutable and stores int rows plus one denominator:
 the matrix is ints / den. Over Q the form is normalised (den positive and
@@ -55,16 +58,28 @@ def is_prime(n: int) -> bool:
 
 RATIONALS = "Rationals"
 PRIME_FIELD = "PrimeField"
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
+
+
+def _q(x):
+    """The canonical rational of an int or Fraction: an int when it is
+    integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient domain: the rationals, or F_p for a prime p < 2**31."""
+    """Coefficient domain: the rationals, or F_p for a prime p < 2**31.
+
+    Scalars are canonical: over Q an ``int`` when integral and a
+    ``Fraction`` with denominator > 1 otherwise, over F_p an int in
+    ``[0, p)``. Every operation returns that form for any int or
+    ``Fraction`` operands."""
 
     kind: str
     p: int | None = None
+
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if self.kind == RATIONALS:
@@ -88,31 +103,31 @@ class FieldSpec:
 
     # -- arithmetic on raw scalar values ------------------------------------
 
-    @property
-    def zero(self):
-        return 0 if self.p else _Q_ZERO
-
-    @property
-    def one(self):
-        return 1 if self.p else _Q_ONE
-
     def characteristic(self) -> int:
         return self.p or 0
 
     def from_int(self, n: int):
-        return n % self.p if self.p else Fraction(n)
+        return n % self.p if self.p else n
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
+        if self.p:
+            return (a + b) % self.p
+        return _q(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
+        if self.p:
+            return (a - b) % self.p
+        return _q(a - b)
 
     def neg(self, a):
-        return (-a) % self.p if self.p else -a
+        if self.p:
+            return (-a) % self.p
+        return _q(-a)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        if self.p:
+            return (a * b) % self.p
+        return _q(a * b)
 
     def inv(self, a):
         if self.p:
@@ -121,7 +136,7 @@ class FieldSpec:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _q(1 / Fraction(a))
 
     # -- string forms --------------------------------------------------------
 
@@ -131,14 +146,14 @@ class FieldSpec:
         try:
             if self.p:
                 return int(s) % self.p
-            return Fraction(s)
+            return _q(Fraction(s))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad scalar {s!r} for {self.kind}: {exc}") from exc
 
     def format(self, a) -> str:
         if self.p:
             return str(a % self.p)
-        return str(a)  # Fraction prints "a/b" reduced, or "a" for integers
+        return str(a)  # "a/b" reduced, or "a" for integers
 
     def describe(self) -> str:
         return "Q" if self.p is None else f"F_{self.p}"
@@ -161,13 +176,14 @@ def _as_ints(field: FieldSpec, rows):
             for row in rows], d
 
 
-def _scalars(field: FieldSpec, ints, d: int) -> list:
-    """The field's scalars ints[j] / d."""
+def _scalars(field: FieldSpec, ints, d: int):
+    """The field's canonical scalars ints[j] / d (d > 0); ints itself when
+    d is 1 over Q."""
     if field.p:
         return [x % field.p for x in ints]
     if d == 1:
-        return [Fraction(x) for x in ints]
-    return [Fraction(x, d) for x in ints]
+        return ints
+    return [Fraction(x, d) if x % d else x // d for x in ints]
 
 
 def _primitive(row: list) -> list:
@@ -232,8 +248,9 @@ class Matrix:
 
     @property
     def entries(self) -> tuple:
-        """Rows of scalars: Fractions over Q, ints in [0, p) over F_p."""
-        if self.field.p:
+        """Rows of canonical scalars: the int rows themselves over F_p or
+        when den is 1."""
+        if self.field.p or self.den == 1:
             return self.ints
         if self._entries is None:
             object.__setattr__(self, "_entries", tuple(

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 from .exact import FieldSpec, Matrix
 
@@ -240,35 +239,33 @@ def _equal_degree(field: FieldSpec, poly, d: int, rng) -> list:
 
 
 def rational_roots(poly) -> list:
-    """All rational roots of a polynomial with Fraction coefficients, by the
-    rational root theorem on the cleared-denominator form."""
-    coeffs = [Fraction(c) for c in poly]
-    if not coeffs:
-        return []
+    """All rational roots of a polynomial with rational (int or Fraction)
+    coefficients, in increasing order, as canonical scalars of Q: the
+    rational root theorem on the cleared-denominator form, each candidate
+    n/d in lowest terms tested in integer arithmetic as d^m p(n/d) = 0."""
+    q = FieldSpec.rationals()
+    den = math.lcm(*[c.denominator for c in poly])
+    ints = [c.numerator * (den // c.denominator) for c in poly]
     roots = []
     # strip roots at zero first
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-    if len(coeffs) <= 1:
-        return sorted(set(roots))
-    lcm = 1
-    for c in coeffs:
-        lcm = math.lcm(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
+    if ints and ints[0] == 0:
+        roots.append(q.zero)
+        while ints and ints[0] == 0:
+            ints.pop(0)
+    if len(ints) <= 1:
+        return roots
+    for num in _divisors(abs(ints[0])):
+        for d in _divisors(abs(ints[-1])):
+            if math.gcd(num, d) > 1:
+                continue
+            for n in (num, -num):
+                acc, scale_d = ints[-1], 1
+                for c in reversed(ints[:-1]):
+                    scale_d *= d
+                    acc = acc * n + c * scale_d
                 if acc == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+                    roots.append(q.mul(n, q.inv(d)))
+    return sorted(roots)
 
 
 def _divisors(n):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,15 @@ from hopfdual.reps import Representation
 @pytest.fixture(scope="session")
 def Q():
     return FieldSpec.rationals()
+
+
+def is_canonical(field, x) -> bool:
+    """x is in the field's canonical scalar form: over Q an int when
+    integral and a Fraction with denominator > 1 otherwise, over F_p an int
+    in [0, p)."""
+    if field.p:
+        return type(x) is int and 0 <= x < field.p
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def s3_catalogue(field):

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from hopfdual import io
 from hopfdual.bialgebra import (BialgebraMorphism, FinBialgebra,
                                 check_grouplike, check_hopf, check_morphism,
                                 dualize, find_antipode, primitives,
@@ -12,6 +15,7 @@ from hopfdual.monoids import FiniteMonoid, function_bialgebra, monoid_algebra
 
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "hopfdual" / "corpus"
 
 
 def one_dim_bialgebra(field=Q):
@@ -254,3 +258,70 @@ def test_mult_matrices_match_products(field):
         assert mat == Matrix.from_columns(
             field, [product(A.basis_vec(j)) for j in range(A.dim)])
     assert A.left_mult_matrix(x) != A.right_mult_matrix(x)
+
+
+class TestMissingStructure:
+    """A routine handed a structure without the half it reads raises a
+    ValueError naming that half, as the verifiers do. The corpus Lie and
+    representation files load as bare structures (neither half)."""
+
+    @staticmethod
+    def bare(name):
+        B = io.load_bialgebra(CORPUS / name)
+        assert not (B.has_algebra or B.has_coalgebra)
+        return B
+
+    def test_primitives_without_coproduct(self):
+        with pytest.raises(ValueError, match="no coalgebra structure"):
+            primitives(self.bare("lie_sl2.json"))
+
+    def test_primitives_without_unit(self):
+        A = monoid_algebra(FiniteMonoid.cyclic(3), Q)
+        coalg_only = FinBialgebra(Q, 3, A.basis, comult=A.comult,
+                                  counit=A.counit)
+        with pytest.raises(ValueError, match="no algebra structure"):
+            primitives(coalg_only)
+
+    @pytest.mark.parametrize("kind", ["coalgebra", "bialgebra"])
+    def test_coalgebra_kinds_bare_source(self, kind):
+        B = self.bare("lie_sl2.json")
+        A = monoid_algebra(FiniteMonoid.cyclic(3), Q)
+        f = BialgebraMorphism(B, A, Matrix.identity(Q, 3))
+        with pytest.raises(ValueError, match="structure present on the "
+                                             "source"):
+            check_morphism(f, kind)
+
+    @pytest.mark.parametrize("kind", ["coalgebra", "bialgebra"])
+    def test_coalgebra_kinds_bare_target(self, kind):
+        B = self.bare("rep_s3_standard.json")
+        A = monoid_algebra(FiniteMonoid.cyclic(2), Q)
+        f = BialgebraMorphism(A, B, Matrix.identity(Q, 2))
+        with pytest.raises(ValueError, match="structure present on the "
+                                             "target"):
+            check_morphism(f, kind)
+
+    def test_coalgebra_kind_names_the_coproduct(self):
+        # an algebra-only target: the coalgebra kind misses the coproduct
+        A = monoid_algebra(FiniteMonoid.cyclic(2), Q)
+        alg_only = FinBialgebra(Q, 2, A.basis, A.mult, A.unit)
+        f = BialgebraMorphism(A, alg_only, Matrix.identity(Q, 2))
+        with pytest.raises(ValueError, match="no coalgebra structure "
+                                             "present on the target"):
+            check_morphism(f, "coalgebra")
+        assert check_morphism(f, "algebra").passed
+
+    def test_algebra_kind_bare_source(self):
+        B = self.bare("rep_s3_standard.json")
+        A = monoid_algebra(FiniteMonoid.cyclic(2), Q)
+        f = BialgebraMorphism(B, A, Matrix.identity(Q, 2))
+        with pytest.raises(ValueError, match="no algebra structure present "
+                                             "on the source"):
+            check_morphism(f, "algebra")
+
+    def test_algebra_kind_bare_target(self):
+        B = self.bare("lie_sl2.json")
+        A = monoid_algebra(FiniteMonoid.cyclic(3), Q)
+        f = BialgebraMorphism(A, B, Matrix.identity(Q, 3))
+        with pytest.raises(ValueError, match="no algebra structure present "
+                                             "on the target"):
+            check_morphism(f, "algebra")

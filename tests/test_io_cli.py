@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hopfdual
-from hopfdual import io
+from hopfdual import cli, io
 from hopfdual.bialgebra import same_structure
 from hopfdual.cli import main
 from hopfdual.exact import FieldSpec, Matrix, inverse
@@ -248,6 +248,37 @@ class TestCliContract:
 
     def test_formal_matrices_cli(self):
         assert run_cli("formal-matrices", "--n", "2", "--order", "2") == 0
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    """main reuses one parser per process; a sequence of calls in one
+    process (a usage error, a seeded run, an unseeded run) prints what a
+    fresh parser prints for each call."""
+    rg = str(CORPUS / "rg_z2.json")
+    calls = [["verify"],
+             ["--format", "json", "--seed", "5", "verify", rg],
+             ["--format", "json", "verify", rg]]
+
+    def run(argv):
+        code = main(list(argv))
+        out = capsys.readouterr()
+        text = out.out
+        if text.startswith("{"):
+            doc = json.loads(text)
+            doc.pop("timing_ms")
+            text = doc
+        return code, text, out.err
+
+    reused = [run(argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0]
+    assert "usage:" in reused[0][2]
+    assert reused[1][1]["seed"] == 5 and reused[2][1]["seed"] is None
 
 
 class TestReportReproducibility:
