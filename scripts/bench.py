@@ -21,7 +21,12 @@ algebras of D4, ``coproduct_on_U`` on sl2 at order 5,
 Q; their hash is of the report's checks. Times ten in-process
 ``cli.main`` calls of ``--format json verify`` on the corpus file
 ``rg_d4.json``, hashing their exit codes and output without the timing
-field. Each case runs ``REPEAT`` times; the best and the median seconds
+field. Times the representation pipeline over Q on a file: loading (parsing
+plus validation) the conjugated 16-dimensional D4 module above, saved as a
+representation file, an in-process ``cli.main`` call of ``--format json
+reynolds`` on it (hashing its output without the timing field and with the
+file's directory dropped), and ``reconstruct_from_regular`` on Z3 x Z3.
+Each case runs ``REPEAT`` times; the best and the median seconds
 are kept, with a SHA-256 of the case's results so that two labels can be
 checked to compute the same thing. The hash prints every rational as "a/b"
 or "a", so it does not depend on whether an integral rational is an
@@ -43,6 +48,7 @@ import random
 import re
 import statistics
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -51,16 +57,19 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from hopfdual import cli  # noqa: E402
+from hopfdual import io as hio  # noqa: E402
 from hopfdual.exact import (FieldSpec, Matrix, inverse, kron,  # noqa: E402
                             rref, span_of)
 from hopfdual.bialgebra import verify_bialgebra  # noqa: E402
 from hopfdual.lie import (LieAlgebra, TruncatedEnveloping,  # noqa: E402
                           coproduct_on_U, dist_at_identity,
                           divided_power_bialgebra)
-from hopfdual.monoids import (FiniteMonoid, function_bialgebra,  # noqa: E402
+from hopfdual.monoids import (FiniteAbelianGroup,  # noqa: E402
+                              FiniteMonoid, function_bialgebra,
                               monoid_algebra)
 from hopfdual.polys import char_poly, factor_monic_fp, mul  # noqa: E402
 from hopfdual.reps import Representation  # noqa: E402
+from hopfdual.tannaka import reconstruct_from_regular  # noqa: E402
 
 SEED = 16
 REPEAT = 11
@@ -197,6 +206,33 @@ def cli_cases() -> dict:
     return {"cli_repeat": (10, repeat)}
 
 
+def rep_cases(work: Path) -> dict:
+    """name -> (number of calls, thunk) for the representation pipeline
+    over Q: the D4 module of :func:`d4_action` written to a file under
+    work, loaded, averaged by the ``reynolds`` command, and the
+    reconstruction of QZ3xZ3 from its regular module."""
+    q = FieldSpec.rationals()
+    path = work / "rep_d4_16.json"
+    hio.save_representation(Representation(D4, q, d4_action(q),
+                                           validate=False), path)
+    argv = ["--format", "json", "reynolds", str(path)]
+
+    def reynolds():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        text = TIMING.sub("", out.getvalue())
+        return code, text.replace(str(work) + os.sep, "")
+    z3xz3 = FiniteAbelianGroup((3, 3)).to_monoid()
+    return {
+        "Q.load_representation.d4_16": (
+            1, lambda: hio.load_representation(path).matrices),
+        "Q.cli_reynolds.d4_16": (1, reynolds),
+        "Q.reconstruct_from_regular.z3xz3": (
+            1, lambda: reconstruct_from_regular(z3xz3, q).checks),
+    }
+
+
 def printed(x) -> str:
     """x printed with every rational as "a/b" or "a"."""
     if isinstance(x, Fraction):
@@ -209,7 +245,7 @@ def printed(x) -> str:
     return repr(x)
 
 
-def run() -> dict:
+def run(work: Path) -> dict:
     every = {}
     for label, field in (("Q", FieldSpec.rationals()),
                          ("F101", FieldSpec.prime(101))):
@@ -218,6 +254,7 @@ def run() -> dict:
     every.update(polys_cases())
     every.update(sweep_cases())
     every.update(cli_cases())
+    every.update(rep_cases(work))
     out = {}
     for name, (calls, thunk) in every.items():
         times = []
@@ -243,11 +280,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     out_dir = Path(args.out).resolve()
     os.chdir(ROOT)
+    with tempfile.TemporaryDirectory() as work:
+        results = run(Path(work))
     doc = {
         "label": args.label,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "cases": run(),
+        "cases": results,
     }
     path = out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",

@@ -7,7 +7,8 @@ from .exact import (FieldMismatch, FieldSpec, Matrix, inverse, kernel_basis,
 from .bialgebra import (BialgebraMorphism, FinBialgebra, check_grouplike,
                         check_hopf, check_morphism, dualize, find_antipode,
                         primitives, same_structure, tensor_bialgebra,
-                        verify_algebra, verify_bialgebra, verify_coalgebra)
+                        verify_algebra, verify_bialgebra, verify_coalgebra,
+                        verify_compatibility)
 from .monoids import (BudgetExceeded, Character, FiniteAbelianGroup,
                       FiniteMonoid, InsufficientRoots, NotPositivelyGraded,
                       cartier_check, double_dual_check, dual_monoid,

@@ -24,10 +24,11 @@ the enveloping truncations, divided powers and distribution algebras of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
-from .exact import (FieldMismatch, FieldSpec, Matrix, kernel_basis, kron,
-                    solve, vbasis)
+from .exact import (FieldMismatch, FieldSpec, Matrix, Span, kernel_basis,
+                    kron, solve, vbasis)
 from .report import Report
 
 
@@ -261,6 +262,42 @@ class FinBialgebra:
                 rows[k][t] = f.add(rows[k][t], f.mul(x[s], m))
         return Matrix(f, rows)
 
+    @cached_property
+    def generators(self) -> tuple:
+        """Basis elements that generate the algebra, chosen greedily in
+        basis order: an element is taken when the subalgebra generated by
+        the unit and those taken before misses it. The algebra twin of
+        :attr:`FiniteMonoid.generators`; empty when the unit spans A.
+
+        The subalgebra is grown as the span of the vectors found so far:
+        each new vector is multiplied on both sides by every vector found
+        before it and by itself, so once no product enlarges the span,
+        every pair has been multiplied and the span is closed under
+        products."""
+        if not self.has_algebra:
+            raise ValueError("no algebra structure present")
+        sp = Span(self.field, self.dim)
+        found = []
+
+        def close(v):
+            todo = [v]
+            while todo:
+                v = todo.pop()
+                if sp.add(v):
+                    found.append(v)
+                    for u in found:
+                        todo.append(self.mul_vec(u, v))
+                        todo.append(self.mul_vec(v, u))
+
+        close(self.unit)
+        gens = []
+        while sp.dim < self.dim:
+            pick = next(i for i in range(self.dim)
+                        if not sp.contains(self.basis_vec(i)))
+            gens.append(pick)
+            close(self.basis_vec(pick))
+        return tuple(gens)
+
     def is_commutative(self) -> bool:
         dense = self.mult
         for (i, j, k), c in dense.items():
@@ -383,10 +420,21 @@ def verify_bialgebra(A: FinBialgebra) -> Report:
     (Delta and epsilon are algebra morphisms)."""
     if not (A.has_algebra and A.has_coalgebra):
         raise ValueError("bialgebra verification needs all five structures")
-    f = A.field
     rep = Report(f"bialgebra axioms ({A!r})")
     rep.extend(verify_algebra(A))
     rep.extend(verify_coalgebra(A))
+    rep.extend(verify_compatibility(A))
+    return rep
+
+
+def verify_compatibility(A: FinBialgebra) -> Report:
+    """The compatibility laws alone: Delta and epsilon are algebra
+    morphisms. :func:`verify_bialgebra` is the algebra and coalgebra
+    axioms followed by these checks."""
+    if not (A.has_algebra and A.has_coalgebra):
+        raise ValueError("bialgebra verification needs all five structures")
+    f = A.field
+    rep = Report(f"compatibility laws ({A!r})")
     n = A.dim
     pairs = [(i, j) for i in range(n) for j in range(n)]
     multiplicativity_sweep(rep, "comult multiplicative", f, A.deltas,

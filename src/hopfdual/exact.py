@@ -31,6 +31,7 @@ through that step; the :class:`Echelon` it returns reads off the kernel,
 
 from __future__ import annotations
 
+import re
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,32 @@ def _q(x):
     """The canonical rational of an int or Fraction: an int when it is
     integral."""
     return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+# the serialized form of a rational, "a" or "a/b", in ASCII digits
+_SERIAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(s: str) -> tuple:
+    """(n, d) with d > 0 and n / d the value of the stripped scalar string
+    s over Q. The serialized form is read with ``int`` and builds no
+    ``Fraction``; every other string, "a/0" included, goes through
+    ``Fraction(s)``. ``Fraction`` accepts each string the pattern takes,
+    with the same value, so exactly the strings ``Fraction`` accepts are
+    accepted, with its errors."""
+    try:
+        m = _SERIAL.fullmatch(s)
+        if m is not None:
+            num, den = m.groups()
+            if den is None:
+                return int(num), 1
+            d = int(den)
+            if d:
+                return int(num), d
+        x = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad scalar {s!r} for {RATIONALS}: {exc}") from exc
+    return x.numerator, x.denominator
 
 
 @dataclass(frozen=True)
@@ -143,11 +170,12 @@ class FieldSpec:
     def parse(self, s: str):
         """Parse a scalar string: "a/b" or "a" over Q, a decimal over F_p."""
         s = s.strip()
+        if not self.p:
+            n, d = _ratio(s)
+            return n if d == 1 else _q(Fraction(n, d))
         try:
-            if self.p:
-                return int(s) % self.p
-            return _q(Fraction(s))
-        except (ValueError, ZeroDivisionError) as exc:
+            return int(s) % self.p
+        except ValueError as exc:
             raise ValueError(f"bad scalar {s!r} for {self.kind}: {exc}") from exc
 
     def format(self, a) -> str:
@@ -257,6 +285,25 @@ class Matrix:
                 tuple(_scalars(self.field, row, self.den))
                 for row in self.ints))
         return self._entries
+
+    @staticmethod
+    def parse(field: FieldSpec, rows) -> "Matrix":
+        """The matrix of rows of scalar strings (or of values whose ``str``
+        is one), each read as :meth:`FieldSpec.parse` reads it and with the
+        same errors, the first bad entry in row order first. Over Q the
+        entries go straight to int rows over one common denominator and one
+        normalisation, with no ``Fraction`` for an entry in serialized
+        form."""
+        if field.p:
+            return Matrix(field, [[field.parse(str(c)) for c in row]
+                                  for row in rows])
+        ratios = [[_ratio(str(c).strip()) for c in row] for row in rows]
+        cols = len(ratios[0]) if ratios else 0
+        if any(len(row) != cols for row in ratios):
+            raise ValueError("ragged rows")
+        den = lcm(*[d for row in ratios for _, d in row])
+        return _normal(field, [[n * (den // d) for n, d in row]
+                               for row in ratios], den, cols)
 
     @staticmethod
     def from_int_rows(field: FieldSpec, rows) -> "Matrix":

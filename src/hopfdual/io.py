@@ -4,7 +4,10 @@ round-trip testing.
 
 Scalar strings follow the exact serialization rules: rationals as "a/b"
 with positive reduced denominator ("a" for integers), prime-field elements
-as decimals in [0, p).
+as decimals in [0, p). Matrices are read by ``Matrix.parse``, which over Q
+takes strings in that form straight to int rows; any other string
+``Fraction`` accepts ("1.5", "+3", "1e2") is still read, through
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -142,8 +145,7 @@ def bialgebra_from_json(obj, path="<bialgebra>") -> FinBialgebra:
         if not (isinstance(rows, list) and len(rows) == dim):
             _fail(path, f"antipode must be a {dim}x{dim} matrix")
         try:
-            antipode = Matrix(field, [[field.parse(str(c)) for c in row]
-                                      for row in rows])
+            antipode = Matrix.parse(field, rows)
         except ValueError as exc:
             _fail(path, f"antipode: {exc}")
         if antipode.cols != dim:
@@ -237,8 +239,7 @@ def representation_from_json(obj, path="<representation>",
         if not (isinstance(rows, list) and len(rows) == dim):
             _fail(path, f"matrix for {name!r} must be {dim}x{dim}")
         try:
-            m = Matrix(field, [[field.parse(str(c)) for c in row]
-                               for row in rows])
+            m = Matrix.parse(field, rows)
         except ValueError as exc:
             _fail(path, f"matrix for {name!r}: {exc}")
         if m.cols != dim:
@@ -316,8 +317,22 @@ def load_matrix(path) -> Matrix:
                             str(path))
     rows = obj["matrix"]
     try:
-        return Matrix(field, [[field.parse(str(c)) for c in row]
-                              for row in rows])
+        return Matrix.parse(field, rows)
+    except ValueError as exc:
+        _fail(str(path), str(exc))
+
+
+# -- subspace files --------------------------------------------------------------
+
+def load_subspace(path, field: FieldSpec) -> list:
+    """The spanning vectors of a subspace file, ``{"subspace": [[...]]}``,
+    as tuples of scalars of the given field."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict) or "subspace" not in obj:
+        _fail(str(path), "expected an object with 'subspace'")
+    try:
+        return [tuple(field.parse(str(c)) for c in row)
+                for row in obj["subspace"]]
     except ValueError as exc:
         _fail(str(path), str(exc))
 

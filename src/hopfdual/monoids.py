@@ -309,35 +309,6 @@ def cartier_check(G: FiniteMonoid, F: FieldSpec) -> Report:
 
 # -- points of a commutative algebra over a prime field ------------------------
 
-def _greedy_generators(A: FinBialgebra) -> list:
-    """Basis elements that generate A as an algebra, chosen greedily in
-    basis order; the unit subalgebra is the starting span."""
-    f = A.field
-    sp = Span(f, A.dim)
-    sp.add(A.unit)
-    gens = []
-    while sp.dim < A.dim:
-        pick = None
-        for i in range(A.dim):
-            if not sp.contains(A.basis_vec(i)):
-                pick = i
-                break
-        if pick is None:
-            raise RuntimeError("span closed early; inconsistent structure")
-        gens.append(pick)
-        sp.add(A.basis_vec(pick))
-        # close under products until stable
-        changed = True
-        while changed:
-            changed = False
-            vecs = sp.basis()
-            for u in vecs:
-                for v in vecs:
-                    if sp.add(A.mul_vec(u, v)):
-                        changed = True
-    return gens
-
-
 def points(A: FinBialgebra, budget: int = 10**7) -> list:
     """All unital multiplicative linear maps A -> F_p, as value tuples on
     the basis, in a deterministic order.
@@ -355,7 +326,7 @@ def points(A: FinBialgebra, budget: int = 10**7) -> list:
     if not A.is_commutative():
         raise ValueError("point enumeration needs a commutative algebra")
     p = f.p
-    gens = _greedy_generators(A)
+    gens = A.generators
     if p ** len(gens) > budget:
         raise BudgetExceeded(
             f"{p}**{len(gens)} candidates exceed budget {budget}")

@@ -133,7 +133,19 @@ class Representation:
 
 
 class AlgebraModule:
-    """A finite-dimensional module over a structure-constant algebra."""
+    """A finite-dimensional module over a structure-constant algebra A,
+    which must be associative.
+
+    Validation checks that 1 acts as the identity and that act(e_s) act(e_b)
+    == act(e_s e_b) for every s in the algebra's greedy generating set
+    ``algebra.generators`` and every basis element b. That is as strong as
+    checking every pair of basis elements: the elements a with act(a)
+    act(b) = act(ab) for all b form a subspace that holds 1, and it is
+    closed under products, because for two of them a and a',
+    act(aa') act(b) = act(a) act(a') act(b) = act(a) act(a'b) =
+    act(a(a'b)) = act((aa')b) by associativity. A unital subalgebra that
+    holds the generators is all of A. It takes |S| dim(A) products instead
+    of dim(A)^2, and a failure names the concrete pair (s, b)."""
 
     def __init__(self, algebra: FinBialgebra, matrices, validate: bool = True):
         if not algebra.has_algebra:
@@ -152,7 +164,7 @@ class AlgebraModule:
             f = algebra.field
             if self.act(algebra.unit) != Matrix.identity(f, self.dim):
                 raise ValueError("1 must act as the identity")
-            for i in range(algebra.dim):
+            for i in algebra.generators:
                 for j in range(algebra.dim):
                     lhs = self.matrices[i] * self.matrices[j]
                     rhs = lincomb(f, self.dim, self.dim,
@@ -189,14 +201,21 @@ def _intertwiner_space_dim(field, left_mats, right_mats, dim_src, dim_tgt):
     # vec(R f) = (R (x) I) vec(f)
     i_src = Matrix.identity(field, dim_src)
     i_tgt = Matrix.identity(field, dim_tgt)
-    return len(kernel_basis(stack(
-        [kron(i_tgt, L.transpose()) - kron(R, i_src)
-         for L, R in zip(left_mats, right_mats)])))
+    blocks = [kron(i_tgt, L.transpose()) - kron(R, i_src)
+              for L, R in zip(left_mats, right_mats)]
+    if not blocks:
+        return dim_src * dim_tgt
+    return len(kernel_basis(stack(blocks)))
 
 
 def hom_dim_reps(a: Representation, b: Representation) -> int:
-    """Dimension of the space of equivariant maps a -> b."""
-    return _intertwiner_space_dim(a.field, a.matrices, b.matrices,
+    """Dimension of the space of equivariant maps a -> b. A map that
+    commutes with the action of every generator commutes with every
+    product of them, so the equations are those of the monoid's
+    generating set."""
+    gens = a.monoid.generators
+    return _intertwiner_space_dim(a.field, [a.matrices[g] for g in gens],
+                                  [b.matrices[g] for g in gens],
                                   a.dim, b.dim)
 
 
@@ -206,9 +225,15 @@ def hom_dim_modules(a: AlgebraModule, b: AlgebraModule) -> int:
 
 
 def invariants(rho: Representation, generators=None) -> list:
-    """Basis of the joint fixed space of the action matrices."""
+    """Basis of the joint fixed space of the action matrices: the kernel of
+    the stacked action(s) - I for s in ``generators``, by default the
+    monoid's greedy generating set. A vector fixed by every generator is
+    fixed by every product of them, so by all of G: the null space, and
+    with it the unique reduced form and kernel basis, is that of the stack
+    over every element. With no generators (the trivial monoid) every
+    vector is invariant."""
     f = rho.field
-    gens = range(rho.monoid.size) if generators is None else generators
+    gens = rho.monoid.generators if generators is None else generators
     ident = Matrix.identity(f, rho.dim)
     blocks = [rho.action(g) - ident for g in gens]
     if not blocks:
@@ -229,20 +254,26 @@ def integral_system(G: FiniteMonoid, F: FieldSpec):
     """Solve {g*w = w = w*g for all g, sum of coefficients = 1} in RG.
 
     Returns (solution or None, unique flag). Works for any finite monoid;
-    this is the generic route that also certifies uniqueness.
+    this is the generic route that also certifies uniqueness. The
+    invariance equations are stacked for the generators of G only: if
+    s*w = w for every generator s then g*w = w for every product g of
+    them, and likewise on the right, so the solution space, the reduced
+    form, the solution and the uniqueness flag are those of the system
+    over every element. The trivial monoid has no generators and keeps
+    only the normalisation row.
     """
     A = monoid_algebra(G, F)
     n = G.size
     ident = Matrix.identity(F, n)
     blocks = []
-    for g in range(n):
+    for g in G.generators:
         e = A.basis_vec(g)
         blocks.append(A.left_mult_matrix(e) - ident)
         blocks.append(A.right_mult_matrix(e) - ident)
-    homogeneous = stack(blocks)
     # counit row: all ones (the trivial character pairing)
-    full = stack([homogeneous, Matrix(F, [[F.one] * n])])
-    rhs = (F.zero,) * homogeneous.rows + (F.one,)
+    blocks.append(Matrix(F, [[F.one] * n]))
+    full = stack(blocks)
+    rhs = (F.zero,) * (full.rows - 1) + (F.one,)
     w = solve(full, rhs)
     unique = len(kernel_basis(full)) == 0
     return w, unique
@@ -260,7 +291,7 @@ def invariant_integral(G: FiniteMonoid, F: FieldSpec) -> InvariantIntegral:
     inv_n = F.inv(F.from_int(n))
     w = tuple(inv_n for _ in range(n))
     A = monoid_algebra(G, F)
-    for g in range(n):
+    for g in G.generators:
         e = A.basis_vec(g)
         if A.mul_vec(e, w) != w or A.mul_vec(w, e) != w:
             raise RuntimeError("averaging element is not invariant")
@@ -324,9 +355,10 @@ def split_group_algebra(G: FiniteMonoid, F: FieldSpec) -> GroupAlgebraSplit:
     rep.add("w*RG is spanned by w", image.dim == 1
             and image.contains(w.vector))
     rep.add("dimension count", len(ideal) == n - 1)
-    # projection onto the first factor equals the all-ones character
+    # projection onto the first factor equals the all-ones character; w*g
+    # = w for the generators gives it for all of G
     ok = True
-    for g in range(n):
+    for g in G.generators:
         e = A.basis_vec(g)
         if A.mul_vec(w.vector, e) != w.vector:
             ok = False
@@ -334,11 +366,12 @@ def split_group_algebra(G: FiniteMonoid, F: FieldSpec) -> GroupAlgebraSplit:
                     G.names[g])
     if ok:
         rep.add("projection equals the trivial character", True)
-    # the complement is a two-sided ideal
+    # the complement is a two-sided ideal: closed under multiplication by
+    # the generators on both sides, hence by all of G, which spans RG
     sp = span_of(f, ideal, n)
     ok = True
     for b in ideal:
-        for g in range(n):
+        for g in G.generators:
             e = A.basis_vec(g)
             if not sp.contains(A.mul_vec(e, b)) or \
                not sp.contains(A.mul_vec(b, e)):
@@ -368,9 +401,12 @@ class RepMorphism:
             raise ValueError("matrix shape mismatch")
 
     def is_equivariant(self) -> bool:
+        """matrix * action(g) == action'(g) * matrix for every g, checked
+        for the generators of the monoid: if it holds for g and h it holds
+        for gh, and the unit acts as the identity on both sides."""
         return all(self.matrix * self.source.action(g)
                    == self.target.action(g) * self.matrix
-                   for g in range(self.source.monoid.size))
+                   for g in self.source.monoid.generators)
 
     def is_surjective(self) -> bool:
         return rank(self.matrix) == self.target.dim
@@ -395,7 +431,7 @@ def equivariant_section(pi: RepMorphism, s: Matrix,
                    for g, c in enumerate(w.vector) if c != f.zero))
     if pi.matrix * acc != Matrix.identity(f, N.dim):
         raise RuntimeError("averaged map stopped being a section")
-    for g in range(M.monoid.size):
+    for g in M.monoid.generators:
         if M.action(g) * acc != acc * N.action(g):
             raise RuntimeError("averaged section is not equivariant")
     return acc
@@ -461,12 +497,15 @@ def quotient_rep(rho: Representation, sub_basis):
     quot = Representation(rho.monoid, f,
                           [proj * m * sect for m in rho.matrices],
                           validate=False)
-    # well-definedness needs invariance of the subspace
+    # well-definedness needs invariance of the subspace; a subspace every
+    # generator keeps is kept by every product of generators
     sp = span_of(f, sub, rho.dim)
-    for g in range(rho.monoid.size):
-        for v in sub:
+    for g in rho.monoid.generators:
+        for i, v in enumerate(sub):
             if not sp.contains(rho.action(g).apply(v)):
-                raise ValueError("subspace is not invariant")
+                raise ValueError(
+                    f"subspace is not invariant: {rho.monoid.names[g]} moves "
+                    f"spanning vector {i} out of it")
     return quot, proj, sect
 
 
@@ -603,7 +642,9 @@ def assemble_summands(rho: Representation, summands) -> Matrix:
     Binv = inverse(B)
     if Binv is None:
         raise ValueError("summands do not span: sum is not direct")
-    for g in range(rho.monoid.size):
+    # products of block-diagonal matrices are block diagonal, so the
+    # generators decide it for all of G
+    for g in rho.monoid.generators:
         conj = Binv * rho.action(g) * B
         offset = 0
         for s in summands:

@@ -73,6 +73,8 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
                 mult[divmod(ij, dim_q) + (k,)] = c
     names = tuple(f"[{A.name_of(p)}]" for p in pivots)
     AX = FinBialgebra(f, dim_q, names, mult, unit, has_bialgebra=False)
+    # AX is a subalgebra of End(X), so it is associative, as the module
+    # law's check on a generating set of AX needs
     action = AlgebraModule(AX, basis_mats, validate=True)
     # faithfulness: the basis matrices are linearly independent by choice
     # of pivots, so only 0 acts as 0; double-check the kernel dimensions.

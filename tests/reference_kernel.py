@@ -9,11 +9,20 @@ Below them, the small-n polynomial routines: the characteristic polynomial
 by minor expansion over column subsets (2^n), factoring over F_p by trial
 division over every monic candidate (p^d), and F_p eigenvalues by
 evaluation at every field element (p). ``test_polys`` and ``test_reps``
-compare ``hopfdual.polys`` and ``hopfdual.reps`` with them."""
+compare ``hopfdual.polys`` and ``hopfdual.reps`` with them.
+
+Last, the G-laws on every element: invariants, the integral system,
+equivariance, subspace invariance and the module law, each over all of G
+(every pair of basis elements for a module), and the greedy algebra
+generating set computed by closing the span under all products of its
+basis, round after round. ``hopfdual`` checks each law on a generating set
+only; ``test_generating_sets`` compares the two."""
 
 import itertools
 
-from hopfdual.exact import Echelon, FieldMismatch, FieldSpec, Matrix
+from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix,
+                            kernel_basis, solve, stack)
+from hopfdual.monoids import monoid_algebra
 from hopfdual.polys import add, degree, divmod_poly, mul, normalize, scale
 
 
@@ -294,3 +303,80 @@ def eval_at(field, poly, x):
     for c in reversed(poly):
         acc = field.add(field.mul(acc, x), c)
     return acc
+
+
+# -- the G-laws on every element --------------------------------------------------
+
+def invariants_all(rho) -> list:
+    """Kernel basis of the action(g) - I stacked over every g."""
+    f = rho.field
+    ident = Matrix.identity(f, rho.dim)
+    blocks = [rho.action(g) - ident for g in range(rho.monoid.size)]
+    return kernel_basis(stack(blocks))
+
+
+def integral_system_all(G, F):
+    """(solution or None, unique flag) of {g*w = w = w*g for every g, sum
+    of coefficients = 1}."""
+    A = monoid_algebra(G, F)
+    n = G.size
+    ident = Matrix.identity(F, n)
+    blocks = []
+    for g in range(n):
+        e = A.basis_vec(g)
+        blocks.append(A.left_mult_matrix(e) - ident)
+        blocks.append(A.right_mult_matrix(e) - ident)
+    homogeneous = stack(blocks)
+    full = stack([homogeneous, Matrix(F, [[F.one] * n])])
+    rhs = (F.zero,) * homogeneous.rows + (F.one,)
+    return solve(full, rhs), len(kernel_basis(full)) == 0
+
+
+def equivariance_failures(pi) -> list:
+    """Every g with matrix * action(g) != action'(g) * matrix."""
+    return [g for g in range(pi.source.monoid.size)
+            if pi.matrix * pi.source.action(g)
+            != pi.target.action(g) * pi.matrix]
+
+
+def invariance_failures(rho, sub) -> list:
+    """Every (g, i) with action(g) sub[i] outside the span of sub."""
+    sp = Span(rho.field, rho.dim)
+    for v in sub:
+        sp.add(v)
+    return [(g, i) for g in range(rho.monoid.size)
+            for i, v in enumerate(sub)
+            if not sp.contains(rho.action(g).apply(v))]
+
+
+def module_law_failures(algebra, matrices) -> list:
+    """Every basis pair (i, j) with rho(e_i) rho(e_j) != rho(e_i e_j)."""
+    f = algebra.field
+    n = matrices[0].rows
+    return [(i, j) for i in range(algebra.dim) for j in range(algebra.dim)
+            if matrices[i] * matrices[j] != lincomb(
+                f, n, n, ((c, matrices[k]) for k, c
+                          in algebra.mul_basis(i, j).items()))]
+
+
+def greedy_generators(A) -> list:
+    """Basis elements generating A, taken greedily in basis order; after
+    each one the span is closed by multiplying every pair of its reduced
+    basis vectors, round after round, until a round adds nothing."""
+    f = A.field
+    sp = Span(f, A.dim)
+    sp.add(A.unit)
+    gens = []
+    while sp.dim < A.dim:
+        pick = next(i for i in range(A.dim) if not sp.contains(A.basis_vec(i)))
+        gens.append(pick)
+        sp.add(A.basis_vec(pick))
+        changed = True
+        while changed:
+            changed = False
+            vecs = sp.basis()
+            for u in vecs:
+                for v in vecs:
+                    if sp.add(A.mul_vec(u, v)):
+                        changed = True
+    return gens

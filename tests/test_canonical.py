@@ -41,6 +41,118 @@ def test_parse_forms():
         F7.parse("3/4")
 
 
+def fraction_parse(s: str):
+    """The oracle: the canonical rational of ``Fraction(s.strip())``, or
+    the message ``FieldSpec.parse`` must raise."""
+    s = s.strip()
+    try:
+        x = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return None, f"bad scalar {s!r} for Rationals: {exc}"
+    return (x.numerator if x.denominator == 1 else x), None
+
+
+def parse_or_error(field, s):
+    try:
+        return field.parse(s), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+# fragments of scalar strings: signs, whitespace (ASCII and Unicode),
+# ASCII, Arabic-Indic, fullwidth and superscript digits, underscores,
+# slashes, decimal points, exponents, hex and words
+FRAGMENTS = ("-", "+", " ", "\t", "\n", "\u00a0", "\u2003", "0", "1", "7",
+             "12", "00", "\u0661", "\u0663", "\uff11", "\u00b2", "_", "/",
+             " / ", "/-", ".", "e", "E", "e-", "x", "0x", "a", "inf", "nan")
+
+
+def scalar_strings():
+    return st.one_of(
+        st.lists(st.sampled_from(FRAGMENTS), max_size=7).map("".join),
+        st.builds("{}/{}".format, st.integers(-10**30, 10**30),
+                  st.integers(-3, 10**6)),
+        st.integers(-10**40, 10**40).map(str),
+        st.text(alphabet="0123456789-+/_. e", max_size=8))
+
+
+@given(scalar_strings())
+@settings(max_examples=1500, deadline=None)
+def test_parse_agrees_with_fraction(s):
+    got, err = parse_or_error(Q, s)
+    want, want_err = fraction_parse(s)
+    assert err == want_err
+    if err is None:
+        assert got == want and type(got) is type(want)
+        assert is_canonical(Q, got)
+
+
+@pytest.mark.parametrize("s", ["", "1_0", "_1", "1__0", "\u0661\u0662", "1.5",
+                               "-2e3", "3 / 4", "3/-4", "a/0", "1/0", "-0/0",
+                               "0x10", "+7", " 4/6 ", "1" * 5000,
+                               "1/" + "2" * 5000, "-0", "007/014"])
+def test_parse_edge_cases_agree_with_fraction(s):
+    got, err = parse_or_error(Q, s)
+    want, want_err = fraction_parse(s)
+    assert (got, err) == (want, want_err)
+    assert type(got) is type(want)
+
+
+@given(st.sampled_from((Q, F7)), st.integers(0, 4), st.integers(0, 4),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_matrix_parse_agrees_with_entrywise_parse(field, rows, cols, data):
+    serial = st.one_of(st.integers(-99, 99).map(str),
+                       st.builds("{}/{}".format, st.integers(-99, 99),
+                                 st.integers(1, 30)),
+                       st.integers(-5, 5))  # JSON numbers are read by str
+    entry = st.one_of(serial, serial, serial, scalar_strings())
+    grid = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows and data.draw(st.booleans()):
+        grid[-1] = grid[-1][:-1]  # ragged, or an empty row
+    try:
+        want = Matrix(field, [[field.parse(str(c)) for c in row]
+                              for row in grid])
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Matrix.parse(field, grid)
+        assert str(got.value) == str(exc)
+    else:
+        got = Matrix.parse(field, grid)
+        assert (got.ints, got.den, got.cols) == (want.ints, want.den,
+                                                 want.cols)
+        assert got == want and got.entries == want.entries
+
+
+def test_files_read_serialized_scalars_without_fraction_strings(monkeypatch):
+    """No Q entry in serialized form reaches ``Fraction(str)`` when a file
+    is read: every corpus representation, bialgebra and matrix file loads
+    with string construction of ``Fraction`` forbidden."""
+    import hopfdual.exact as exact
+
+    class NoStrings(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            if isinstance(numerator, str):
+                raise AssertionError(f"Fraction({numerator!r})")
+            return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(exact, "Fraction", NoStrings)
+    loaded = 0
+    for path in sorted(CORPUS.glob("*.json")):
+        kind = io.classify_file(json.loads(path.read_text()))
+        if kind == "representation":
+            rho = io.load_representation(path)
+            loaded += rho.field.p is None
+        elif kind == "bialgebra":
+            A = io.load_bialgebra(path)
+            loaded += A.field.p is None
+        elif kind == "matrix":
+            io.load_matrix(path)
+    assert loaded > 20
+    with pytest.raises(AssertionError, match="Fraction"):
+        Q.parse("1.5")
+
+
 # -- every Q result is canonical ------------------------------------------------
 
 def q_scalars():

@@ -8,10 +8,12 @@ import pytest
 
 import hopfdual
 from hopfdual import cli, io
-from hopfdual.bialgebra import same_structure
+from hopfdual.bialgebra import (check_hopf, same_structure, verify_algebra,
+                                verify_bialgebra, verify_coalgebra)
 from hopfdual.cli import main
 from hopfdual.exact import FieldSpec, Matrix, inverse
 from hopfdual.monoids import FiniteMonoid, monoid_algebra, submonoid_algebra
+from hopfdual.report import Report
 
 Q = FieldSpec.rationals()
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hopfdual" / "corpus"
@@ -192,6 +194,42 @@ class TestCliContract:
                        str(q))
         assert code == 2
         assert "dependent" in capsys.readouterr().err
+
+    def test_exactness_subspace_file_errors(self, tmp_path, capsys):
+        rep = str(CORPUS / "rep_s3_regular.json")
+        not_sub = str(CORPUS / "rep_s3_sign.json")
+        assert run_cli("exactness", rep, not_sub) == 2
+        assert capsys.readouterr().err == (
+            f"error: {not_sub}: expected an object with 'subspace'\n")
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"subspace": [["1"] * 5 + ["x"]]}),
+                     encoding="utf-8")
+        assert run_cli("exactness", rep, str(q)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {q}: bad scalar 'x' for Rationals: Invalid literal for "
+            "Fraction: 'x'\n")
+        assert io.load_subspace(CORPUS / "quotient_z2_f2.json",
+                                FieldSpec.prime(2)) == [(1, 0)]
+
+    def test_verify_runs_each_sweep_once(self, monkeypatch, capsys):
+        calls = []
+        for name in ("verify_algebra", "verify_coalgebra",
+                     "verify_compatibility"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda A, real=real, name=name:
+                                calls.append(name) or real(A))
+        A = io.load_bialgebra(CORPUS / "bad_rg_z2_gg_zero.json")
+        assert run_cli("--format", "json", "verify",
+                       str(CORPUS / "bad_rg_z2_gg_zero.json")) == 1
+        assert sorted(calls) == ["verify_algebra", "verify_coalgebra",
+                                 "verify_compatibility"]
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        want = Report("")
+        want.extend(verify_algebra(A), prefix="algebra: ")
+        want.extend(verify_coalgebra(A), prefix="coalgebra: ")
+        want.extend(verify_bialgebra(A), prefix="bialgebra: ")
+        want.extend(check_hopf(A), prefix="hopf: ")
+        assert checks == want.to_dict()["checks"]
 
     def test_pbw_cli(self):
         assert run_cli("pbw", str(CORPUS / "lie_heisenberg.json"),
