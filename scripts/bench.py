@@ -26,6 +26,10 @@ plus validation) the conjugated 16-dimensional D4 module above, saved as a
 representation file, an in-process ``cli.main`` call of ``--format json
 reynolds`` on it (hashing its output without the timing field and with the
 file's directory dropped), and ``reconstruct_from_regular`` on Z3 x Z3.
+Times the subalgebra closure: ``generators`` of the group algebra of S4
+over Q, built afresh inside the case so that the cached property is
+recomputed on every repeat, and ``points`` of the monoid algebra of the
+corpus file ``monoid_z8.json`` over F_7.
 Each case runs ``REPEAT`` times; the best and the median seconds
 are kept, with a SHA-256 of the case's results so that two labels can be
 checked to compute the same thing. The hash prints every rational as "a/b"
@@ -66,7 +70,7 @@ from hopfdual.lie import (LieAlgebra, TruncatedEnveloping,  # noqa: E402
                           divided_power_bialgebra)
 from hopfdual.monoids import (FiniteAbelianGroup,  # noqa: E402
                               FiniteMonoid, function_bialgebra,
-                              monoid_algebra)
+                              monoid_algebra, points)
 from hopfdual.polys import char_poly, factor_monic_fp, mul  # noqa: E402
 from hopfdual.reps import Representation  # noqa: E402
 from hopfdual.tannaka import reconstruct_from_regular  # noqa: E402
@@ -74,6 +78,7 @@ from hopfdual.tannaka import reconstruct_from_regular  # noqa: E402
 SEED = 16
 REPEAT = 11
 RG_D4 = "src/hopfdual/corpus/rg_d4.json"
+MONOID_Z8 = "src/hopfdual/corpus/monoid_z8.json"
 TIMING = re.compile(r'^ "timing_ms": -?\d+,\n', re.M)
 
 
@@ -233,6 +238,19 @@ def rep_cases(work: Path) -> dict:
     }
 
 
+def subalgebra_cases() -> dict:
+    """name -> (number of calls, thunk) for the two users of the subalgebra
+    closure: the greedy generators of a group algebra built in the case,
+    and the points of a cyclic group algebra over F_7."""
+    q = FieldSpec.rationals()
+    s4 = FiniteMonoid.symmetric(4)
+    z8 = monoid_algebra(hio.load_monoid(MONOID_Z8), FieldSpec.prime(7))
+    return {
+        "Q.generators.s4": (1, lambda: monoid_algebra(s4, q).generators),
+        "F7.points.z8": (1, lambda: points(z8)),
+    }
+
+
 def printed(x) -> str:
     """x printed with every rational as "a/b" or "a"."""
     if isinstance(x, Fraction):
@@ -255,6 +273,7 @@ def run(work: Path) -> dict:
     every.update(sweep_cases())
     every.update(cli_cases())
     every.update(rep_cases(work))
+    every.update(subalgebra_cases())
     out = {}
     for name, (calls, thunk) in every.items():
         times = []

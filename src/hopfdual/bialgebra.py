@@ -19,6 +19,11 @@ data -- per-basis coproducts ``deltas[k] = {(i, j): c}``, a basis-product
 function ``mul_basis(a, b) -> {k: c}`` and basis names for witnesses -- so
 the enveloping truncations, divided powers and distribution algebras of
 ``lie`` run the same sweeps as ``FinBialgebra``.
+
+It also owns the one subalgebra closure, ``subalgebra_span``: the span of
+the unit, a few seeds and their words. ``FinBialgebra.generators`` grows it
+pick by pick to choose its generating set, and ``monoids.points`` grows it
+in A x F_p, node by node, to test a partial assignment of values.
 """
 
 from __future__ import annotations
@@ -133,6 +138,41 @@ def primitive_space(f: FieldSpec, deltas, unit) -> list:
                     row = rows.setdefault(key, [f.zero] * n)
                     row[k] = f.sub(row[k], u)
     return kernel_basis(Matrix(f, [rows[key] for key in sorted(rows)], n))
+
+
+# -- subalgebras --------------------------------------------------------------
+
+def subalgebra_span(f: FieldSpec, unit, seeds, mul, base: Span | None = None
+                    ) -> Span:
+    """Span of the unit, the ``seeds`` and their left words, grown by
+    multiplying each vector that enlarges the span on the left by every
+    seed, ``mul(seed, vector)``, and by nothing else.
+
+    The span holds the unit and the seeds and is closed under left
+    multiplication by the seeds. When ``mul`` is associative and ``unit`` is
+    its identity that makes it closed under every product (a word times a
+    word is a word), so it is the subalgebra the seeds generate; it is the
+    least subspace with those properties for any bilinear ``mul`` and any
+    ``unit``, and it always holds every seed. The reduced echelon rows of a
+    span are unique, so the order of the work does not show in the result.
+
+    ``base``, when given, must be the span returned for ``seeds[:-1]``; it
+    is left as it is, and a copy grows by the last seed alone: that seed and
+    its left products with the rows of ``base`` are queued, since ``base``
+    is already closed under the seeds before it."""
+    if base is None:
+        sp = Span(f, len(unit))
+        todo = [unit, *seeds]
+    else:
+        sp = base.copy()
+        s = seeds[-1]
+        # echelon rows are scalar multiples of the basis, enough for a span
+        todo = [s, *(mul(s, row) for row in base.rows)]
+    while todo and sp.dim < sp.width:
+        v = todo.pop()
+        if sp.add(v):
+            todo.extend(mul(s, v) for s in seeds)
+    return sp
 
 
 class FinBialgebra:
@@ -269,33 +309,21 @@ class FinBialgebra:
         the unit and those taken before misses it. The algebra twin of
         :attr:`FiniteMonoid.generators`; empty when the unit spans A.
 
-        The subalgebra is grown as the span of the vectors found so far:
-        each new vector is multiplied on both sides by every vector found
-        before it and by itself, so once no product enlarges the span,
-        every pair has been multiplied and the span is closed under
-        products."""
+        Each subalgebra is :func:`subalgebra_span` of the elements taken,
+        grown from the one before by the new element. It is the generated
+        subalgebra when the product is associative with ``unit`` as its
+        identity; otherwise that span can be smaller, and then the picks
+        can differ. Every pick enters its span, so the loop ends."""
         if not self.has_algebra:
             raise ValueError("no algebra structure present")
-        sp = Span(self.field, self.dim)
-        found = []
-
-        def close(v):
-            todo = [v]
-            while todo:
-                v = todo.pop()
-                if sp.add(v):
-                    found.append(v)
-                    for u in found:
-                        todo.append(self.mul_vec(u, v))
-                        todo.append(self.mul_vec(v, u))
-
-        close(self.unit)
-        gens = []
+        gens, seeds = [], []
+        sp = subalgebra_span(self.field, self.unit, seeds, self.mul_vec)
         while sp.dim < self.dim:
-            pick = next(i for i in range(self.dim)
-                        if not sp.contains(self.basis_vec(i)))
-            gens.append(pick)
-            close(self.basis_vec(pick))
+            gens.append(next(i for i in range(self.dim)
+                             if not sp.contains(self.basis_vec(i))))
+            seeds.append(self.basis_vec(gens[-1]))
+            sp = subalgebra_span(self.field, self.unit, seeds, self.mul_vec,
+                                 sp)
         return tuple(gens)
 
     def is_commutative(self) -> bool:
@@ -584,6 +612,12 @@ def same_structure(A: FinBialgebra, B: FinBialgebra,
     ant_b = B.antipode.entries if B.has_antipode else None
     rep.add("antipode", ant_a == ant_b)
     return rep
+
+
+def same_algebra(A: FinBialgebra, B: FinBialgebra) -> bool:
+    """A and B have one product table, one unit and one field."""
+    return A is B or (A.mult == B.mult and A.unit == B.unit
+                      and A.field == B.field)
 
 
 def check_morphism(f_map: BialgebraMorphism, kind: str = "bialgebra") -> Report:

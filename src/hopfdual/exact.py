@@ -692,6 +692,13 @@ class Span:
         return [tuple(_scalars(self.field, row, row[c]))
                 for row, c in zip(self.rows, self.pivots)]
 
+    def copy(self) -> "Span":
+        # rows are replaced, never changed in place, so sharing them is safe
+        sp = Span(self.field, self.width)
+        sp.rows = list(self.rows)
+        sp.pivots = list(self.pivots)
+        return sp
+
 
 def span_of(field: FieldSpec, vectors, width: int) -> Span:
     sp = Span(field, width)

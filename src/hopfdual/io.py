@@ -362,11 +362,6 @@ def load_submonoid_spec(path) -> dict:
 
 # -- canonicalization and corpus -------------------------------------------------
 
-_LOADERS = {
-    "bialgebra": (bialgebra_from_json, bialgebra_to_json),
-}
-
-
 def classify_file(obj) -> str:
     """Best-effort tag of a JSON document by its top-level keys."""
     if not isinstance(obj, dict):

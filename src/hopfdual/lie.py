@@ -108,23 +108,20 @@ def verify_lie(L: LieAlgebra) -> Report:
     f = L.field
     rep = Report(f"Lie axioms ({L!r})")
     rep.add("antisymmetry and [x,x] = 0 (by storage convention)", True)
-    ok = True
     zero = (f.zero,) * L.dim
     basis = [vbasis(f, L.dim, i) for i in range(L.dim)]
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            for k in range(j + 1, L.dim):
-                total = [f.zero] * L.dim
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = L.bracket_vec(basis[a], basis[b])
-                    outer = L.bracket_vec(inner, basis[c])
-                    total = [f.add(x, y) for x, y in zip(total, outer)]
-                if tuple(total) != zero:
-                    ok = False
-                    rep.add("Jacobi identity", False,
-                            f"({L.names[i]},{L.names[j]},{L.names[k]})")
-    if ok:
-        rep.add("Jacobi identity", True)
+
+    def jacobiator(i, j, k):
+        total = zero
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            outer = L.bracket_vec(L.bracket_vec(basis[a], basis[b]), basis[c])
+            total = tuple(f.add(x, y) for x, y in zip(total, outer))
+        return total
+
+    rep.sweep("Jacobi identity", (
+        f"({L.names[i]},{L.names[j]},{L.names[k]})"
+        for i, j, k in itertools.combinations(range(L.dim), 3)
+        if jacobiator(i, j, k) != zero))
     return rep
 
 
@@ -597,18 +594,16 @@ def divided_power_bialgebra(N: int, F: FieldSpec):
         if A.mul_vec(A.basis_vec(i), A.basis_vec(j))
         != tuple(f.mul(f.from_int(math.comb(i + j, i)), x)
                  for x in A.basis_vec(i + j))))
-    ok = True
-    power = A.basis_vec(0)
-    w1 = A.basis_vec(1)
-    for n in range(1, N + 1):
-        power = A.mul_vec(power, w1)
-        want = [f.zero] * (N + 1)
-        want[n] = f.from_int(math.factorial(n))
-        if power != tuple(want):
-            ok = False
-            rep.add("w_1^n = n! w_n", False, f"n = {n}")
-    if ok:
-        rep.add("w_1^n = n! w_n", True)
+
+    def power_failures():
+        power = A.basis_vec(0)
+        for n in range(1, N + 1):
+            power = A.mul_vec(power, A.basis_vec(1))
+            if power != tuple(f.mul(f.from_int(math.factorial(n)), x)
+                              for x in A.basis_vec(n)):
+                yield f"n = {n}"
+
+    rep.sweep("w_1^n = n! w_n", power_failures())
     grouplike = A.comult_basis(0) == {(0, 0): f.one}
     rep.add("w_0 is grouplike", grouplike)
 

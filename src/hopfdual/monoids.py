@@ -10,8 +10,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bialgebra import FinBialgebra, dualize, same_structure
-from .exact import FieldSpec, Matrix, PRIME_FIELD, Span, solve
+from .bialgebra import (FinBialgebra, dualize, same_structure,
+                        subalgebra_span)
+from .exact import FieldSpec, Matrix, PRIME_FIELD
 from .report import Report
 
 
@@ -314,9 +315,11 @@ def points(A: FinBialgebra, budget: int = 10**7) -> list:
     the basis, in a deterministic order.
 
     Candidates assign field values to a greedy generating set and are
-    pruned as soon as the partial assignment is inconsistent; zero values
-    are allowed (characters of a monoid may hit zero). Raises
-    :class:`BudgetExceeded` when p**generators exceeds the budget.
+    pruned as soon as the partial assignment is inconsistent: when the
+    subalgebra of A x F_p that the assigned pairs (e_g, v_g) generate
+    holds (0, 1). Zero values are allowed (characters of a monoid may hit
+    zero). Raises :class:`BudgetExceeded` when p**generators exceeds the
+    budget.
     """
     f = A.field
     if f.kind != PRIME_FIELD:
@@ -334,67 +337,44 @@ def points(A: FinBialgebra, budget: int = 10**7) -> list:
     n = A.dim
     results = []
 
-    def consistent_closure(assignment):
-        """Close the span of {1} + assigned generators under products,
-        tracking functional values; return the Span on (vector | value)
-        rows, or None when inconsistent."""
-        sp = Span(f, n + 1)
-        queue = [tuple(A.unit) + (f.one,)]
-        for g, val in assignment:
-            queue.append(A.basis_vec(g) + (val,))
-        listed = []
-        while queue:
-            row = queue.pop(0)
-            vec, val = row[:n], row[n]
-            red = sp.reduce(row)
-            if not any(red):
-                continue  # already implied
-            # value on a vector already in span must agree
-            if not any(red[:n]):
-                return None  # 0 vector with nonzero value: contradiction
-            sp.add(row)
-            listed.append((vec, val))
-            for vec2, val2 in listed[:-1]:
-                queue.append(A.mul_vec(vec, vec2) + (f.mul(val, val2),))
-            queue.append(A.mul_vec(vec, vec) + (f.mul(val, val),))
-        return sp
+    def mul(x, y):
+        # the product of A x F_p, on (vector | value) rows
+        return A.mul_vec(x[:n], y[:n]) + (f.mul(x[n], y[n]),)
 
-    def extract(sp: Span):
-        """Read the functional off a full-rank consistent closure."""
-        if sp.dim < n:
-            return None
-        rows = sp.basis()
-        mat = Matrix(f, [r[:n] for r in rows])
-        rhs = tuple(r[n] for r in rows)
-        return solve(mat, rhs)
+    one = tuple(A.unit) + (f.one,)
 
-    def dfs(idx, assignment):
-        sp = consistent_closure(assignment)
-        if sp is None:
+    def dfs(seeds, sp):
+        # sp is the subalgebra of A x F_p generated by the assigned
+        # (e_g | v_g); it lies in the graph of a unital multiplicative map
+        # taking those values whenever one exists, so it cannot then hold
+        # (0 | 1). A child grows its parent's span by its one new pair.
+        if n in sp.pivots:
             return
-        if idx == len(gens):
-            phi = extract(sp)
-            if phi is None:
-                return
-            # final validation against every structure constant
-            for i in range(n):
-                for j in range(n):
-                    lhs = f.zero
-                    for k, c in A.mul_basis(i, j).items():
-                        lhs = f.add(lhs, f.mul(c, phi[k]))
-                    if lhs != f.mul(phi[i], phi[j]):
-                        return
-            acc = f.zero
-            for k in range(n):
-                acc = f.add(acc, f.mul(A.unit[k], phi[k]))
-            if acc != f.one:
-                return
-            results.append(tuple(phi))
+        if len(seeds) < len(gens):
+            g = gens[len(seeds)]
+            for v in range(p):
+                grown = seeds + [A.basis_vec(g) + (v,)]
+                dfs(grown, subalgebra_span(f, one, grown, mul, sp))
             return
-        for v in range(p):
-            dfs(idx + 1, assignment + [(gens[idx], v)])
+        # the generators reach all of A, so the span is a graph of full
+        # rank and its reduced rows are (e_i | phi(e_i))
+        phi = [row[n] for row in sp.basis()]
+        # final validation against every structure constant
+        for i in range(n):
+            for j in range(n):
+                lhs = f.zero
+                for k, c in A.mul_basis(i, j).items():
+                    lhs = f.add(lhs, f.mul(c, phi[k]))
+                if lhs != f.mul(phi[i], phi[j]):
+                    return
+        acc = f.zero
+        for k in range(n):
+            acc = f.add(acc, f.mul(A.unit[k], phi[k]))
+        if acc != f.one:
+            return
+        results.append(tuple(phi))
 
-    dfs(0, [])
+    dfs([], subalgebra_span(f, one, [], mul))
     return sorted(results)
 
 
@@ -458,19 +438,9 @@ def double_dual_check(G, F: FieldSpec) -> Report:
     DD = _character_monoid(bidual_chars, D.size, F)
     index = {c: i for i, c in enumerate(bidual_chars)}
     # evaluation g -> (chi -> chi(g))
-    ev = []
-    ok = True
-    for g in range(M.size):
-        values = tuple(c[g] for c in chars)
-        if values not in index:
-            ok = False
-            rep.add("evaluation lands in G**", False, M.names[g])
-            ev.append(None)
-        else:
-            ev.append(index[values])
-    if ok:
-        rep.add("evaluation lands in G**", True)
-    if ok:
+    ev = [index.get(tuple(c[g] for c in chars)) for g in range(M.size)]
+    if rep.sweep("evaluation lands in G**",
+                 (M.names[g] for g in range(M.size) if ev[g] is None)):
         rep.add("evaluation is bijective",
                 sorted(ev) == list(range(DD.size)),
                 f"image {sorted(ev)}")

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from . import polys
 from .bialgebra import (BialgebraMorphism, FinBialgebra, check_morphism,
-                        sparse_sum)
+                        same_algebra, sparse_sum)
 from .exact import (FieldMismatch, FieldSpec, Matrix, extend_to_basis,
                     inverse, kernel_basis, kron, lincomb, rank, solve,
                     solve_many, span_of, stack, vbasis)
@@ -213,6 +214,8 @@ def hom_dim_reps(a: Representation, b: Representation) -> int:
     commutes with the action of every generator commutes with every
     product of them, so the equations are those of the monoid's
     generating set."""
+    if a.monoid != b.monoid or a.field != b.field:
+        raise ValueError("hom needs one monoid and one field")
     gens = a.monoid.generators
     return _intertwiner_space_dim(a.field, [a.matrices[g] for g in gens],
                                   [b.matrices[g] for g in gens],
@@ -220,6 +223,8 @@ def hom_dim_reps(a: Representation, b: Representation) -> int:
 
 
 def hom_dim_modules(a: AlgebraModule, b: AlgebraModule) -> int:
+    if not same_algebra(a.algebra, b.algebra):
+        raise ValueError("hom needs one algebra")
     return _intertwiner_space_dim(a.algebra.field, a.matrices, b.matrices,
                                   a.dim, b.dim)
 
@@ -357,28 +362,16 @@ def split_group_algebra(G: FiniteMonoid, F: FieldSpec) -> GroupAlgebraSplit:
     rep.add("dimension count", len(ideal) == n - 1)
     # projection onto the first factor equals the all-ones character; w*g
     # = w for the generators gives it for all of G
-    ok = True
-    for g in G.generators:
-        e = A.basis_vec(g)
-        if A.mul_vec(w.vector, e) != w.vector:
-            ok = False
-            rep.add("projection equals the trivial character", False,
-                    G.names[g])
-    if ok:
-        rep.add("projection equals the trivial character", True)
+    rep.sweep("projection equals the trivial character", (
+        G.names[g] for g in G.generators
+        if A.mul_vec(w.vector, A.basis_vec(g)) != w.vector))
     # the complement is a two-sided ideal: closed under multiplication by
     # the generators on both sides, hence by all of G, which spans RG
     sp = span_of(f, ideal, n)
-    ok = True
-    for b in ideal:
-        for g in G.generators:
-            e = A.basis_vec(g)
-            if not sp.contains(A.mul_vec(e, b)) or \
-               not sp.contains(A.mul_vec(b, e)):
-                ok = False
-                rep.add("complement is a two-sided ideal", False, G.names[g])
-    if ok:
-        rep.add("complement is a two-sided ideal", True)
+    rep.sweep("complement is a two-sided ideal", (
+        G.names[g] for b in ideal for g in G.generators
+        if not sp.contains(A.mul_vec(A.basis_vec(g), b))
+        or not sp.contains(A.mul_vec(b, A.basis_vec(g)))))
     # direct sum of algebras: w is orthogonal to the ideal
     ok = all(A.mul_vec(w.vector, b) == (f.zero,) * n
              and A.mul_vec(b, w.vector) == (f.zero,) * n for b in ideal)
@@ -529,17 +522,9 @@ def twist_by_character(G: FiniteMonoid, chi: Character, F: FieldSpec):
     rep.add("inverse twist is the inverse-character twist",
             all(inv_phi.entries[i][i] == chi_inv(i) for i in range(n)))
     # composing with the trivial character pairing recovers chi on elements
-    ok = True
-    for g in range(n):
-        total = f.zero
-        for c in phi.column(g):
-            total = f.add(total, c)
-        if total != chi(g):
-            ok = False
-            rep.add("trivial character after twist equals chi", False,
-                    G.names[g])
-    if ok:
-        rep.add("trivial character after twist equals chi", True)
+    rep.sweep("trivial character after twist equals chi", (
+        G.names[g] for g in range(n)
+        if reduce(f.add, phi.column(g), f.zero) != chi(g)))
     return phi, rep
 
 

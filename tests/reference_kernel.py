@@ -16,7 +16,9 @@ equivariance, subspace invariance and the module law, each over all of G
 (every pair of basis elements for a module), and the greedy algebra
 generating set computed by closing the span under all products of its
 basis, round after round. ``hopfdual`` checks each law on a generating set
-only; ``test_generating_sets`` compares the two."""
+only; ``test_generating_sets`` compares the two. ``points_all`` finds the
+algebra maps into F_p by trying every value tuple; ``test_monoids``
+compares it with the pruned search of ``hopfdual.monoids.points``."""
 
 import itertools
 
@@ -380,3 +382,24 @@ def greedy_generators(A) -> list:
                     if sp.add(A.mul_vec(u, v)):
                         changed = True
     return gens
+
+
+def points_all(A) -> list:
+    """Every phi in F_p^n with phi(1) = 1 and phi(e_i e_j) = phi(e_i)
+    phi(e_j) for all i, j, by trying all p^n value tuples (n <= 5), in
+    sorted order."""
+    f = A.field
+    n = A.dim
+    assert n <= 5, "p^n candidates: keep the algebra small"
+
+    def value(x, phi):
+        acc = f.zero
+        for k, c in x.items():
+            acc = f.add(acc, f.mul(c, phi[k]))
+        return acc
+
+    unit = dict(enumerate(A.unit))
+    return [phi for phi in itertools.product(range(f.p), repeat=n)
+            if value(unit, phi) == f.one
+            and all(value(A.mul_basis(i, j), phi) == f.mul(phi[i], phi[j])
+                    for i in range(n) for j in range(n))]

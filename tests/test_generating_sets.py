@@ -15,7 +15,7 @@ import pytest
 import reference_kernel as ref
 from conftest import random_invariant_subspace, random_invertible, seeded_module
 from hopfdual import io
-from hopfdual.bialgebra import FinBialgebra
+from hopfdual.bialgebra import FinBialgebra, dualize
 from hopfdual.exact import (FieldSpec, Matrix, kernel_basis, kron, span_of,
                             stack, vbasis)
 from hopfdual.monoids import FiniteAbelianGroup, FiniteMonoid, monoid_algebra
@@ -23,7 +23,8 @@ from hopfdual.reps import (AlgebraModule, RepMorphism, Representation,
                            assemble_summands, complete_reducibility,
                            equivariant_section, hom_dim_reps,
                            integral_system, invariant_integral, invariants,
-                           quotient_rep, split_group_algebra)
+                           quotient_rep, rep_to_module, split_group_algebra)
+from hopfdual.tannaka import annihilator_quotient
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -141,6 +142,34 @@ def test_module_law_matches_the_full_loop(G, field):
                 AlgebraModule(A, bad)
 
 
+def reconstructed_algebra(G):
+    """The A_X that annihilator_quotient builds from the regular module of
+    G over Q, as a fresh FinBialgebra, so its generators are not cached."""
+    A = monoid_algebra(G, Q)
+    AX = annihilator_quotient(A, rep_to_module(Representation.regular(G, Q))
+                              ).algebra
+    return FinBialgebra(Q, AX.dim, AX.basis, AX.mult, AX.unit,
+                        has_bialgebra=False)
+
+
+def test_generators_multiply_by_the_generators_only(monkeypatch):
+    # each pick grows the span before it: the new generator times the old
+    # rows, then every vector that enlarges the span times each generator
+    # (at most the parent's pairwise closure: 600, 90 and 72 calls; the
+    # function algebra of D4 needs 7 picks)
+    cases = [(monoid_algebra(FiniteMonoid.symmetric(4), Q), 3, 72),
+             (reconstructed_algebra(Z3xZ3), 2, 18),
+             (dualize(monoid_algebra(D4, Q)), 7, 56)]
+    calls = []
+    mul_vec = FinBialgebra.mul_vec
+    monkeypatch.setattr(FinBialgebra, "mul_vec", lambda self, x, y:
+                        calls.append(1) or mul_vec(self, x, y))
+    for A, n_gens, bound in cases:
+        calls.clear()
+        assert len(A.generators) == n_gens
+        assert len(calls) <= bound
+
+
 def test_greedy_generators_match_the_round_by_round_closure():
     algebras = []
     for path in sorted(CORPUS.glob("*.json")):
@@ -152,6 +181,9 @@ def test_greedy_generators_match_the_round_by_round_closure():
     for G in GROUPS + (BOOL,):
         for field in (Q, F2, F3):
             algebras.append(monoid_algebra(G, field))
+    algebras.append(monoid_algebra(FiniteMonoid.symmetric(4), Q))
+    algebras.append(monoid_algebra(FiniteMonoid.dihedral(6), Q))
+    algebras.extend(reconstructed_algebra(G) for G in GROUPS)
     assert len(algebras) > 30
     for A in algebras:
         assert A.generators == tuple(ref.greedy_generators(A))
@@ -219,6 +251,15 @@ def test_generators_need_an_algebra():
     C = FinBialgebra(Q, 1, ("e0",), comult={(0, 0, 0): 1}, counit=(1,))
     with pytest.raises(ValueError, match="no algebra structure"):
         C.generators
+
+
+@pytest.mark.parametrize("unit, gens", [((0, 0), (0, 1)), ((1, 0), (1,))],
+                         ids=("zero", "not-a-left-identity"))
+def test_generators_end_when_the_unit_is_not_an_identity(unit, gens):
+    # e0, e1 orthogonal idempotents, whose identity is e0 + e1; nothing
+    # checks the unit law first, and every pick must still enter its span
+    A = FinBialgebra(F7, 2, None, {(0, 0, 0): 1, (1, 1, 1): 1}, unit)
+    assert A.generators == gens == tuple(ref.greedy_generators(A))
 
 
 def test_complete_reducibility_on_the_trivial_group():

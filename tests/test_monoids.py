@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
-from hopfdual.bialgebra import (check_hopf, dualize, same_structure,
-                                verify_bialgebra)
+import reference_kernel as ref
+from hopfdual import io
+from hopfdual.bialgebra import (FinBialgebra, check_hopf, dualize,
+                                same_structure, verify_bialgebra)
 from hopfdual.exact import FieldSpec
 from hopfdual.monoids import (BudgetExceeded, Character, FiniteAbelianGroup,
                               FiniteMonoid, InsufficientRoots,
@@ -15,6 +19,7 @@ F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 F7 = FieldSpec.prime(7)
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "hopfdual" / "corpus"
 
 
 class TestFiniteMonoid:
@@ -141,6 +146,31 @@ class TestPoints:
     def test_noncommutative_rejected(self):
         with pytest.raises(ValueError, match="commutative"):
             points(monoid_algebra(FiniteMonoid.symmetric(3), F5))
+
+    def test_matches_every_value_tuple_on_the_small_corpus_monoids(self):
+        small = []
+        for path in sorted(CORPUS.glob("monoid_*.json")):
+            G = io.load_monoid(path)
+            if G.size <= 5 and G.is_abelian:
+                small.append(path.stem)
+                for field in (F5, F7):
+                    A = monoid_algebra(G, field)
+                    assert points(A) == ref.points_all(A), (path.stem, field)
+        assert small == ["monoid_bool", "monoid_z2", "monoid_z2xz2",
+                         "monoid_z3", "monoid_z4", "monoid_z5"]
+
+    def test_matches_every_value_tuple_on_rg_z4_f5(self):
+        A = io.load_bialgebra(CORPUS / "rg_z4_f5.json")
+        assert points(A) == ref.points_all(A)
+        assert len(points(A)) == 4
+
+    @pytest.mark.parametrize("unit, pts", [((0, 0), []), ((1, 0), [(1, 0)])],
+                             ids=("zero", "not-a-left-identity"))
+    def test_unit_that_is_not_an_identity(self, unit, pts):
+        # e0, e1 orthogonal idempotents, whose identity is e0 + e1: phi(unit)
+        # = 1 and phi(e0 e1) = 0 leave only (1, 0) for the unit e0
+        A = FinBialgebra(F5, 2, None, {(0, 0, 0): 1, (1, 1, 1): 1}, unit)
+        assert points(A) == ref.points_all(A) == pts
 
     def test_bool_monoid_characters_allow_zero(self):
         chars = monoid_characters(FiniteMonoid.bool_and(), F5)

@@ -76,6 +76,21 @@ class TestRepresentation:
         assert hom_dim_reps(std, reg) == 2
         assert hom_dim_reps(triv, sign) == 0
 
+    def test_hom_dims_reject_mismatched_inputs(self):
+        a = Representation.regular(Z2, Q)
+        b = Representation.regular(Z3, Q)
+        with pytest.raises(ValueError, match="one monoid"):
+            hom_dim_reps(a, b)
+        with pytest.raises(ValueError, match="one monoid"):
+            hom_dim_reps(a, Representation.regular(Z2, F5))
+        with pytest.raises(ValueError, match="one algebra"):
+            hom_dim_modules(rep_to_module(a), rep_to_module(b))
+        with pytest.raises(ValueError, match="one algebra"):
+            hom_dim_modules(rep_to_module(a),
+                            rep_to_module(Representation.regular(Z2, F5)))
+        # one algebra built twice is still one algebra
+        assert hom_dim_modules(rep_to_module(a), rep_to_module(a)) == 2
+
     def test_hom_dims_s3_table(self):
         # Schur's lemma on the irreducibles; each occurs in the regular
         # module as often as its dimension, and End(regular) = QS3

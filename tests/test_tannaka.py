@@ -83,6 +83,12 @@ class TestTensorCoproductRecovery:
         rep = tensor_coproduct_recovery(S3, [triv, sign, std, reg])
         assert rep.passed
 
+    def test_representations_of_another_monoid_rejected(self):
+        S3, triv, *_ = s3_catalogue(Q)
+        z2 = Representation.trivial(FiniteMonoid.cyclic(2), Q)
+        with pytest.raises(ValueError, match="one monoid"):
+            tensor_coproduct_recovery(S3, [triv, z2])
+
     def test_tensor_with_trivial_is_identity(self):
         S3, triv, _, std, _ = s3_catalogue(Q)
         t = Representation.tensor(std, triv)
