@@ -29,7 +29,12 @@ file's directory dropped), and ``reconstruct_from_regular`` on Z3 x Z3.
 Times the subalgebra closure: ``generators`` of the group algebra of S4
 over Q, built afresh inside the case so that the cached property is
 recomputed on every repeat, and ``points`` of the monoid algebra of the
-corpus file ``monoid_z8.json`` over F_7.
+corpus file ``monoid_z8.json`` over F_7. Times the enveloping truncation:
+in-process ``cli.main`` calls of ``--format json pbw`` on the corpus file
+``lie_sl2.json`` at orders 5 and 6 (hashing the exit code and the output
+without the timing field), and the tensor-algebra oracle of sl2 at order 6
+built alone (hashing its word count and the dimension of its ideal, which
+do not depend on the order of its columns).
 Each case runs ``REPEAT`` times; the best and the median seconds
 are kept, with a SHA-256 of the case's results so that two labels can be
 checked to compute the same thing. The hash prints every rational as "a/b"
@@ -65,9 +70,9 @@ from hopfdual import io as hio  # noqa: E402
 from hopfdual.exact import (FieldSpec, Matrix, inverse, kron,  # noqa: E402
                             rref, span_of)
 from hopfdual.bialgebra import verify_bialgebra  # noqa: E402
-from hopfdual.lie import (LieAlgebra, TruncatedEnveloping,  # noqa: E402
-                          coproduct_on_U, dist_at_identity,
-                          divided_power_bialgebra)
+from hopfdual.lie import (LieAlgebra, TensorAlgebraOracle,  # noqa: E402
+                          TruncatedEnveloping, coproduct_on_U,
+                          dist_at_identity, divided_power_bialgebra)
 from hopfdual.monoids import (FiniteAbelianGroup,  # noqa: E402
                               FiniteMonoid, function_bialgebra,
                               monoid_algebra, points)
@@ -79,6 +84,7 @@ SEED = 16
 REPEAT = 11
 RG_D4 = "src/hopfdual/corpus/rg_d4.json"
 MONOID_Z8 = "src/hopfdual/corpus/monoid_z8.json"
+LIE_SL2 = "src/hopfdual/corpus/lie_sl2.json"
 TIMING = re.compile(r'^ "timing_ms": -?\d+,\n', re.M)
 
 
@@ -251,6 +257,28 @@ def subalgebra_cases() -> dict:
     }
 
 
+def pbw_cases() -> dict:
+    """name -> (number of calls, thunk) for the enveloping truncation of
+    sl2: the ``pbw`` command at orders 5 and 6, and its oracle alone."""
+    def pbw(order):
+        def run():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["--format", "json", "pbw", LIE_SL2,
+                                 "--order", str(order)])
+            return code, TIMING.sub("", out.getvalue())
+        return run
+
+    def oracle():
+        built = TensorAlgebraOracle(LieAlgebra.sl2(FieldSpec.rationals()), 6)
+        return len(built.words), built.ideal.dim
+    return {
+        "Q.cli_pbw.sl2_5": (1, pbw(5)),
+        "Q.cli_pbw.sl2_6": (1, pbw(6)),
+        "Q.oracle.sl2_6": (1, oracle),
+    }
+
+
 def printed(x) -> str:
     """x printed with every rational as "a/b" or "a"."""
     if isinstance(x, Fraction):
@@ -274,6 +302,7 @@ def run(work: Path) -> dict:
     every.update(cli_cases())
     every.update(rep_cases(work))
     every.update(subalgebra_cases())
+    every.update(pbw_cases())
     out = {}
     for name, (calls, thunk) in every.items():
         times = []

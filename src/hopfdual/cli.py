@@ -177,6 +177,7 @@ def _cmd_pbw(args):
     rep = Report(f"enveloping truncation of {args.file} at order {args.order}")
     rep.extend(verify_lie(L), prefix="input: ")
     U = TruncatedEnveloping(L, args.order)
+    oracle = TensorAlgebraOracle(L, args.order, budget=args.budget)
     _, corep = coproduct_on_U(U)
     rep.extend(corep, prefix="coproduct: ")
     if L.field.characteristic() == 0:
@@ -184,7 +185,6 @@ def _cmd_pbw(args):
         prim = primitives_of_U(U)
         rep.add("primitive space is the degree-one span",
                 len(prim) == L.dim, f"dim {len(prim)} vs {L.dim}")
-    oracle = TensorAlgebraOracle(L, args.order)
     bad = []
     for a in range(U.dim):
         for b in range(U.dim):
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed recorded in reports and used by randomized "
                           "searches")
     top.add_argument("--budget", type=int, default=10**7,
-                     help="candidate cap for enumerations")
+                     help="cap on enumerated candidates (points) and on "
+                          "oracle relation cells (pbw)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the axiom suites on a bialgebra file")

@@ -3,8 +3,8 @@
 The enveloping truncation keeps the ordered-monomial basis up to a total
 degree bound; products are computed by straightening (adjacent descents
 rewrite as a swap plus a bracket term, which strictly drops either the
-inversion count or the degree) and are only defined when the degree sum
-stays within the bound. The coproduct makes the generators primitive and
+inversion count or the degree), each word once per truncation, and are
+only defined when the degree sum stays within the bound. The coproduct makes the generators primitive and
 is total on the truncation.
 
 Also here: the brute-force tensor-algebra oracle used to cross-check the
@@ -27,6 +27,7 @@ from .bialgebra import (FinBialgebra, coassociativity_sweep,
                         nonzero, primitive_space, same_structure, sparse_sum)
 from .exact import (FieldSpec, Matrix, Span, inverse, kernel_basis, span_of,
                     vbasis)
+from .monoids import BudgetExceeded
 from .report import Report
 
 
@@ -162,20 +163,23 @@ class TruncatedEnveloping:
         self.monomials = tuple(monos)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.names = tuple(_monomial_name(lie.names, m) for m in self.monomials)
+        self._degrees = tuple(sum(m) for m in self.monomials)
         self._comult_cache = {}
+        self._normal_forms = {}   # word -> normal form
+        self._products = {}       # (a, b) -> normal form of their product
 
     @property
     def dim(self) -> int:
         return len(self.monomials)
 
     def degree(self, idx: int) -> int:
-        return sum(self.monomials[idx])
+        return self._degrees[idx]
 
     def degrees(self) -> list:
-        return [sum(m) for m in self.monomials]
+        return list(self._degrees)
 
     def monomials_of_degree(self, n: int) -> list:
-        return [i for i, m in enumerate(self.monomials) if sum(m) == n]
+        return [i for i, e in enumerate(self._degrees) if e == n]
 
     def unit_vector(self) -> dict:
         return {self.index[(0,) * self.lie.dim]: self.field.one}
@@ -192,54 +196,70 @@ class TruncatedEnveloping:
         return tuple(word)
 
     def normal_form(self, word) -> dict:
-        """Rewrite a generator word to a combination of ordered monomials."""
-        f = self.field
+        """Rewrite a generator word to a combination of ordered monomials.
+
+        Each word is straightened once per truncation: the result is the
+        cached dict, shared with every later caller, so it must not be
+        changed."""
+        word = tuple(word)
         if len(word) > self.order:
             raise TruncationOverflow(
                 f"word of length {len(word)} exceeds order {self.order}")
-        result = {}
-        work = {tuple(word): f.one}
-        while work:
-            w, coeff = work.popitem()
-            pos = None
-            for t in range(len(w) - 1):
-                if w[t] > w[t + 1]:
-                    pos = t
-                    break
+        form = self._normal_forms.get(word)
+        return self._straighten(word) if form is None else form
+
+    def _straighten(self, word) -> dict:
+        """Normal forms of word and of every word its rewriting reaches.
+
+        The first descent w[t] > w[t+1] of an unordered word rewrites it as
+        the swapped word (one inversion fewer) plus the bracket terms (one
+        letter shorter), so a word's form is a combination of the forms of
+        smaller words. They are filled in smallest first from an explicit
+        stack, since a chain of swaps is as deep as the inversion count."""
+        f = self.field
+        forms = self._normal_forms
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in forms:
+                stack.pop()
+                continue
+            pos = next((t for t in range(len(w) - 1) if w[t] > w[t + 1]),
+                       None)
             if pos is None:
                 mono = [0] * self.lie.dim
                 for letter in w:
                     mono[letter] += 1
-                idx = self.index[tuple(mono)]
-                v = f.add(result.get(idx, f.zero), coeff)
-                if v == f.zero:
-                    result.pop(idx, None)
-                else:
-                    result[idx] = v
+                forms[w] = {self.index[tuple(mono)]: f.one}
+                stack.pop()
                 continue
             j, i = w[pos], w[pos + 1]
-            swapped = w[:pos] + (i, j) + w[pos + 2:]
-            v = f.add(work.get(swapped, f.zero), coeff)
-            if v == f.zero:
-                work.pop(swapped, None)
-            else:
-                work[swapped] = v
-            for k, c in self.lie.bracket_entries(j, i):
-                shorter = w[:pos] + (k,) + w[pos + 2:]
-                v = f.add(work.get(shorter, f.zero), f.mul(coeff, c))
-                if v == f.zero:
-                    work.pop(shorter, None)
-                else:
-                    work[shorter] = v
-        return result
+            head, tail = w[:pos], w[pos + 2:]
+            terms = [(head + (i, j) + tail, f.one)]
+            terms.extend((head + (k,) + tail, c)
+                         for k, c in self.lie.bracket_entries(j, i))
+            missing = [v for v, _ in terms if v not in forms]
+            if missing:
+                stack.extend(missing)
+                continue
+            forms[w] = sparse_sum(f, ((idx, f.mul(c, x)) for v, c in terms
+                                      for idx, x in forms[v].items()))
+            stack.pop()
+        return forms[word]
 
     def product_monomials(self, a: int, b: int) -> dict:
-        if self.degree(a) + self.degree(b) > self.order:
-            raise TruncationOverflow(
-                f"degree {self.degree(a)} + {self.degree(b)} exceeds "
-                f"order {self.order}")
-        word = self.word_of(self.monomials[a]) + self.word_of(self.monomials[b])
-        return self.normal_form(word)
+        """Normal form of e_a e_b, computed once per pair; the cached dict
+        must not be changed."""
+        form = self._products.get((a, b))
+        if form is None:
+            if self._degrees[a] + self._degrees[b] > self.order:
+                raise TruncationOverflow(
+                    f"degree {self._degrees[a]} + {self._degrees[b]} "
+                    f"exceeds order {self.order}")
+            form = self.normal_form(self.word_of(self.monomials[a])
+                                    + self.word_of(self.monomials[b]))
+            self._products[(a, b)] = form
+        return form
 
     def product_vec(self, x: dict, y: dict) -> dict:
         f = self.field
@@ -322,39 +342,60 @@ def coproduct_on_U(U: TruncatedEnveloping):
     return tensor, rep
 
 
+def oracle_work(dim: int, order: int) -> int:
+    """Relation rows times word width of :class:`TensorAlgebraOracle`: one
+    row per pair i < j and per words u, v with len(u) + 2 + len(v) <= order,
+    each as wide as the number of words of length <= order."""
+    pairs = sum((n + 1) * dim ** n for n in range(order - 1))
+    width = sum(dim ** n for n in range(order + 1))
+    return dim * (dim - 1) // 2 * pairs * width
+
+
 class TensorAlgebraOracle:
     """Independent check of the straightening product: elements of the
     degree-bounded tensor algebra reduce modulo the span of
     u (x_j x_i - x_i x_j - [x_j, x_i]) v over all words u, v in range.
 
     Built from the bracket data alone; never calls the straightening code.
+    The ``Span`` columns are the words longest first, so each relation row
+    has its pivot on a longest word and not on its bracket term. Raises
+    :class:`BudgetExceeded` before building when :func:`oracle_work`
+    exceeds ``budget``.
     """
 
-    def __init__(self, lie: LieAlgebra, order: int):
+    def __init__(self, lie: LieAlgebra, order: int, budget: int | None = None):
+        work = oracle_work(lie.dim, order)
+        if budget is not None and work > budget:
+            raise BudgetExceeded(
+                f"oracle of {work} relation cells exceeds budget {budget}")
         self.lie = lie
         self.order = order
         f = lie.field
-        words = []
-        for length in range(order + 1):
-            words.extend(itertools.product(range(lie.dim), repeat=length))
-        self.words = tuple(words)
+        by_length = [list(itertools.product(range(lie.dim), repeat=n))
+                     for n in range(order + 1)]
+        self.words = tuple(w for n in reversed(range(order + 1))
+                           for w in reversed(by_length[n]))
         self.word_index = {w: i for i, w in enumerate(self.words)}
         width = len(self.words)
         self.ideal = Span(f, width)
+        relations = []
         for i in range(lie.dim):
             for j in range(i + 1, lie.dim):
                 # relation: x_j x_i - x_i x_j - [x_j, x_i]
                 rel = {(j, i): f.one, (i, j): f.neg(f.one)}
                 for k, c in lie.bracket_entries(j, i):
                     rel[(k,)] = f.sub(rel.get((k,), f.zero), c)
-                for u in self.words:
-                    for v in self.words:
-                        if len(u) + 2 + len(v) > order:
-                            continue
-                        row = [f.zero] * width
-                        for mid, c in rel.items():
-                            row[self.word_index[u + mid + v]] = c
-                        self.ideal.add(row)
+                relations.append(rel)
+        # shortest u v first: the rows then meet fewer stored pivots
+        for n in range(order - 1):
+            for rel in relations:
+                for lu in range(n + 1):
+                    for u in by_length[lu]:
+                        for v in by_length[n - lu]:
+                            row = [f.zero] * width
+                            for mid, c in rel.items():
+                                row[self.word_index[u + mid + v]] = c
+                            self.ideal.add(row)
 
     def element(self, combo: dict) -> list:
         f = self.lie.field

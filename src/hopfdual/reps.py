@@ -223,9 +223,16 @@ def hom_dim_reps(a: Representation, b: Representation) -> int:
 
 
 def hom_dim_modules(a: AlgebraModule, b: AlgebraModule) -> int:
+    """Dimension of the space of module maps a -> b. A map that commutes
+    with the action of every generator commutes with the action of every
+    product of them, and with that of 1, the identity; so the equations
+    are those of ``algebra.generators``."""
     if not same_algebra(a.algebra, b.algebra):
         raise ValueError("hom needs one algebra")
-    return _intertwiner_space_dim(a.algebra.field, a.matrices, b.matrices,
+    gens = a.algebra.generators
+    return _intertwiner_space_dim(a.algebra.field,
+                                  [a.matrices[s] for s in gens],
+                                  [b.matrices[s] for s in gens],
                                   a.dim, b.dim)
 
 

@@ -13,17 +13,26 @@ compare ``hopfdual.polys`` and ``hopfdual.reps`` with them.
 
 Last, the G-laws on every element: invariants, the integral system,
 equivariance, subspace invariance and the module law, each over all of G
-(every pair of basis elements for a module), and the greedy algebra
+(every pair of basis elements for a module), the dimension of the module
+maps from the equations of every basis element, and the greedy algebra
 generating set computed by closing the span under all products of its
 basis, round after round. ``hopfdual`` checks each law on a generating set
 only; ``test_generating_sets`` compares the two. ``points_all`` finds the
 algebra maps into F_p by trying every value tuple; ``test_monoids``
-compares it with the pruned search of ``hopfdual.monoids.points``."""
+compares it with the pruned search of ``hopfdual.monoids.points``.
+
+Last of all, the straightening of a generator word by a work list of
+pending words, each rewritten at its first descent with nothing cached,
+and the tensor-algebra oracle with its columns shortest word first, built
+by scanning every pair of words (u, v). ``test_lie`` compares them with
+the memoized ``TruncatedEnveloping.normal_form`` and with
+``TensorAlgebraOracle``."""
 
 import itertools
 
-from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix,
+from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix, Span,
                             kernel_basis, solve, stack)
+from hopfdual.lie import TensorAlgebraOracle, TruncationOverflow
 from hopfdual.monoids import monoid_algebra
 from hopfdual.polys import add, degree, divmod_poly, mul, normalize, scale
 
@@ -361,6 +370,19 @@ def module_law_failures(algebra, matrices) -> list:
                           in algebra.mul_basis(i, j).items()))]
 
 
+def hom_dim_modules_all(a, b) -> int:
+    """Dimension of the module maps a -> b: the kernel of the intertwiner
+    equations f act_a(e_i) = act_b(e_i) f stacked over every basis element
+    e_i of the algebra."""
+    f = a.algebra.field
+    blocks = [kron(Matrix.identity(f, b.dim), transpose(m))
+              - kron(n, Matrix.identity(f, a.dim))
+              for m, n in zip(a.matrices, b.matrices)]
+    if not blocks:
+        return a.dim * b.dim
+    return len(kernel_basis(stack(blocks)))
+
+
 def greedy_generators(A) -> list:
     """Basis elements generating A, taken greedily in basis order; after
     each one the span is closed by multiplying every pair of its reduced
@@ -403,3 +425,81 @@ def points_all(A) -> list:
             if value(unit, phi) == f.one
             and all(value(A.mul_basis(i, j), phi) == f.mul(phi[i], phi[j])
                     for i in range(n) for j in range(n))]
+
+
+# -- straightening and the tensor-algebra oracle ----------------------------------
+
+def normal_form(U, word) -> dict:
+    """Rewrite a generator word to a combination of ordered monomials of the
+    truncation U."""
+    f = U.field
+    if len(word) > U.order:
+        raise TruncationOverflow(
+            f"word of length {len(word)} exceeds order {U.order}")
+    result = {}
+    work = {tuple(word): f.one}
+    while work:
+        w, coeff = work.popitem()
+        pos = None
+        for t in range(len(w) - 1):
+            if w[t] > w[t + 1]:
+                pos = t
+                break
+        if pos is None:
+            mono = [0] * U.lie.dim
+            for letter in w:
+                mono[letter] += 1
+            idx = U.index[tuple(mono)]
+            v = f.add(result.get(idx, f.zero), coeff)
+            if v == f.zero:
+                result.pop(idx, None)
+            else:
+                result[idx] = v
+            continue
+        j, i = w[pos], w[pos + 1]
+        swapped = w[:pos] + (i, j) + w[pos + 2:]
+        v = f.add(work.get(swapped, f.zero), coeff)
+        if v == f.zero:
+            work.pop(swapped, None)
+        else:
+            work[swapped] = v
+        for k, c in U.lie.bracket_entries(j, i):
+            shorter = w[:pos] + (k,) + w[pos + 2:]
+            v = f.add(work.get(shorter, f.zero), f.mul(coeff, c))
+            if v == f.zero:
+                work.pop(shorter, None)
+            else:
+                work[shorter] = v
+    return result
+
+
+class AscendingOracle(TensorAlgebraOracle):
+    """The span of u (x_j x_i - x_i x_j - [x_j, x_i]) v over all words u, v
+    in range, with the columns indexed shortest word first and every pair
+    (u, v) scanned; membership and ``check_product`` as in the parent."""
+
+    def __init__(self, lie, order: int):
+        self.lie = lie
+        self.order = order
+        f = lie.field
+        words = []
+        for length in range(order + 1):
+            words.extend(itertools.product(range(lie.dim), repeat=length))
+        self.words = tuple(words)
+        self.word_index = {w: i for i, w in enumerate(self.words)}
+        width = len(self.words)
+        self.ideal = Span(f, width)
+        for i in range(lie.dim):
+            for j in range(i + 1, lie.dim):
+                # relation: x_j x_i - x_i x_j - [x_j, x_i]
+                rel = {(j, i): f.one, (i, j): f.neg(f.one)}
+                for k, c in lie.bracket_entries(j, i):
+                    rel[(k,)] = f.sub(rel.get((k,), f.zero), c)
+                for u in self.words:
+                    for v in self.words:
+                        if len(u) + 2 + len(v) > order:
+                            continue
+                        row = [f.zero] * width
+                        for mid, c in rel.items():
+                            row[self.word_index[u + mid + v]] = c
+                        self.ideal.add(row)

@@ -21,7 +21,8 @@ from hopfdual.exact import (FieldSpec, Matrix, kernel_basis, kron, span_of,
 from hopfdual.monoids import FiniteAbelianGroup, FiniteMonoid, monoid_algebra
 from hopfdual.reps import (AlgebraModule, RepMorphism, Representation,
                            assemble_summands, complete_reducibility,
-                           equivariant_section, hom_dim_reps,
+                           equivariant_section, hom_dim_modules,
+                           hom_dim_reps,
                            integral_system, invariant_integral, invariants,
                            quotient_rep, rep_to_module, split_group_algebra)
 from hopfdual.tannaka import annihilator_quotient
@@ -37,6 +38,7 @@ Z3xZ3 = FiniteAbelianGroup((3, 3)).to_monoid()
 GROUPS = (S3, D4, Z3xZ3)
 BOOL = FiniteMonoid.bool_and()
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hopfdual" / "corpus"
+DATA = Path(__file__).resolve().parent / "data"
 
 # the trivial group two ways: the stock one-element table and the group
 # with no invariant factors
@@ -204,6 +206,21 @@ def test_hom_dims_match_the_full_stack():
         assert hom_dim_reps(a, b) == len(full) == G.size + 1
 
 
+def test_hom_dim_modules_match_the_full_stack():
+    reps = [io.load_representation(p) for p in sorted(CORPUS.glob("rep_*"))
+            + sorted(DATA.glob("rep_*"))]
+    assert any(rho.monoid == D4 and rho.dim == 8 for rho in reps)
+    pairs = 0
+    for a, b in itertools.product(reps, repeat=2):
+        if a.monoid == b.monoid and a.field == b.field:
+            ma, mb = rep_to_module(a), rep_to_module(b)
+            assert len(ma.algebra.generators) < ma.algebra.dim
+            assert hom_dim_modules(ma, mb) == ref.hom_dim_modules_all(ma, mb) \
+                == hom_dim_reps(a, b)
+            pairs += 1
+    assert pairs >= 20
+
+
 # -- the empty generating set -------------------------------------------------------
 
 @pytest.mark.parametrize("G", TRIVIAL, ids=("trivial", "no-factors"))
@@ -242,7 +259,9 @@ def test_one_dimensional_algebra_with_another_unit():
     B = FinBialgebra(Q, 1, ("e0",), {(0, 0, 0): 2}, (Q.inv(2),))
     ident = Matrix.identity(Q, 2)
     assert B.generators == ()
-    assert AlgebraModule(B, [ident.scale(Q.from_int(2))]).dim == 2
+    M = AlgebraModule(B, [ident.scale(Q.from_int(2))])
+    assert M.dim == 2
+    assert hom_dim_modules(M, M) == ref.hom_dim_modules_all(M, M) == 4
     with pytest.raises(ValueError, match="identity"):
         AlgebraModule(B, [ident])
 

@@ -56,7 +56,9 @@ CASES = [
     ["exactness", C + "rep_z2_f2_unipotent.json", C + "quotient_z2_f2.json"],
     ["pbw", C + "lie_sl2.json", "--order", "3"],
     ["pbw", C + "lie_sl2.json", "--order", "4"],
+    ["pbw", C + "lie_sl2.json", "--order", "5"],
     ["pbw", C + "lie_heisenberg.json", "--order", "3"],
+    ["pbw", C + "lie_heisenberg.json", "--order", "5"],
     ["pbw", C + "lie_sl2_bad.json", "--order", "2"],
     ["pbw", D + "lie_sl2_f7.json", "--order", "3"],
     ["tannaka", C + "monoid_s3.json"],

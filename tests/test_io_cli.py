@@ -12,6 +12,7 @@ from hopfdual.bialgebra import (check_hopf, same_structure, verify_algebra,
                                 verify_bialgebra, verify_coalgebra)
 from hopfdual.cli import main
 from hopfdual.exact import FieldSpec, Matrix, inverse
+from hopfdual.lie import LieAlgebra, oracle_work
 from hopfdual.monoids import FiniteMonoid, monoid_algebra, submonoid_algebra
 from hopfdual.report import Report
 
@@ -238,6 +239,31 @@ class TestCliContract:
     def test_pbw_bad_jacobi(self):
         assert run_cli("pbw", str(CORPUS / "lie_sl2_bad.json"),
                        "--order", "2") == 1
+
+    def test_pbw_refuses_an_oracle_over_budget(self, tmp_path, capsys):
+        # sl2 + sl2: the oracle at order 5 has 15 relations times 985 word
+        # pairs in rows 9331 words wide, 137,865,525 cells against the
+        # default budget of 10**7
+        sl2 = {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}
+        brackets = {**sl2, **{(i + 3, j + 3): {k + 3: c for k, c in e.items()}
+                              for (i, j), e in sl2.items()}}
+        path = tmp_path / "sl2_sl2.json"
+        L = LieAlgebra(Q, ("e", "f", "h", "e2", "f2", "h2"), brackets)
+        path.write_text(io.dump_canonical(io.lie_to_json(L)),
+                        encoding="utf-8")
+        proc = run_module("hopfdual", "--format", "json", "pbw", str(path),
+                          "--order", "5", timeout=10)
+        assert proc.returncode == 1
+        (check,) = json.loads(proc.stdout)["checks"]
+        assert (check["name"], check["status"]) == ("BudgetExceeded", "fail")
+        assert "137865525" in check["witness"]
+        # a budget that covers the oracle lets the run start; at order 2
+        # it finishes
+        assert run_cli("--budget", str(oracle_work(6, 2)), "pbw", str(path),
+                       "--order", "2") == 0
+        assert run_cli("--budget", str(oracle_work(6, 2) - 1), "pbw",
+                       str(path), "--order", "2") == 1
+        assert "BudgetExceeded" in capsys.readouterr().out
 
     def test_dist_cli(self):
         assert run_cli("dist", "--preset", "gm", "--order", "3") == 0

@@ -1,8 +1,15 @@
+import copy
+import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_kernel as ref
+from hopfdual import io, lie
 from hopfdual.bialgebra import same_structure
 from hopfdual.exact import FieldSpec, Matrix
 from hopfdual.lie import (LieAlgebra, TensorAlgebraOracle,
@@ -10,11 +17,15 @@ from hopfdual.lie import (LieAlgebra, TensorAlgebraOracle,
                           coproduct_on_U, dist_at_identity,
                           divided_power_bialgebra, enveloping_truncated,
                           graded_check, graded_piece, iadic_graded,
-                          lie_morphism_functor, primitives_of_U,
+                          lie_morphism_functor, oracle_work, primitives_of_U,
                           symmetrized_pairing, verify_lie)
+from hopfdual.monoids import BudgetExceeded
 
 Q = FieldSpec.rationals()
 F5 = FieldSpec.prime(5)
+ROOT = Path(__file__).resolve().parents[1]
+LIE_FILES = sorted((ROOT / "src" / "hopfdual" / "corpus").glob("lie_*.json")) \
+    + [ROOT / "tests" / "data" / "lie_sl2_f7.json"]
 
 
 class TestLieAlgebra:
@@ -376,3 +387,171 @@ class TestIadicGraded:
     def test_unsupported(self):
         with pytest.raises(ValueError):
             iadic_graded("grassmannian", 3)
+
+
+# -- memoized straightening against the work-list reference ---------------------
+
+def words_up_to(dim, order):
+    return [w for n in range(order + 1)
+            for w in itertools.product(range(dim), repeat=n)]
+
+
+@pytest.mark.parametrize("path", LIE_FILES, ids=lambda p: p.stem)
+def test_normal_forms_match_the_work_list(path):
+    L = io.load_lie(path)
+    U = TruncatedEnveloping(L, 4)
+    for w in words_up_to(L.dim, 4):
+        assert U.normal_form(w) == ref.normal_form(U, w)
+    # and straightening longest words first, on a fresh truncation
+    V = TruncatedEnveloping(L, 4)
+    for w in reversed(words_up_to(L.dim, 4)):
+        assert V.normal_form(list(w)) == ref.normal_form(V, w)
+
+
+@st.composite
+def bracket_tables(draw, field):
+    """Any antisymmetric bracket table on 1 to 3 letters, Jacobi or not,
+    with a word to straighten at order 4."""
+    dim = draw(st.integers(1, 3))
+    if field.p:
+        coeff = st.integers(0, field.p - 1)
+    else:
+        coeff = st.fractions(-3, 3, max_denominator=4).map(
+            lambda x: field.add(field.zero, x))
+    brackets = {(i, j): {k: draw(coeff) for k in range(dim)}
+                for i in range(dim) for j in range(i + 1, dim)}
+    word = draw(st.lists(st.integers(0, dim - 1), max_size=4))
+    return LieAlgebra(field, [f"x{i}" for i in range(dim)], brackets), word
+
+
+@pytest.mark.parametrize("field", (Q, F5), ids=("Q", "F5"))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_normal_forms_match_on_any_bracket_table(field, data):
+    L, word = data.draw(bracket_tables(field))
+    U = TruncatedEnveloping(L, 4)
+    assert U.normal_form(word) == ref.normal_form(U, word)
+    for a in range(U.dim):
+        for b in range(U.dim):
+            if U.degree(a) + U.degree(b) <= 4:
+                assert U.product_monomials(a, b) == ref.normal_form(
+                    U, U.word_of(U.monomials[a]) + U.word_of(U.monomials[b]))
+
+
+def test_overflow_before_straightening():
+    U = enveloping_truncated(LieAlgebra.sl2(Q), 2)
+    with pytest.raises(TruncationOverflow):
+        U.normal_form((1, 0, 2))
+    assert U._normal_forms == {}
+
+
+def test_deep_word_straightens_without_recursion():
+    # [x, y] = y, so y x = (x - 1) y and y^30 x^30 = (x - 30)^30 y^30;
+    # the first swap chain alone is 30 * 30 inversions deep
+    L = LieAlgebra(Q, ("x", "y"), {(0, 1): {1: Q.one}})
+    U = TruncatedEnveloping(L, 60)
+    got = U.normal_form((1,) * 30 + (0,) * 30)
+    assert got == {U.index[(k, 30)]: math.comb(30, k) * (-30) ** (30 - k)
+                   for k in range(31)}
+
+
+# -- the caches --------------------------------------------------------------------
+
+def assert_caches_hold_normal_forms(U):
+    """Every cached word and product still maps to its reference form."""
+    for w, form in U._normal_forms.items():
+        assert form == ref.normal_form(U, w)
+    for (a, b), form in U._products.items():
+        assert form == ref.normal_form(
+            U, U.word_of(U.monomials[a]) + U.word_of(U.monomials[b]))
+
+
+def test_each_word_and_pair_is_straightened_once():
+    U = enveloping_truncated(LieAlgebra.sl2(Q), 4)
+    first = {(a, b): U.product_monomials(a, b) for a in range(U.dim)
+             for b in range(U.dim) if U.degree(a) + U.degree(b) <= 4}
+    assert all(U.product_monomials(a, b) is form
+               for (a, b), form in first.items())
+    assert U.normal_form((1, 0)) is U.normal_form([1, 0])
+
+
+@pytest.mark.parametrize("L", [LieAlgebra.sl2(Q), LieAlgebra.heisenberg(Q)],
+                         ids=("sl2", "heisenberg"))
+def test_cached_forms_survive_every_caller(L):
+    U = enveloping_truncated(L, 4)
+    for w in words_up_to(L.dim, 4):
+        U.normal_form(w)
+    for a in range(U.dim):
+        for b in range(U.dim):
+            if U.degree(a) + U.degree(b) <= 4:
+                U.product_monomials(a, b)
+    snapshot = copy.deepcopy((U._normal_forms, U._products))
+    assert coproduct_on_U(U)[1].passed
+    assert graded_check(U).passed
+    assert len(primitives_of_U(U)) == L.dim
+    oracle = TensorAlgebraOracle(L, 4)
+    assert all(oracle.check_product(U, a, b) for a, b in U._products)
+    assert (U._normal_forms, U._products) == snapshot
+    assert_caches_hold_normal_forms(U)
+
+
+def test_morphism_functor_leaves_its_caches_intact(monkeypatch):
+    made = []
+
+    class Recorded(TruncatedEnveloping):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+    monkeypatch.setattr(lie, "TruncatedEnveloping", Recorded)
+    heis = LieAlgebra.heisenberg(Q)
+    fmat = Matrix.from_int_rows(Q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    F, rep = lie_morphism_functor(fmat, heis, heis, 3)
+    assert rep.passed and F == Matrix.identity(Q, F.rows)
+    assert len(made) == 2 and all(U._products for U in made)
+    for U in made:
+        assert_caches_hold_normal_forms(U)
+
+
+# -- the oracle --------------------------------------------------------------------
+
+@pytest.mark.parametrize("path", LIE_FILES, ids=lambda p: p.stem)
+def test_longest_first_oracle_matches_the_ascending_one(path):
+    L = io.load_lie(path)
+    U = TruncatedEnveloping(L, 3)
+    new, old = TensorAlgebraOracle(L, 3), ref.AscendingOracle(L, 3)
+    assert new.ideal.dim == old.ideal.dim
+    assert sorted(new.words) == sorted(old.words)
+    f = L.field
+    for a in range(U.dim):
+        for b in range(U.dim):
+            if U.degree(a) + U.degree(b) > 3:
+                continue
+            assert new.check_product(U, a, b) == old.check_product(U, a, b)
+            # and on an expansion with its leading coefficient moved by one
+            word = U.word_of(U.monomials[a]) + U.word_of(U.monomials[b])
+            wrong = {U.word_of(U.monomials[k]): c
+                     for k, c in U.product_monomials(a, b).items()}
+            top = max(wrong, key=lambda w: (len(w), w))
+            wrong[top] = f.add(wrong[top], f.one)
+            assert new.equal_mod_ideal({word: f.one}, wrong) \
+                == old.equal_mod_ideal({word: f.one}, wrong)
+
+
+def test_oracle_work_counts_rows_times_width():
+    for L, N in ((LieAlgebra.sl2(Q), 3), (LieAlgebra.heisenberg(Q), 4),
+                 (LieAlgebra.abelian(Q, 1), 3)):
+        oracle = ref.AscendingOracle(L, N)
+        rows = sum(1 for i in range(L.dim) for j in range(i + 1, L.dim)
+                   for u in oracle.words for v in oracle.words
+                   if len(u) + 2 + len(v) <= N)
+        assert oracle_work(L.dim, N) == rows * len(oracle.words)
+    assert oracle_work(3, 6) == 1_793_613
+    assert oracle_work(6, 5) == 137_865_525
+
+
+def test_oracle_refuses_over_budget_before_building():
+    sl2 = LieAlgebra.sl2(Q)
+    assert oracle_work(3, 3) == 840
+    with pytest.raises(BudgetExceeded, match="840 .* exceeds budget 839"):
+        TensorAlgebraOracle(sl2, 3, budget=839)
+    assert TensorAlgebraOracle(sl2, 3, budget=oracle_work(3, 3)).ideal.dim
