@@ -16,7 +16,8 @@ Times the two routines ``zrep`` is built on: ``char_poly`` of a conjugated
 14x14 block-companion matrix over F_31, and ``factor_monic_fp`` of a
 degree-4 irreducible times three linear factors over F_101. Times the
 structure-tensor sweeps: ``verify_bialgebra`` on the monoid and function
-algebras of D4, ``coproduct_on_U`` on sl2 at order 5,
+algebras of D4, each on a copy made in the case so that no certificate
+cached by an earlier repeat is reused, ``coproduct_on_U`` on sl2 at order 5,
 ``dist_at_identity("gm", 6)`` and ``divided_power_bialgebra(8)``, all over
 Q; their hash is of the report's checks. Times ten in-process
 ``cli.main`` calls of ``--format json verify`` on the corpus file
@@ -35,12 +36,18 @@ in-process ``cli.main`` calls of ``--format json pbw`` on the corpus file
 without the timing field), and the tensor-algebra oracle of sl2 at order 6
 built alone (hashing its word count and the dimension of its ideal, which
 do not depend on the order of its columns).
-Each case runs ``REPEAT`` times; the best and the median seconds
-are kept, with a SHA-256 of the case's results so that two labels can be
-checked to compute the same thing. The hash prints every rational as "a/b"
-or "a", so it does not depend on whether an integral rational is an
-``int`` or a ``Fraction``. Writes ``BENCH_<label>.json``. Runs from the
-root of the checkout it sits in, whatever the working directory.
+Times the scaled axiom sweeps and reconstruction, built in the script:
+in-process ``cli.main`` calls of ``--format json verify`` on the group
+algebras of S4 and S5 and the function algebra of S5 over Q, each saved to
+a bialgebra file (hashing the exit code and the output without the timing
+field), and ``reconstruct_from_regular`` on S4 x Z2 over Q.
+Each case runs ``REPEAT`` times, a scaled one ``REPEAT_SCALED`` times;
+the best and the median seconds are kept, with a SHA-256 of the case's
+results so that two labels can be checked to compute the same thing. The
+hash prints every rational as "a/b" or "a", so it does not depend on
+whether an integral rational is an ``int`` or a ``Fraction``. Writes
+``BENCH_<label>.json``. Runs from the root of the checkout it sits in,
+whatever the working directory.
 End-to-end timings of the command line live in ``perfbench/``.
 """
 
@@ -69,7 +76,7 @@ from hopfdual import cli  # noqa: E402
 from hopfdual import io as hio  # noqa: E402
 from hopfdual.exact import (FieldSpec, Matrix, inverse, kron,  # noqa: E402
                             rref, span_of)
-from hopfdual.bialgebra import verify_bialgebra  # noqa: E402
+from hopfdual.bialgebra import FinBialgebra, verify_bialgebra  # noqa: E402
 from hopfdual.lie import (LieAlgebra, TensorAlgebraOracle,  # noqa: E402
                           TruncatedEnveloping, coproduct_on_U,
                           dist_at_identity, divided_power_bialgebra)
@@ -82,6 +89,7 @@ from hopfdual.tannaka import reconstruct_from_regular  # noqa: E402
 
 SEED = 16
 REPEAT = 11
+REPEAT_SCALED = 3
 RG_D4 = "src/hopfdual/corpus/rg_d4.json"
 MONOID_Z8 = "src/hopfdual/corpus/monoid_z8.json"
 LIE_SL2 = "src/hopfdual/corpus/lie_sl2.json"
@@ -192,9 +200,15 @@ def sweep_cases() -> dict:
     q = FieldSpec.rationals()
     rg = monoid_algebra(D4, q)
     fn = function_bialgebra(D4, q)
+
+    def verify(A):
+        # a copy with nothing cached and nothing recorded, as a file gives
+        return lambda: verify_bialgebra(FinBialgebra(
+            A.field, A.dim, A.basis, A.mult, A.unit, A.comult, A.counit,
+            A.antipode)).checks
     return {
-        "Q.verify_bialgebra.rg_d4": (1, lambda: verify_bialgebra(rg).checks),
-        "Q.verify_bialgebra.fn_d4": (1, lambda: verify_bialgebra(fn).checks),
+        "Q.verify_bialgebra.rg_d4": (1, verify(rg)),
+        "Q.verify_bialgebra.fn_d4": (1, verify(fn)),
         "Q.coproduct_on_U.sl2_5": (1, lambda: coproduct_on_U(
             TruncatedEnveloping(LieAlgebra.sl2(q), 5))[1].checks),
         "Q.dist_at_identity.gm_6": (
@@ -279,6 +293,38 @@ def pbw_cases() -> dict:
     }
 
 
+def scaled_cases(work: Path) -> dict:
+    """name -> (number of calls, thunk) for the axiom sweeps and the
+    reconstruction at the sizes of S4 and S5: the ``verify`` command on the
+    group algebras of S4 and S5 and the function algebra of S5, saved
+    under work, and the reconstruction of Q[S4 x Z2] from its regular
+    module."""
+    q = FieldSpec.rationals()
+    s4 = FiniteMonoid.symmetric(4)
+    s5 = FiniteMonoid.symmetric(5)
+
+    def verify(name, algebra):
+        path = work / f"{name}.json"
+        hio.save_bialgebra(algebra, path)
+        argv = ["--format", "json", "verify", str(path)]
+
+        def run():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            text = TIMING.sub("", out.getvalue())
+            return code, text.replace(str(work) + os.sep, "")
+        return 1, run
+    s4xz2 = FiniteMonoid.direct_product(s4, FiniteMonoid.cyclic(2))
+    return {
+        "Q.cli_verify.k_s4": verify("k_s4", monoid_algebra(s4, q)),
+        "Q.cli_verify.k_s5": verify("k_s5", monoid_algebra(s5, q)),
+        "Q.cli_verify.fn_s5": verify("fn_s5", function_bialgebra(s5, q)),
+        "Q.reconstruct_from_regular.s4xz2": (
+            1, lambda: reconstruct_from_regular(s4xz2, q).checks),
+    }
+
+
 def printed(x) -> str:
     """x printed with every rational as "a/b" or "a"."""
     if isinstance(x, Fraction):
@@ -303,10 +349,13 @@ def run(work: Path) -> dict:
     every.update(rep_cases(work))
     every.update(subalgebra_cases())
     every.update(pbw_cases())
+    every = {name: case + (REPEAT,) for name, case in every.items()}
+    every.update({name: case + (REPEAT_SCALED,)
+                  for name, case in scaled_cases(work).items()})
     out = {}
-    for name, (calls, thunk) in every.items():
+    for name, (calls, thunk, repeat) in every.items():
         times = []
-        for _ in range(REPEAT):
+        for _ in range(repeat):
             start = time.perf_counter()
             result = thunk()
             times.append(time.perf_counter() - start)
@@ -314,7 +363,7 @@ def run(work: Path) -> dict:
             "calls": calls,
             "best_s": round(min(times), 6),
             "median_s": round(statistics.median(times), 6),
-            "repeat": REPEAT,
+            "repeat": repeat,
             "result_sha256": hashlib.sha256(
                 printed(result).encode()).hexdigest(),
         }

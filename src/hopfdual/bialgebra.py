@@ -51,12 +51,22 @@ _NO_TERMS = MappingProxyType({})  # the zero product, shared and read only
 
 
 def sparse_sum(f: FieldSpec, terms) -> dict:
-    """Sum of ``(key, coefficient)`` terms as a sparse dict, zeros dropped."""
+    """Sum of ``(key, coefficient)`` terms as a sparse dict of canonical
+    scalars, zeros dropped. A coefficient may be raw, a plain ``*`` product
+    of scalars: the terms are added with plain ``+`` and each key's sum is
+    reduced once, by :meth:`FieldSpec.canonical`."""
     acc = {}
-    get, add, zero = acc.get, f.add, f.zero
+    get = acc.get
     for key, c in terms:
-        acc[key] = add(get(key, zero), c)
-    return {key: c for key, c in acc.items() if c != zero}
+        acc[key] = get(key, 0) + c
+    canonical = f.canonical
+    return {key: c for key, s in acc.items() if (c := canonical(s))}
+
+
+def vanishes(f: FieldSpec, raw: dict) -> bool:
+    """Is every raw sum among the values of ``raw`` zero in the field?"""
+    p = f.p
+    return not any(c % p for c in raw.values()) if p else not any(raw.values())
 
 
 def nonzero(f: FieldSpec, vec) -> dict:
@@ -66,61 +76,84 @@ def nonzero(f: FieldSpec, vec) -> dict:
 
 def comult_of(f: FieldSpec, deltas, x: dict) -> dict:
     """Delta of the sparse element ``x = {k: c}``."""
-    return sparse_sum(f, ((key, f.mul(c, d)) for k, c in x.items()
+    return sparse_sum(f, ((key, c * d) for k, c in x.items()
                           for key, d in deltas[k].items()))
 
 
 def coassociativity_sweep(rep: Report, name: str, f: FieldSpec, deltas,
                           names) -> bool:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on every basis element,
-    compared as sparse (a, b, c)-keyed tensors."""
+    as one sparse (a, b, c)-keyed difference per element."""
     def failures():
         for k in range(len(deltas)):
-            dk = deltas[k].items()
-            lhs = sparse_sum(f, (((a, b, j), f.mul(c, d)) for (i, j), c in dk
-                                 for (a, b), d in deltas[i].items()))
-            rhs = sparse_sum(f, (((i, a, b), f.mul(c, d)) for (i, j), c in dk
-                                 for (a, b), d in deltas[j].items()))
-            if lhs != rhs:
+            diff = {}
+            get = diff.get
+            for (i, j), c in deltas[k].items():
+                for (a, b), d in deltas[i].items():
+                    key = (a, b, j)
+                    diff[key] = get(key, 0) + c * d
+                for (a, b), d in deltas[j].items():
+                    key = (i, a, b)
+                    diff[key] = get(key, 0) - c * d
+            if not vanishes(f, diff):
                 yield names[k]
     return rep.sweep(name, failures())
 
 
+def multiplicativity_failures(f: FieldSpec, deltas, mul_basis, names,
+                              pairs):
+    """Witnesses ``"(a,b)"``, in the order of ``pairs``, of the basis pairs
+    where Delta(e_a e_b) != Delta(e_a) Delta(e_b) in A (x) A; ``mul_basis``
+    must be defined on every product the two sides form."""
+    for a, b in pairs:
+        diff = {}
+        get = diff.get
+        for k, c in mul_basis(a, b).items():
+            for key, d in deltas[k].items():
+                diff[key] = get(key, 0) + c * d
+        for (i1, j1), c1 in deltas[a].items():
+            for (i2, j2), c2 in deltas[b].items():
+                right = mul_basis(j1, j2).items()
+                if not right:
+                    continue
+                c = c1 * c2
+                for x, cx in mul_basis(i1, i2).items():
+                    cx *= c
+                    for y, cy in right:
+                        key = (x, y)
+                        diff[key] = get(key, 0) - cx * cy
+        if not vanishes(f, diff):
+            yield f"({names[a]},{names[b]})"
+
+
 def multiplicativity_sweep(rep: Report, name: str, f: FieldSpec, deltas,
                            mul_basis, names, pairs) -> bool:
-    """Delta(e_a e_b) = Delta(e_a) Delta(e_b) in A (x) A for each basis pair
-    ``(a, b)`` in ``pairs``; ``mul_basis`` must be defined on every product
-    the two sides form."""
-    def square_product(s, t):
-        def terms():
-            for (i1, j1), c1 in s.items():
-                for (i2, j2), c2 in t.items():
-                    c = f.mul(c1, c2)
-                    right = mul_basis(j1, j2).items()
-                    for a, ca in mul_basis(i1, i2).items():
-                        ca = f.mul(c, ca)
-                        for b, cb in right:
-                            yield (a, b), f.mul(ca, cb)
-        return sparse_sum(f, terms())
-    return rep.sweep(name, (
-        f"({names[a]},{names[b]})" for a, b in pairs
-        if comult_of(f, deltas, mul_basis(a, b))
-        != square_product(deltas[a], deltas[b])))
+    """:func:`multiplicativity_failures` as one check of ``rep``."""
+    return rep.sweep(name, multiplicativity_failures(f, deltas, mul_basis,
+                                                     names, pairs))
 
 
 def comult_morphism_sweep(rep: Report, name: str, f: FieldSpec, cols,
                           source_deltas, target_deltas, names) -> bool:
     """Delta F = (F (x) F) Delta on every source basis element, for the
     linear map with ``cols[k] = F(e_k)`` as sparse ``{index: c}`` dicts."""
-    def image(t):
-        # (F (x) F) applied to a pair tensor
-        return sparse_sum(f, (((a, b), f.mul(c, f.mul(ca, cb)))
-                              for (i, j), c in t.items()
-                              for a, ca in cols[i].items()
-                              for b, cb in cols[j].items()))
-    return rep.sweep(name, (
-        names[k] for k in range(len(cols))
-        if comult_of(f, target_deltas, cols[k]) != image(source_deltas[k])))
+    def failures():
+        for k in range(len(cols)):
+            diff = {}
+            get = diff.get
+            for t, c in cols[k].items():
+                for key, d in target_deltas[t].items():
+                    diff[key] = get(key, 0) + c * d
+            for (i, j), c in source_deltas[k].items():
+                right = cols[j].items()
+                for a, ca in cols[i].items():
+                    ca *= c
+                    for b, cb in right:
+                        key = (a, b)
+                        diff[key] = get(key, 0) - ca * cb
+            if not vanishes(f, diff):
+                yield names[k]
+    return rep.sweep(name, failures())
 
 
 def primitive_space(f: FieldSpec, deltas, unit) -> list:
@@ -252,20 +285,21 @@ class FinBialgebra:
         return self._products.get((i, j), _NO_TERMS)
 
     def mul_vec(self, x, y) -> tuple:
-        """Product of two coefficient vectors."""
-        f = self.field
-        acc = [f.zero] * self.dim
-        xs = [(i, xi) for i, xi in enumerate(x) if xi != f.zero]
-        ys = [(j, yj) for j, yj in enumerate(y) if yj != f.zero]
-        for i, xi in xs:
+        """Product of two coefficient vectors, summed raw and reduced once
+        per entry."""
+        acc = [0] * self.dim
+        products = self._products
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for i, xi in enumerate(x):
+            if not xi:
+                continue
             for j, yj in ys:
-                entry = self._products.get((i, j))
-                if not entry:
-                    continue
-                c = f.mul(xi, yj)
-                for k, m in entry.items():
-                    acc[k] = f.add(acc[k], f.mul(c, m))
-        return tuple(acc)
+                entry = products.get((i, j))
+                if entry:
+                    c = xi * yj
+                    for k, m in entry.items():
+                        acc[k] += c * m
+        return tuple(map(self.field.canonical, acc))
 
     def comult_basis(self, k: int) -> dict:
         return dict(self.deltas[k])
@@ -326,6 +360,48 @@ class FinBialgebra:
                                  sp)
         return tuple(gens)
 
+    def _cheap_generators(self) -> tuple | None:
+        """:attr:`generators` when they are known already, or when the full
+        associativity sweep would visit more than 4 dim^2 triples, so that
+        the sweeps a generating set shortens cost more than finding it;
+        None otherwise. The function algebra k^G, whose greedy generating
+        set has |G| - 1 elements, is the case the bound leaves out."""
+        n = self.dim
+        if "generators" in self.__dict__ or _sweep_triples(self) > 4 * n * n:
+            return self.generators
+        return None
+
+    @cached_property
+    def dual(self) -> "FinBialgebra":
+        """:func:`dualize` of this structure, built once; its ``dual`` is
+        this instance, so a certificate cached on either side is seen from
+        the other."""
+        D = dualize(self)
+        D.dual = self
+        return D
+
+    @cached_property
+    def algebra_laws(self) -> bool:
+        """Whether the product is associative with ``unit`` as its
+        identity. The coalgebra laws of A are the algebra laws of A*:
+        ``A.dual.algebra_laws``.
+
+        The unit laws are checked first. Associativity is then certified
+        on triples (s, y, z) with s in a generating set when
+        :meth:`_cheap_generators` gives one: the x with (xy)z = x(yz) for
+        all y, z form a subspace closed under products, and it holds 1, so
+        it holds every word in the generators, and those span A. Otherwise
+        every triple is swept. Constructors that know the answer (the
+        monoid algebra of a :class:`FiniteMonoid`, the reconstructed A_X)
+        record it here."""
+        if not self.has_algebra:
+            raise ValueError("no algebra structure present")
+        if next(_unit_law_failures(self), None) is not None:
+            return False
+        gens = self._cheap_generators()
+        firsts = range(self.dim) if gens is None else gens
+        return next(_associativity_failures(self, firsts), None) is None
+
     def is_commutative(self) -> bool:
         dense = self.mult
         for (i, j, k), c in dense.items():
@@ -372,67 +448,123 @@ class BialgebraMorphism:
 
 
 # -- axiom sweeps -------------------------------------------------------------
+#
+# Each law is certified as cheaply as its premises allow, and a failed
+# certificate falls back to the full sweep, which names every violated
+# instance in the order it always has. Only passes are ever certified.
+
+def _sweep_triples(A: FinBialgebra) -> int:
+    """The number of triples (i, j, k) :func:`_associativity_failures`
+    visits over every i: those where e_i e_j or e_j e_k is nonzero."""
+    n = A.dim
+    into, out = [0] * n, [0] * n
+    for i, j in A._products:
+        out[i] += 1
+        into[j] += 1
+    return sum(a * n + n * b - a * b for a, b in zip(into, out))
+
+
+def _associativity_failures(A: FinBialgebra, firsts):
+    """Witnesses ``"(x,y,z)"`` of (e_i e_j) e_k != e_i (e_j e_k) for i in
+    ``firsts`` and every j, k, in lexicographic order. A triple where e_i
+    e_j and e_j e_k are both zero is skipped, as both sides vanish there."""
+    f = A.field
+    n = A.dim
+    products = A._products
+    right_of = [[] for _ in range(n)]  # the k with e_j e_k != 0, ascending
+    for j, k in sorted(products):
+        right_of[j].append(k)
+    every = range(n)
+    for i in firsts:
+        for j in every:
+            ij = products.get((i, j))
+            ij_items = ij.items() if ij else ()
+            for k in (every if ij else right_of[j]):
+                diff = {}
+                get = diff.get
+                for s, c in ij_items:
+                    for t, m in products.get((s, k), _NO_TERMS).items():
+                        diff[t] = get(t, 0) + c * m
+                for s, c in products.get((j, k), _NO_TERMS).items():
+                    for t, m in products.get((i, s), _NO_TERMS).items():
+                        diff[t] = get(t, 0) - c * m
+                if not vanishes(f, diff):
+                    yield f"({A.name_of(i)},{A.name_of(j)},{A.name_of(k)})"
+
+
+def _unit_law_failures(A: FinBialgebra):
+    """``(law, name)`` for each basis element with 1 e_i != e_i (the left
+    unit law) or e_i 1 != e_i (the right one), in basis order, left
+    first."""
+    f = A.field
+    products = A._products
+    ones = [(s, u) for s, u in enumerate(A.unit) if u]
+    for i in range(A.dim):
+        for law, side in (("left unit law", 0), ("right unit law", 1)):
+            diff = {i: -1}
+            get = diff.get
+            for s, u in ones:
+                for k, m in products.get((s, i) if side == 0 else (i, s),
+                                         _NO_TERMS).items():
+                    diff[k] = get(k, 0) + u * m
+            if not vanishes(f, diff):
+                yield law, A.name_of(i)
+
 
 def verify_algebra(A: FinBialgebra) -> Report:
-    """Check associativity on all basis triples and the two unit laws."""
+    """Check associativity and the two unit laws. A pass is certified as
+    :attr:`FinBialgebra.algebra_laws` describes; otherwise every triple is
+    swept, as :func:`_associativity_failures` skips, so the failures name
+    every violated triple in lexicographic order."""
     if not A.has_algebra:
         raise ValueError("no algebra structure present")
-    f = A.field
     rep = Report(f"algebra axioms ({A!r})")
-    mul = A.mul_basis
-    n = A.dim
-
-    def failures():
-        for i in range(n):
-            for j in range(n):
-                ij = mul(i, j).items()
-                for k in range(n):
-                    left = sparse_sum(f, ((t, f.mul(c, m)) for s, c in ij
-                                          for t, m in mul(s, k).items()))
-                    right = sparse_sum(f, ((t, f.mul(c, m))
-                                           for s, c in mul(j, k).items()
-                                           for t, m in mul(i, s).items()))
-                    if left != right:
-                        yield f"({A.name_of(i)},{A.name_of(j)},{A.name_of(k)})"
-    rep.sweep("associativity", failures())
-    one = A.unit
-    ok_unit = True
-    for i in range(n):
-        e = A.basis_vec(i)
-        if A.mul_vec(one, e) != e:
-            ok_unit = False
-            rep.add("left unit law", False, A.name_of(i))
-        if A.mul_vec(e, one) != e:
-            ok_unit = False
-            rep.add("right unit law", False, A.name_of(i))
-    if ok_unit:
+    unit_bad = list(_unit_law_failures(A))
+    if not unit_bad and A.algebra_laws:
+        rep.add("associativity", True)
+    else:
+        rep.sweep("associativity", _associativity_failures(A, range(A.dim)))
+    for law, name in unit_bad:
+        rep.add(law, False, name)
+    if not unit_bad:
         rep.add("unit laws", True)
     return rep
 
 
 def verify_coalgebra(A: FinBialgebra) -> Report:
-    """Check coassociativity and both counit laws entrywise."""
+    """Check coassociativity and both counit laws entrywise.
+
+    They are the associativity and unit laws of A* = ``A.dual``. So when
+    the counit laws hold and A* has a cheap generating set (a dense
+    coproduct, as in the function algebra k^G, whose dual kG is generated
+    by a few group elements), coassociativity is certified as the
+    associativity of A* on it. Otherwise, or when that fails, every basis
+    element is swept."""
     if not A.has_coalgebra:
         raise ValueError("no coalgebra structure present")
     f = A.field
     rep = Report(f"coalgebra axioms ({A!r})")
     n = A.dim
-    coassociativity_sweep(rep, "coassociativity", f, A.deltas, A.basis)
-    ok = True
+    counit_bad = []
     for k in range(n):
-        left = [f.zero] * n
-        right = [f.zero] * n
+        left = [0] * n
+        right = [0] * n
         for (i, j), c in A.deltas[k].items():
-            left[j] = f.add(left[j], f.mul(A.counit[i], c))
-            right[i] = f.add(right[i], f.mul(A.counit[j], c))
+            left[j] += A.counit[i] * c
+            right[i] += A.counit[j] * c
         e = list(A.basis_vec(k))
-        if left != e:
-            ok = False
-            rep.add("left counit law", False, A.name_of(k))
-        if right != e:
-            ok = False
-            rep.add("right counit law", False, A.name_of(k))
-    if ok:
+        if list(map(f.canonical, left)) != e:
+            counit_bad.append(("left counit law", A.name_of(k)))
+        if list(map(f.canonical, right)) != e:
+            counit_bad.append(("right counit law", A.name_of(k)))
+    if (not counit_bad and A.dual._cheap_generators() is not None
+            and A.dual.algebra_laws):
+        rep.add("coassociativity", True)
+    else:
+        coassociativity_sweep(rep, "coassociativity", f, A.deltas, A.basis)
+    for law, name in counit_bad:
+        rep.add(law, False, name)
+    if not counit_bad:
         rep.add("counit laws", True)
     return rep
 
@@ -455,51 +587,114 @@ def verify_bialgebra(A: FinBialgebra) -> Report:
     return rep
 
 
+def _counit_multiplicativity_failures(A: FinBialgebra):
+    """Witnesses ``"(x,y)"``, lexicographic, of epsilon(e_i e_j) !=
+    epsilon(e_i) epsilon(e_j), read off the product tensor."""
+    canonical = A.field.canonical
+    eps = A.counit
+    products = A._products
+    for i in range(A.dim):
+        for j in range(A.dim):
+            e = products.get((i, j))
+            value = sum(c * eps[k] for k, c in e.items()) if e else 0
+            if canonical(value - eps[i] * eps[j]):
+                yield f"({A.name_of(i)},{A.name_of(j)})"
+
+
+def _multiplicativity_route(A: FinBialgebra, comult_unit: bool,
+                            counit_mult: bool) -> tuple:
+    """``(X, firsts)``: the sweep of Delta(e_a e_b) = Delta(e_a) Delta(e_b)
+    over a in ``firsts`` and every b, on X = A or X = A*, that certifies
+    the law on A reading the fewest coproduct terms: the terms of each
+    Delta(e_a) times all terms of Delta, plus one per pair. The candidates
+    are the full sweeps of A and A*, and the generator sweep of each side
+    that has cheap generators and whose premises hold: its algebra laws
+    and Delta(1) = 1 (x) 1, which on A* is epsilon multiplicative."""
+    n = A.dim
+    options = []
+    for X, premise in ((A, lambda: comult_unit and A.algebra_laws),
+                       (A.dual, lambda: counit_mult and A.dual.algebra_laws)):
+        size = [len(d) for d in X.deltas]
+        total = sum(size)
+        options.append((total * total + n * n, X, range(n), None))
+        gens = X._cheap_generators()
+        if gens is not None:
+            options.append((sum(size[s] for s in gens) * total
+                            + len(gens) * n, X, gens, premise))
+    for _, X, firsts, premise in sorted(options, key=lambda o: o[0]):
+        if premise is None or premise():
+            return X, firsts
+
+
 def verify_compatibility(A: FinBialgebra) -> Report:
     """The compatibility laws alone: Delta and epsilon are algebra
     morphisms. :func:`verify_bialgebra` is the algebra and coalgebra
-    axioms followed by these checks."""
+    axioms followed by these checks.
+
+    Delta(xy) = Delta(x) Delta(y) is one set of equations on the structure
+    constants, and A* = ``A.dual`` (product Delta^T, coproduct m^T) has the
+    same set: the law is self-dual. It is certified on the side and over
+    the pairs that :func:`_multiplicativity_route` picks. The pairs (s, y)
+    with s in a generating set are enough when that side's product is
+    associative with its unit and Delta(1) = 1 (x) 1: the x with Delta(xy)
+    = Delta(x) Delta(y) for all y then hold 1 and are closed under
+    products, so they hold every word in the generators. When the
+    certificate fails, every pair of A is swept, so the failures name each
+    violated pair in A's order. epsilon(e_i e_j) = epsilon(e_i)
+    epsilon(e_j) is read off the product tensor."""
     if not (A.has_algebra and A.has_coalgebra):
         raise ValueError("bialgebra verification needs all five structures")
     f = A.field
     rep = Report(f"compatibility laws ({A!r})")
     n = A.dim
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    multiplicativity_sweep(rep, "comult multiplicative", f, A.deltas,
-                           A.mul_basis, A.basis, pairs)
     one = A.unit
-    rep.add("comult(1) = 1 (x) 1", A.comult_vec(one) == _outer_square(f, one))
-    rep.sweep("counit multiplicative", (
-        f"({A.name_of(i)},{A.name_of(j)})" for i, j in pairs
-        if A.counit_vec(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
-        != f.mul(A.counit[i], A.counit[j])))
+    comult_unit = A.comult_vec(one) == _outer_square(f, one)
+    counit_bad = list(_counit_multiplicativity_failures(A))
+
+    def failures(X, firsts):
+        return multiplicativity_failures(
+            f, X.deltas, X.mul_basis, X.basis,
+            ((a, b) for a in firsts for b in range(n)))
+    X, firsts = _multiplicativity_route(A, comult_unit, not counit_bad)
+    if ((X is not A or len(firsts) < n)
+            and next(failures(X, firsts), None) is None):
+        rep.add("comult multiplicative", True)
+    else:
+        rep.sweep("comult multiplicative", failures(A, range(n)))
+    rep.add("comult(1) = 1 (x) 1", comult_unit)
+    rep.sweep("counit multiplicative", counit_bad)
     rep.add("counit(1) = 1", A.counit_vec(one) == f.one)
     return rep
 
 
 def check_hopf(A: FinBialgebra) -> Report:
-    """Verify the antipode identities m(S (x) id)Delta = u eps = m(id (x) S)Delta."""
+    """Verify the antipode identities m(S (x) id)Delta = u eps =
+    m(id (x) S)Delta, on each basis element as one sparse difference per
+    side, summed raw over the terms of Delta(e_k), the columns of S and the
+    product tensor."""
     if not A.has_antipode:
         raise ValueError("antipode absent")
     f = A.field
     rep = Report(f"antipode axioms ({A!r})")
-    S = A.antipode
+    antipode = [nonzero(f, A.antipode.column(i)) for i in range(A.dim)]
+    products = A._products
+    ones = [(t, u) for t, u in enumerate(A.unit) if u]
     ok = True
     for k in range(A.dim):
-        target = tuple(f.mul(A.counit[k], u) for u in A.unit)
-        left = [f.zero] * A.dim
-        right = [f.zero] * A.dim
-        for (i, j), c in A.comult_basis(k).items():
-            si = S.column(i)
-            sj = S.column(j)
-            for t, v in enumerate(A.mul_vec(si, A.basis_vec(j))):
-                left[t] = f.add(left[t], f.mul(c, v))
-            for t, v in enumerate(A.mul_vec(A.basis_vec(i), sj)):
-                right[t] = f.add(right[t], f.mul(c, v))
-        if tuple(left) != target:
+        # start from -eps(e_k) 1 on both sides
+        left = {t: -A.counit[k] * u for t, u in ones}
+        right = dict(left)
+        for (i, j), c in A.deltas[k].items():
+            for a, s in antipode[i].items():
+                for t, m in products.get((a, j), _NO_TERMS).items():
+                    left[t] = left.get(t, 0) + c * s * m
+            for b, s in antipode[j].items():
+                for t, m in products.get((i, b), _NO_TERMS).items():
+                    right[t] = right.get(t, 0) + c * s * m
+        if not vanishes(f, left):
             ok = False
             rep.add("antipode left identity", False, A.name_of(k))
-        if tuple(right) != target:
+        if not vanishes(f, right):
             ok = False
             rep.add("antipode right identity", False, A.name_of(k))
     if ok:
@@ -621,7 +816,13 @@ def same_algebra(A: FinBialgebra, B: FinBialgebra) -> bool:
 
 
 def check_morphism(f_map: BialgebraMorphism, kind: str = "bialgebra") -> Report:
-    """Check a linear map for the algebra, coalgebra or bialgebra property."""
+    """Check a linear map for the algebra, coalgebra or bialgebra property.
+
+    When F(1) = 1 and both algebras satisfy their algebra laws, F(xy) =
+    F(x)F(y) is certified on the pairs (s, y) with s in a cheap generating
+    set of the source: the x with F(xy) = F(x)F(y) for all y hold 1 and
+    are closed under products, so they hold every word in the generators.
+    Otherwise, or when that fails, every pair is swept."""
     if kind not in ("algebra", "coalgebra", "bialgebra"):
         raise ValueError(f"unknown morphism kind {kind!r}")
     A, B, F = f_map.source, f_map.target, f_map.matrix
@@ -632,20 +833,33 @@ def check_morphism(f_map: BialgebraMorphism, kind: str = "bialgebra") -> Report:
             raise ValueError(f"no coalgebra structure present on the {role}")
     f = A.field
     rep = Report(f"{kind} morphism check")
+    columns = [F.column(k) for k in range(A.dim)]
+    images = [nonzero(f, col) for col in columns]
     if kind in ("algebra", "bialgebra"):
-        rep.sweep("f(xy) = f(x)f(y)", (
-            f"({A.name_of(i)},{A.name_of(j)})"
-            for i in range(A.dim) for j in range(A.dim)
-            if F.apply(A.mul_vec(A.basis_vec(i), A.basis_vec(j)))
-            != B.mul_vec(F.column(i), F.column(j))))
-        rep.add("f(1) = 1", F.apply(A.unit) == B.unit)
+        def failures(firsts):
+            for i in firsts:
+                for j in range(A.dim):
+                    acc = [0] * B.dim
+                    for k, c in A.mul_basis(i, j).items():
+                        for t, x in images[k].items():
+                            acc[t] += c * x
+                    if (tuple(map(f.canonical, acc))
+                            != B.mul_vec(columns[i], columns[j])):
+                        yield f"({A.name_of(i)},{A.name_of(j)})"
+        unit_kept = F.apply(A.unit) == B.unit
+        gens = A._cheap_generators() if unit_kept else None
+        if (gens is not None and A.algebra_laws and B.algebra_laws
+                and next(failures(gens), None) is None):
+            rep.add("f(xy) = f(x)f(y)", True)
+        else:
+            rep.sweep("f(xy) = f(x)f(y)", failures(range(A.dim)))
+        rep.add("f(1) = 1", unit_kept)
     if kind in ("coalgebra", "bialgebra"):
-        comult_morphism_sweep(rep, "Delta f = (f (x) f) Delta", f,
-                              [nonzero(f, F.column(k)) for k in range(A.dim)],
+        comult_morphism_sweep(rep, "Delta f = (f (x) f) Delta", f, images,
                               A.deltas, B.deltas, A.basis)
         rep.sweep("counit f = counit", (
             A.name_of(k) for k in range(A.dim)
-            if B.counit_vec(F.column(k)) != A.counit[k]))
+            if B.counit_vec(columns[k]) != A.counit[k]))
     return rep
 
 

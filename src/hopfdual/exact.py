@@ -32,7 +32,7 @@ through that step; the :class:`Echelon` it returns reads off the kernel,
 from __future__ import annotations
 
 import re
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -155,6 +155,12 @@ class FieldSpec:
         if self.p:
             return (a * b) % self.p
         return _q(a * b)
+
+    def canonical(self, a):
+        """The canonical scalar of a raw value: an int or ``Fraction``
+        built with plain ``+``, ``-`` and ``*`` from scalars, as when a sum
+        of products is accumulated first and reduced once."""
+        return a % self.p if self.p else _q(a)
 
     def inv(self, a):
         if self.p:
@@ -363,19 +369,36 @@ class Matrix:
         return self._plus(other, -1)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """The product; a left row with at most a quarter of its entries
+        nonzero is the sum of the rows of ``other`` weighted by those
+        entries (Gustavson's row-wise product), any other row takes a dot
+        product with each column."""
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
-        cols = list(zip(*other.ints)) if other.rows else [()] * other.cols
+        rows_b = other.ints
+        cols = None
         zero = [0] * other.cols
+        out = []
+        for u in self.ints:
+            nz = len(u) - u.count(0)
+            if not nz:
+                out.append(zero)
+            elif 4 * nz <= len(u):
+                acc = zero
+                for t, x in enumerate(u):
+                    if x:
+                        acc = [a + x * y for a, y in zip(acc, rows_b[t])]
+                out.append(acc)
+            else:
+                if cols is None:
+                    cols = list(zip(*rows_b))
+                out.append([sum(map(mul, u, v)) for v in cols])
         p = self.field.p
         if p:
-            return Matrix._of(self.field, [
-                [sum(map(mul, u, v)) % p for v in cols] if any(u) else zero
-                for u in self.ints], 1, other.cols)
-        return _normal(self.field, [
-            [sum(map(mul, u, v)) for v in cols] if any(u) else zero
-            for u in self.ints], self.den * other.den, other.cols)
+            return Matrix._of(self.field, [[x % p for x in row]
+                                           for row in out], 1, other.cols)
+        return _normal(self.field, out, self.den * other.den, other.cols)
 
     def scale(self, c) -> "Matrix":
         p = self.field.p
@@ -683,6 +706,24 @@ class Span:
 
     def contains(self, vec) -> bool:
         return not any(self._reduce(self._ints(vec)[0])[0])
+
+    def contains_terms(self, terms: dict) -> bool:
+        """:meth:`contains` for the vector with the entries ``{index:
+        scalar}`` of ``terms`` and zeros elsewhere. The stored rows are
+        fully reduced, so cancelling one of them leaves the vector's
+        entries in every other pivot column as they were: only the rows
+        whose pivot lies in the support are visited, each found by
+        bisection."""
+        (values,), _ = _as_ints(self.field, [list(terms.values())])
+        v = [0] * self.width
+        for i, x in zip(terms, values):
+            v[i] = x
+        pivots = self.pivots
+        for c in sorted(terms):
+            at = bisect_left(pivots, c)
+            if at < len(pivots) and pivots[at] == c and v[c]:
+                v = self._cancel(v, self.rows[at], c)[0]
+        return not any(v)
 
     def add(self, vec) -> bool:
         """Insert vec; returns True if it enlarged the span."""

@@ -242,7 +242,7 @@ class TruncatedEnveloping:
             if missing:
                 stack.extend(missing)
                 continue
-            forms[w] = sparse_sum(f, ((idx, f.mul(c, x)) for v, c in terms
+            forms[w] = sparse_sum(f, ((idx, c * x) for v, c in terms
                                       for idx, x in forms[v].items()))
             stack.pop()
         return forms[word]
@@ -262,16 +262,9 @@ class TruncatedEnveloping:
         return form
 
     def product_vec(self, x: dict, y: dict) -> dict:
-        f = self.field
-
-        def terms():
-            for a, ca in x.items():
-                for b, cb in y.items():
-                    c = f.mul(ca, cb)
-                    if c != f.zero:
-                        for k, ck in self.product_monomials(a, b).items():
-                            yield k, f.mul(c, ck)
-        return sparse_sum(f, terms())
+        return sparse_sum(self.field, (
+            (k, ca * cb * ck) for a, ca in x.items() for b, cb in y.items()
+            for k, ck in self.product_monomials(a, b).items()))
 
     # -- coproduct --------------------------------------------------------------
 
@@ -397,22 +390,15 @@ class TensorAlgebraOracle:
                                 row[self.word_index[u + mid + v]] = c
                             self.ideal.add(row)
 
-    def element(self, combo: dict) -> list:
-        f = self.lie.field
-        vec = [f.zero] * len(self.words)
-        for word, c in combo.items():
-            vec[self.word_index[tuple(word)]] = f.add(
-                vec[self.word_index[tuple(word)]], c)
-        return vec
-
     def equal_mod_ideal(self, combo_a: dict, combo_b: dict) -> bool:
-        f = self.lie.field
-        diff = {}
-        for w, c in combo_a.items():
-            diff[tuple(w)] = f.add(diff.get(tuple(w), f.zero), c)
-        for w, c in combo_b.items():
-            diff[tuple(w)] = f.sub(diff.get(tuple(w), f.zero), c)
-        return self.ideal.contains(self.element(diff))
+        """Do two combinations of words agree modulo the ideal? Their
+        difference stays a sparse dict of word indices, and only the
+        ideal's rows with a pivot in its support are read."""
+        index = self.word_index
+        diff = sparse_sum(self.lie.field, itertools.chain(
+            ((index[tuple(w)], c) for w, c in combo_a.items()),
+            ((index[tuple(w)], -c) for w, c in combo_b.items())))
+        return self.ideal.contains_terms(diff)
 
     def check_product(self, U: TruncatedEnveloping, a: int, b: int) -> bool:
         """Does word(a) word(b) agree with the straightened product in the
@@ -495,7 +481,7 @@ def _symmetrization(U: TruncatedEnveloping, k: int) -> dict:
     weight = f.mul(f.inv(f.from_int(math.factorial(n))),
                    f.from_int(math.prod(math.factorial(e)
                                         for e in U.monomials[k])))
-    return sparse_sum(f, ((t, f.mul(weight, c))
+    return sparse_sum(f, ((t, weight * c)
                           for perm in sorted(set(itertools.permutations(word)))
                           for t, c in U.normal_form(perm).items()
                           if U.degree(t) == n))
@@ -577,7 +563,7 @@ def lie_morphism_functor(fmat: Matrix, source: LieAlgebra,
     images = [nonzero(f, F.column(k)) for k in range(Us.dim)]
 
     def image_of(x):
-        return sparse_sum(f, ((t, f.mul(c, y)) for k, c in x.items()
+        return sparse_sum(f, ((t, c * y) for k, c in x.items()
                               for t, y in images[k].items()))
     rep.sweep("extension multiplicative in range", (
         f"({Us.names[a]},{Us.names[b]})"

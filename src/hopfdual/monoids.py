@@ -55,14 +55,20 @@ class FiniteMonoid:
         for i in range(n):
             if self.table[unit][i] != i or self.table[i][unit] != i:
                 raise ValueError(f"unit law fails at {self.names[i]}")
-        for i in range(n):
-            for j in range(n):
-                ij = self.table[i][j]
-                for k in range(n):
-                    if self.table[ij][k] != self.table[i][self.table[j][k]]:
-                        raise ValueError(
-                            f"not associative at ({self.names[i]},"
-                            f"{self.names[j]},{self.names[k]})")
+        # Light's test: the a with (xa)y = x(ay) for all x, y form a
+        # submonoid, and every element is a right-nested product of
+        # generators, so checking a in the generators is enough
+        table = self.table
+        if any(table[table[x][s]][y] != table[x][table[s][y]]
+               for s in self.generators for x in range(n) for y in range(n)):
+            for i in range(n):
+                for j in range(n):
+                    ij = table[i][j]
+                    for k in range(n):
+                        if table[ij][k] != table[i][table[j][k]]:
+                            raise ValueError(
+                                f"not associative at ({self.names[i]},"
+                                f"{self.names[j]},{self.names[k]})")
         self._inverse = [None] * n
         for i in range(n):
             for j in range(n):
@@ -260,7 +266,9 @@ class Character:
 def monoid_algebra(G: FiniteMonoid, F: FieldSpec) -> FinBialgebra:
     """RG: basis G, product from the table, every element grouplike.
 
-    Carries the inversion antipode exactly when G is a group.
+    Carries the inversion antipode exactly when G is a group. The table of
+    a :class:`FiniteMonoid` was checked associative with its unit, so the
+    algebra laws are recorded as holding.
     """
     n = G.size
     one = F.one
@@ -272,8 +280,10 @@ def monoid_algebra(G: FiniteMonoid, F: FieldSpec) -> FinBialgebra:
     if G.is_group:
         antipode = Matrix(F, [[one if i == G.inv(j) else F.zero
                                for j in range(n)] for i in range(n)])
-    return FinBialgebra(F, n, G.names, mult, unit, comult, counit, antipode,
-                        has_bialgebra=True)
+    A = FinBialgebra(F, n, G.names, mult, unit, comult, counit, antipode,
+                     has_bialgebra=True)
+    A.algebra_laws = True
+    return A
 
 
 def function_bialgebra(G: FiniteMonoid, F: FieldSpec) -> FinBialgebra:

@@ -5,7 +5,9 @@ coproduct from tensor products of representations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .bialgebra import (BialgebraMorphism, FinBialgebra, check_morphism,
                         same_algebra)
@@ -37,9 +39,39 @@ def _flat_columns(mats) -> Matrix:
     return stack([m.reshape(1, m.rows * m.cols) for m in mats]).transpose()
 
 
+def _pivot_entries(basis_mats) -> list:
+    """Positions (r, c) at which every element of the span of the
+    linearly independent ``basis_mats`` is fixed by its entries: the
+    pivot columns of the echelon form of the flattened matrices, taken as
+    rows. There is one per matrix."""
+    cols = basis_mats[0].cols
+    ech = rref(stack([m.reshape(1, m.rows * cols) for m in basis_mats]))
+    return [divmod(c, cols) for c in ech.pivots]
+
+
 def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionResult:
-    """A / Ann(X), realized as the span of the action images inside the
-    endomorphism algebra of X, with the induced product."""
+    """A / Ann(X), realized as the span V of the action images inside the
+    endomorphism algebra of X, with the induced product.
+
+    The basis of V is the images of the pivot basis elements of A. An
+    element of V is fixed by its entries at q = dim V positions
+    (:func:`_pivot_entries`), so each product of two basis matrices is
+    computed at those positions only, each entry from the nonzeros of the
+    left factor's row, and its coordinates, with those of the identity,
+    come from one q x q system.
+
+    Those coordinates are the product's when the product lies in V, and
+    that is checked, not assumed: ``AlgebraModule(AX, ..., validate=True)``
+    checks phi(1) = I and phi(s) phi(b) = phi(s b) for every s in the
+    generating set S of A_X and every basis element b. So I lies in V and
+    phi(s) V lies in V. A_X is spanned by left words in S, and phi takes
+    each to the product of the matrices phi(s), so V is spanned by such
+    products and holds all of them: V is the subalgebra of End(X) that
+    phi(S) generates. Every product of V then lies in V and agrees with
+    phi of the computed product at the pivot positions, hence everywhere:
+    phi is an isomorphism of algebras onto V, so A_X is associative with
+    its unit, which is recorded on it. An X that is not a module fails
+    that check with ``ValueError``."""
     if not same_algebra(X.algebra, A):
         raise ValueError("module is not over the given algebra")
     f = A.field
@@ -55,17 +87,34 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
     pivots = ech.pivots
     dim_q = len(pivots)
     basis_mats = [X.matrices[p] for p in pivots]
-    basis_flat = _flat_columns(basis_mats)
     qmap = Matrix(f, ech.reduced.entries[:dim_q], cols=A.dim)
-    # induced product and unit on the image basis, from one elimination
-    ident = Matrix.identity(f, X.dim)
-    coords = solve_many(basis_flat, _flat_columns(
-        [a * b for a in basis_mats for b in basis_mats] + [ident]))
-    if coords is None:
-        if solve_many(basis_flat, _flat_columns([ident])) is None:
-            raise RuntimeError("identity action is outside the image span")
-        raise RuntimeError("image span is not closed under products")
-    *products, unit = coords.transpose().entries
+    # the basis as int rows over one denominator d, each row's nonzeros
+    d = lcm(*[m.den for m in basis_mats])
+    ints = [[[x * (d // m.den) for x in row] for row in m.ints]
+            for m in basis_mats]
+    entries = _pivot_entries(basis_mats)
+    # d * (basis matrix), and d^2 * (product of two, identity last), at the
+    # pivot positions; (a b)[r][c] adds up the column c of every b, read
+    # as one q-vector per row t, over the nonzeros a[r][t]
+    system = Matrix(f, [[m[r][c] for m in ints] for r, c in entries])
+    d2 = d * d
+    zero = [0] * dim_q
+    rhs_rows = []
+    for r, c in entries:
+        column = [[b[t][c] for b in ints] for t in range(X.dim)]
+        row = []
+        for a in ints:
+            acc = zero
+            for t, x in enumerate(a[r]):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, column[t])]
+            row.extend(acc)
+        row.append(d2 if r == c else 0)
+        rhs_rows.append(row)
+    rhs = Matrix(f, rhs_rows)
+    if d > 1:
+        rhs = rhs.scale(Fraction(1, d))
+    *products, unit = solve_many(system, rhs).transpose().entries
     mult = {}
     for ij, prod in enumerate(products):
         for k, c in enumerate(prod):
@@ -73,9 +122,8 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
                 mult[divmod(ij, dim_q) + (k,)] = c
     names = tuple(f"[{A.name_of(p)}]" for p in pivots)
     AX = FinBialgebra(f, dim_q, names, mult, unit, has_bialgebra=False)
-    # AX is a subalgebra of End(X), so it is associative, as the module
-    # law's check on a generating set of AX needs
     action = AlgebraModule(AX, basis_mats, validate=True)
+    AX.algebra_laws = True
     # faithfulness: the basis matrices are linearly independent by choice
     # of pivots, so only 0 acts as 0; double-check the kernel dimensions.
     ann_dim = A.dim - dim_q

@@ -26,15 +26,26 @@ pending words, each rewritten at its first descent with nothing cached,
 and the tensor-algebra oracle with its columns shortest word first, built
 by scanning every pair of words (u, v). ``test_lie`` compares them with
 the memoized ``TruncatedEnveloping.normal_form`` and with
-``TensorAlgebraOracle``."""
+``TensorAlgebraOracle``.
+
+And the axiom sweeps as they were before they were certified on
+generating sets: associativity on every basis triple, coassociativity and
+the counit laws on every basis element, Delta and epsilon multiplicative
+on every basis pair, the antipode identities and the morphism laws, one
+``FieldSpec`` call per scalar, with the check names and witnesses of
+``hopfdual.bialgebra``; the associativity of a monoid table on every
+triple; and ``annihilator_quotient`` by every product of two image
+matrices in full. ``test_certificates`` compares them with the certified
+checks, on the corpus and on corrupted inputs."""
 
 import itertools
 
 from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix, Span,
-                            kernel_basis, solve, stack)
+                            kernel_basis, solve, solve_many, stack, vbasis)
 from hopfdual.lie import TensorAlgebraOracle, TruncationOverflow
 from hopfdual.monoids import monoid_algebra
 from hopfdual.polys import add, degree, divmod_poly, mul, normalize, scale
+from hopfdual.report import Report
 
 
 def _check(a: Matrix, b: Matrix):
@@ -191,6 +202,14 @@ class Span:
         z = self.field.zero
         return all(x == z for x in self.reduce(vec))
 
+    def contains_terms(self, terms: dict) -> bool:
+        """``contains`` of the dense vector with the entries ``{index:
+        scalar}`` of terms, reduced against every stored row."""
+        vec = [self.field.zero] * self.width
+        for i, c in terms.items():
+            vec[i] = c
+        return self.contains(vec)
+
     def add(self, vec) -> bool:
         """Insert vec; returns True if it enlarged the span."""
         f = self.field
@@ -316,7 +335,7 @@ def eval_at(field, poly, x):
     return acc
 
 
-# -- the G-laws on every element --------------------------------------------------
+# -- the G-laws on every element ----------------------------------------------
 
 def invariants_all(rho) -> list:
     """Kernel basis of the action(g) - I stacked over every g."""
@@ -427,7 +446,7 @@ def points_all(A) -> list:
                     for i in range(n) for j in range(n))]
 
 
-# -- straightening and the tensor-algebra oracle ----------------------------------
+# -- straightening and the tensor-algebra oracle ------------------------------
 
 def normal_form(U, word) -> dict:
     """Rewrite a generator word to a combination of ordered monomials of the
@@ -503,3 +522,216 @@ class AscendingOracle(TensorAlgebraOracle):
                         for mid, c in rel.items():
                             row[self.word_index[u + mid + v]] = c
                         self.ideal.add(row)
+
+
+# -- the axiom sweeps over every basis tuple ----------------------------------
+
+def _sum(f, terms) -> dict:
+    acc = {}
+    for key, c in terms:
+        acc[key] = f.add(acc.get(key, f.zero), c)
+    return {key: c for key, c in acc.items() if c != f.zero}
+
+
+def _mul_vec(A, x, y) -> tuple:
+    f = A.field
+    acc = [f.zero] * A.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, m in A.mul_basis(i, j).items():
+                acc[k] = f.add(acc[k], f.mul(f.mul(xi, yj), m))
+    return tuple(acc)
+
+
+def _counit_vec(A, x):
+    f = A.field
+    acc = f.zero
+    for c, xi in zip(A.counit, x):
+        acc = f.add(acc, f.mul(c, xi))
+    return acc
+
+
+def _comult_of(f, deltas, x: dict) -> dict:
+    return _sum(f, ((key, f.mul(c, d)) for k, c in x.items()
+                    for key, d in deltas[k].items()))
+
+
+def verify_algebra_all(A) -> Report:
+    """Associativity on every basis triple, then the unit laws on every
+    basis element, with the checks and witnesses of
+    ``hopfdual.bialgebra.verify_algebra``."""
+    f, n, mul = A.field, A.dim, A.mul_basis
+    rep = Report(f"algebra axioms ({A!r})")
+    rep.sweep("associativity", (
+        f"({A.name_of(i)},{A.name_of(j)},{A.name_of(k)})"
+        for i in range(n) for j in range(n) for k in range(n)
+        if _sum(f, ((t, f.mul(c, m)) for s, c in mul(i, j).items()
+                    for t, m in mul(s, k).items()))
+        != _sum(f, ((t, f.mul(c, m)) for s, c in mul(j, k).items()
+                    for t, m in mul(i, s).items()))))
+    ok = True
+    for i in range(n):
+        e = vbasis(f, n, i)
+        if _mul_vec(A, A.unit, e) != e:
+            ok = rep.add("left unit law", False, A.name_of(i))
+        if _mul_vec(A, e, A.unit) != e:
+            ok = rep.add("right unit law", False, A.name_of(i))
+    if ok:
+        rep.add("unit laws", True)
+    return rep
+
+
+def verify_coalgebra_all(A) -> Report:
+    """Coassociativity and the counit laws on every basis element."""
+    f, n, deltas = A.field, A.dim, A.deltas
+    rep = Report(f"coalgebra axioms ({A!r})")
+    rep.sweep("coassociativity", (
+        A.name_of(k) for k in range(n)
+        if _sum(f, (((a, b, j), f.mul(c, d)) for (i, j), c in deltas[k].items()
+                    for (a, b), d in deltas[i].items()))
+        != _sum(f, (((i, a, b), f.mul(c, d)) for (i, j), c in deltas[k].items()
+                    for (a, b), d in deltas[j].items()))))
+    ok = True
+    for k in range(n):
+        left = [f.zero] * n
+        right = [f.zero] * n
+        for (i, j), c in deltas[k].items():
+            left[j] = f.add(left[j], f.mul(A.counit[i], c))
+            right[i] = f.add(right[i], f.mul(A.counit[j], c))
+        if tuple(left) != vbasis(f, n, k):
+            ok = rep.add("left counit law", False, A.name_of(k))
+        if tuple(right) != vbasis(f, n, k):
+            ok = rep.add("right counit law", False, A.name_of(k))
+    if ok:
+        rep.add("counit laws", True)
+    return rep
+
+
+def verify_compatibility_all(A) -> Report:
+    """Delta(e_a e_b) = Delta(e_a) Delta(e_b) and epsilon(e_a e_b) =
+    epsilon(e_a) epsilon(e_b) on every basis pair, and both on the unit."""
+    f, n, deltas, mul = A.field, A.dim, A.deltas, A.mul_basis
+    rep = Report(f"compatibility laws ({A!r})")
+
+    def square(a, b):
+        return _sum(f, (((x, y), f.mul(f.mul(f.mul(c1, c2), cx), cy))
+                        for (i1, j1), c1 in deltas[a].items()
+                        for (i2, j2), c2 in deltas[b].items()
+                        for x, cx in mul(i1, i2).items()
+                        for y, cy in mul(j1, j2).items()))
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    rep.sweep("comult multiplicative", (
+        f"({A.name_of(a)},{A.name_of(b)})" for a, b in pairs
+        if _comult_of(f, deltas, mul(a, b)) != square(a, b)))
+    unit = {i: u for i, u in enumerate(A.unit) if u != f.zero}
+    rep.add("comult(1) = 1 (x) 1", _comult_of(f, deltas, unit) == {
+        (i, j): f.mul(ci, cj) for i, ci in unit.items()
+        for j, cj in unit.items()})
+    rep.sweep("counit multiplicative", (
+        f"({A.name_of(a)},{A.name_of(b)})" for a, b in pairs
+        if _counit_vec(A, _mul_vec(A, vbasis(f, n, a), vbasis(f, n, b)))
+        != f.mul(A.counit[a], A.counit[b])))
+    rep.add("counit(1) = 1", _counit_vec(A, A.unit) == f.one)
+    return rep
+
+
+def verify_bialgebra_all(A) -> Report:
+    rep = Report(f"bialgebra axioms ({A!r})")
+    for part in (verify_algebra_all(A), verify_coalgebra_all(A),
+                 verify_compatibility_all(A)):
+        rep.extend(part)
+    return rep
+
+
+def check_morphism_all(f_map, kind: str = "bialgebra") -> Report:
+    """``hopfdual.bialgebra.check_morphism`` on every basis pair and every
+    basis element."""
+    A, B, F = f_map.source, f_map.target, f_map.matrix
+    f = A.field
+    rep = Report(f"{kind} morphism check")
+    if kind in ("algebra", "bialgebra"):
+        rep.sweep("f(xy) = f(x)f(y)", (
+            f"({A.name_of(i)},{A.name_of(j)})"
+            for i in range(A.dim) for j in range(A.dim)
+            if apply(F, _mul_vec(A, vbasis(f, A.dim, i), vbasis(f, A.dim, j)))
+            != _mul_vec(B, F.column(i), F.column(j))))
+        rep.add("f(1) = 1", apply(F, A.unit) == B.unit)
+    if kind in ("coalgebra", "bialgebra"):
+        cols = [{t: c for t, c in enumerate(F.column(k)) if c != f.zero}
+                for k in range(A.dim)]
+        rep.sweep("Delta f = (f (x) f) Delta", (
+            A.name_of(k) for k in range(A.dim)
+            if _comult_of(f, B.deltas, cols[k]) != _sum(f, (
+                ((a, b), f.mul(c, f.mul(ca, cb)))
+                for (i, j), c in A.deltas[k].items()
+                for a, ca in cols[i].items() for b, cb in cols[j].items()))))
+        rep.sweep("counit f = counit", (
+            A.name_of(k) for k in range(A.dim)
+            if _counit_vec(B, F.column(k)) != A.counit[k]))
+    return rep
+
+
+def check_hopf_all(A) -> Report:
+    """The antipode identities on every basis element, through dense
+    products of the antipode's columns with basis vectors."""
+    f, n, S = A.field, A.dim, A.antipode
+    rep = Report(f"antipode axioms ({A!r})")
+    ok = True
+    for k in range(n):
+        target = tuple(f.mul(A.counit[k], u) for u in A.unit)
+        left = [f.zero] * n
+        right = [f.zero] * n
+        for (i, j), c in A.deltas[k].items():
+            lv = _mul_vec(A, S.column(i), vbasis(f, n, j))
+            rv = _mul_vec(A, vbasis(f, n, i), S.column(j))
+            left = [f.add(x, f.mul(c, y)) for x, y in zip(left, lv)]
+            right = [f.add(x, f.mul(c, y)) for x, y in zip(right, rv)]
+        if tuple(left) != target:
+            ok = rep.add("antipode left identity", False, A.name_of(k))
+        if tuple(right) != target:
+            ok = rep.add("antipode right identity", False, A.name_of(k))
+    if ok:
+        rep.add("antipode identities", True)
+    return rep
+
+
+def monoid_table_error(names, table, unit) -> str | None:
+    """The ``ValueError`` message ``FiniteMonoid`` gives for a square table
+    with entries in range, checking the unit law and then associativity on
+    every triple; None if both hold."""
+    n = len(names)
+    for i in range(n):
+        if table[unit][i] != i or table[i][unit] != i:
+            return f"unit law fails at {names[i]}"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return (f"not associative at ({names[i]},{names[j]},"
+                            f"{names[k]})")
+    return None
+
+
+def annihilator_quotient_dense(A, X) -> tuple:
+    """A / Ann(X) by every product of two image basis matrices, taken in
+    full and solved for its coordinates over all n^2 entries: (product
+    tensor, unit, basis names, quotient map, image basis matrices), as
+    ``hopfdual.tannaka.annihilator_quotient`` builds them for a nonzero
+    module."""
+    f = A.field
+
+    def flat(mats):
+        return stack([m.reshape(1, m.rows * m.cols) for m in mats]).transpose()
+    ech = rref(flat(X.matrices))
+    pivots = ech.pivots
+    q = len(pivots)
+    basis = [X.matrices[p] for p in pivots]
+    ident = Matrix.identity(f, X.dim)
+    coords = solve_many(flat(basis), flat(
+        [a * b for a in basis for b in basis] + [ident]))
+    *products, unit = coords.transpose().entries
+    mult = {divmod(ij, q) + (k,): c for ij, prod in enumerate(products)
+            for k, c in enumerate(prod) if c != f.zero}
+    names = tuple(f"[{A.name_of(p)}]" for p in pivots)
+    qmap = Matrix(f, ech.reduced.entries[:q], cols=A.dim)
+    return mult, tuple(unit), names, qmap, basis
