@@ -36,11 +36,16 @@ in-process ``cli.main`` calls of ``--format json pbw`` on the corpus file
 without the timing field), and the tensor-algebra oracle of sl2 at order 6
 built alone (hashing its word count and the dimension of its ideal, which
 do not depend on the order of its columns).
+Times the per-command bookkeeping of small jobs: in-process ``cli.main``
+calls of ``--format json`` ``canonicalize fn_s3.json``, ``dualize
+rg_d4.json``, ``cartier monoid_d4.json`` and ``tannaka monoid_d4.json`` on
+corpus files (hashing the exit code and the output without the timing
+field).
 Times the scaled axiom sweeps and reconstruction, built in the script:
 in-process ``cli.main`` calls of ``--format json verify`` on the group
 algebras of S4 and S5 and the function algebra of S5 over Q, each saved to
 a bialgebra file (hashing the exit code and the output without the timing
-field), and ``reconstruct_from_regular`` on S4 x Z2 over Q.
+field), and ``reconstruct_from_regular`` on S4 x Z2 and on S5 over Q.
 Each case runs ``REPEAT`` times, a scaled one ``REPEAT_SCALED`` times;
 the best and the median seconds are kept, with a SHA-256 of the case's
 results so that two labels can be checked to compute the same thing. The
@@ -90,13 +95,27 @@ from hopfdual.tannaka import reconstruct_from_regular  # noqa: E402
 SEED = 16
 REPEAT = 11
 REPEAT_SCALED = 3
-RG_D4 = "src/hopfdual/corpus/rg_d4.json"
-MONOID_Z8 = "src/hopfdual/corpus/monoid_z8.json"
-LIE_SL2 = "src/hopfdual/corpus/lie_sl2.json"
+CORPUS = "src/hopfdual/corpus/"
+RG_D4 = CORPUS + "rg_d4.json"
+MONOID_Z8 = CORPUS + "monoid_z8.json"
+LIE_SL2 = CORPUS + "lie_sl2.json"
 TIMING = re.compile(r'^ "timing_ms": -?\d+,\n', re.M)
 
 
 D4 = FiniteMonoid.dihedral(4)
+
+
+def cli_json(argv, work=None):
+    """(exit code, output without the timing field) of one in-process
+    ``cli.main`` call with ``--format json``; paths under work are printed
+    relative to it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--format", "json", *argv])
+    text = TIMING.sub("", out.getvalue())
+    if work is not None:
+        text = text.replace(str(work) + os.sep, "")
+    return code, text
 
 
 def d4_action(field: FieldSpec) -> list:
@@ -231,6 +250,17 @@ def cli_cases() -> dict:
     return {"cli_repeat": (10, repeat)}
 
 
+def bookkeeping_cases() -> dict:
+    """name -> (number of calls, thunk) for one small command each, whose
+    report encoding and input digests cost about as much as its algebra."""
+    return {f"cli_{argv[0]}.{Path(argv[1]).stem}": (
+        1, lambda argv=argv: cli_json(argv)) for argv in (
+            ["canonicalize", CORPUS + "fn_s3.json"],
+            ["dualize", CORPUS + "rg_d4.json"],
+            ["cartier", CORPUS + "monoid_d4.json"],
+            ["tannaka", CORPUS + "monoid_d4.json"])}
+
+
 def rep_cases(work: Path) -> dict:
     """name -> (number of calls, thunk) for the representation pipeline
     over Q: the D4 module of :func:`d4_action` written to a file under
@@ -240,19 +270,12 @@ def rep_cases(work: Path) -> dict:
     path = work / "rep_d4_16.json"
     hio.save_representation(Representation(D4, q, d4_action(q),
                                            validate=False), path)
-    argv = ["--format", "json", "reynolds", str(path)]
-
-    def reynolds():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
-        text = TIMING.sub("", out.getvalue())
-        return code, text.replace(str(work) + os.sep, "")
     z3xz3 = FiniteAbelianGroup((3, 3)).to_monoid()
     return {
         "Q.load_representation.d4_16": (
             1, lambda: hio.load_representation(path).matrices),
-        "Q.cli_reynolds.d4_16": (1, reynolds),
+        "Q.cli_reynolds.d4_16": (
+            1, lambda: cli_json(["reynolds", str(path)], work)),
         "Q.reconstruct_from_regular.z3xz3": (
             1, lambda: reconstruct_from_regular(z3xz3, q).checks),
     }
@@ -275,13 +298,7 @@ def pbw_cases() -> dict:
     """name -> (number of calls, thunk) for the enveloping truncation of
     sl2: the ``pbw`` command at orders 5 and 6, and its oracle alone."""
     def pbw(order):
-        def run():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(["--format", "json", "pbw", LIE_SL2,
-                                 "--order", str(order)])
-            return code, TIMING.sub("", out.getvalue())
-        return run
+        return lambda: cli_json(["pbw", LIE_SL2, "--order", str(order)])
 
     def oracle():
         built = TensorAlgebraOracle(LieAlgebra.sl2(FieldSpec.rationals()), 6)
@@ -297,8 +314,8 @@ def scaled_cases(work: Path) -> dict:
     """name -> (number of calls, thunk) for the axiom sweeps and the
     reconstruction at the sizes of S4 and S5: the ``verify`` command on the
     group algebras of S4 and S5 and the function algebra of S5, saved
-    under work, and the reconstruction of Q[S4 x Z2] from its regular
-    module."""
+    under work, and the reconstruction of Q[S4 x Z2] and Q[S5] from their
+    regular modules."""
     q = FieldSpec.rationals()
     s4 = FiniteMonoid.symmetric(4)
     s5 = FiniteMonoid.symmetric(5)
@@ -306,15 +323,7 @@ def scaled_cases(work: Path) -> dict:
     def verify(name, algebra):
         path = work / f"{name}.json"
         hio.save_bialgebra(algebra, path)
-        argv = ["--format", "json", "verify", str(path)]
-
-        def run():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(argv)
-            text = TIMING.sub("", out.getvalue())
-            return code, text.replace(str(work) + os.sep, "")
-        return 1, run
+        return 1, lambda: cli_json(["verify", str(path)], work)
     s4xz2 = FiniteMonoid.direct_product(s4, FiniteMonoid.cyclic(2))
     return {
         "Q.cli_verify.k_s4": verify("k_s4", monoid_algebra(s4, q)),
@@ -322,6 +331,8 @@ def scaled_cases(work: Path) -> dict:
         "Q.cli_verify.fn_s5": verify("fn_s5", function_bialgebra(s5, q)),
         "Q.reconstruct_from_regular.s4xz2": (
             1, lambda: reconstruct_from_regular(s4xz2, q).checks),
+        "Q.reconstruct_from_regular.s5": (
+            1, lambda: reconstruct_from_regular(s5, q).checks),
     }
 
 
@@ -346,6 +357,7 @@ def run(work: Path) -> dict:
     every.update(polys_cases())
     every.update(sweep_cases())
     every.update(cli_cases())
+    every.update(bookkeeping_cases())
     every.update(rep_cases(work))
     every.update(subalgebra_cases())
     every.update(pbw_cases())

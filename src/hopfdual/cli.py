@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -38,25 +37,37 @@ _DOMAIN_ERRORS = (CharDividesOrder, NotAGroup, NotASection, InsufficientRoots,
                   NotPositivelyGraded, BudgetExceeded)
 
 
+class _InputDigests(dict):
+    """The SHA-256 of each file ``io`` parses while ``main`` runs one
+    command, keyed by ``str(path)``: ``main`` sets it as ``io.read_record``
+    and clears that when the command ends."""
+
+    def record(self, path, data: bytes) -> None:
+        self[str(path)] = hashlib.sha256(data).hexdigest()
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _emit(report: Report, args, inputs, started) -> int:
+def _emit(report: Report, args, inputs, started, digests) -> int:
     verdict = "pass" if report.passed else "fail"
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
             "tool": {"name": "hopfdual", "version": __version__},
             "command": args.command,
-            "inputs": [{"path": str(p), "sha256": _sha256(p)}
+            # the digest of the bytes io parsed; a file io never read is
+            # read here
+            "inputs": [{"path": str(p),
+                        "sha256": digests.get(str(p)) or _sha256(p)}
                        for p in inputs],
             "seed": args.seed,
             "verdict": verdict,
             "checks": report.to_dict()["checks"],
             "timing_ms": int((time.perf_counter() - started) * 1000),
         }
-        print(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=1))
+        print(io.canonical_json(doc))
     else:
         print(report.title)
         for c in report.checks:
@@ -336,6 +347,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     started = time.perf_counter()
+    io.read_record = digests = _InputDigests()
     try:
         report, inputs = args.run(args)
     except io.FileFormatError as exc:
@@ -344,11 +356,13 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         report = Report(f"{args.command}")
         report.add(type(exc).__name__, False, str(exc))
-        return _emit(report, args, [], started)
+        return _emit(report, args, [], started, digests)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit(report, args, inputs, started)
+    finally:
+        io.read_record = None
+    return _emit(report, args, inputs, started, digests)
 
 
 if __name__ == "__main__":

@@ -50,20 +50,86 @@ def field_from_json(obj, path="<field>") -> FieldSpec:
     _fail(path, f"unknown field kind {obj['kind']!r}")
 
 
+# While ``cli.main`` runs a command, the record it keeps of the command's
+# input files: ``_load_json`` hands it each file's path and the bytes it
+# parsed, through ``record(path, data)``. None otherwise, so a library call
+# keeps nothing.
+read_record = None
+
+
 def _load_json(path):
+    """The JSON document in a UTF-8 file. The file is read once, as bytes;
+    the text is what text-mode reading gives (``\\r\\n`` and a lone ``\\r``
+    become ``\\n``), so error positions are the same."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if read_record is not None:
+        read_record.record(path, data)
+    return obj
+
+
+_string = json.encoder.encode_basestring
+_literal = {None: "null", False: "false", True: "true"}.__getitem__
+# The leaves of a canonical document, by exact type (bool is not int here).
+_LEAVES = {str: _string, int: int.__repr__, bool: _literal,
+           type(None): _literal}
+
+
+def _encode(obj, newline: str) -> str:
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = newline + " "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        if not all(type(k) is str for k in keys):
+            raise TypeError("canonical JSON keys must be str")
+        try:  # all values leaves: one step
+            parts = [_string(k) + ": " + _LEAVES[type(obj[k])](obj[k])
+                     for k in keys]
+        except KeyError:
+            parts = [_string(k) + ": " + _encode(obj[k], inner)
+                     for k in keys]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if type(obj) is list or type(obj) is tuple:
+        if not obj:
+            return "[]"
+        try:  # all items leaves: one step
+            parts = [_LEAVES[type(x)](x) for x in obj]
+        except KeyError:
+            parts = [_encode(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    raise TypeError(f"no canonical JSON form for {type(obj).__name__}")
+
+
+def canonical_json(obj) -> str:
+    """The canonical JSON text of obj, which reports and definition files
+    share: exactly ``json.dumps(obj, ensure_ascii=False, sort_keys=True,
+    indent=1)``, for dicts with str keys, lists and tuples of str, int,
+    bool and None. Any other value (a float, a non-str key) raises
+    TypeError rather than coming out differently. ``json`` drops to its
+    pure-Python encoder whenever ``indent`` is set; this joins each
+    container whose items are all leaves in one step, at about half the
+    cost."""
+    return _encode(obj, "\n")
 
 
 def dump_canonical(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
+    """:func:`canonical_json` of a definition file, with its final
+    newline."""
+    return canonical_json(obj) + "\n"
 
 
 # -- bialgebra files -------------------------------------------------------------

@@ -42,7 +42,10 @@ class Representation:
     generators, action(g) action(h) = action(s) action(g') action(h) =
     action(s) action(g'h) = action(s(g'h)) = action(gh), using the
     associativity that FiniteMonoid verifies. It takes |S| |G| products
-    instead of |G|^2, and a failure names the concrete pair (s, h)."""
+    instead of |G|^2, and a failure names the concrete pair (s, h).
+
+    ``certified`` is True when the matrices are known to form a
+    representation: validation passed, or :meth:`regular` built them."""
 
     def __init__(self, monoid: FiniteMonoid, field: FieldSpec, matrices,
                  validate: bool = True):
@@ -69,6 +72,7 @@ class Representation:
                         raise ValueError(
                             f"action({monoid.names[i]})*action({monoid.names[j]})"
                             " disagrees with the table")
+        self.certified = validate
 
     def action(self, i: int) -> Matrix:
         return self.matrices[i]
@@ -89,13 +93,17 @@ class Representation:
 
     @staticmethod
     def regular(monoid: FiniteMonoid, field: FieldSpec) -> "Representation":
-        """Left translation on the monoid algebra: g sends e_h to e_{gh}."""
+        """Left translation on the monoid algebra: g sends e_h to e_{gh}.
+        It is certified without a check: the table is associative with its
+        unit, which FiniteMonoid verified, so (gg')h = g(g'h) and 1h = h."""
         n = monoid.size
         mats = []
         for g in range(n):
             cols = [vbasis(field, n, monoid.table[g][h]) for h in range(n)]
             mats.append(Matrix.from_columns(field, cols))
-        return Representation(monoid, field, mats, validate=False)
+        rho = Representation(monoid, field, mats, validate=False)
+        rho.certified = True
+        return rho
 
     @staticmethod
     def direct_sum(a: "Representation", b: "Representation") -> "Representation":
@@ -146,7 +154,12 @@ class AlgebraModule:
     act(aa') act(b) = act(a) act(a') act(b) = act(a) act(a'b) =
     act(a(a'b)) = act((aa')b) by associativity. A unital subalgebra that
     holds the generators is all of A. It takes |S| dim(A) products instead
-    of dim(A)^2, and a failure names the concrete pair (s, b)."""
+    of dim(A)^2, and a failure names the concrete pair (s, b).
+
+    ``certified`` is True when the matrices are known to form a module:
+    validation passed, or the module comes from a certified
+    :class:`Representation` (:func:`rep_to_module`) or from
+    ``annihilator_quotient``."""
 
     def __init__(self, algebra: FinBialgebra, matrices, validate: bool = True):
         if not algebra.has_algebra:
@@ -175,6 +188,7 @@ class AlgebraModule:
                         raise ValueError(
                             f"module law fails at ({algebra.name_of(i)},"
                             f"{algebra.name_of(j)})")
+        self.certified = validate
 
     def act(self, vec) -> Matrix:
         """Action of an algebra element given by its coefficient vector."""
@@ -183,9 +197,12 @@ class AlgebraModule:
 
 
 def rep_to_module(rho: Representation) -> AlgebraModule:
-    """Linear extension of a representation to its monoid algebra."""
+    """Linear extension of a representation to its monoid algebra; it
+    carries the representation's certificate."""
     A = monoid_algebra(rho.monoid, rho.field)
-    return AlgebraModule(A, rho.matrices, validate=False)
+    mod = AlgebraModule(A, rho.matrices, validate=False)
+    mod.certified = rho.certified
+    return mod
 
 
 def module_to_rep(mod: AlgebraModule, monoid: FiniteMonoid) -> Representation:

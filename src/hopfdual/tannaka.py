@@ -60,18 +60,21 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
     left factor's row, and its coordinates, with those of the identity,
     come from one q x q system.
 
-    Those coordinates are the product's when the product lies in V, and
-    that is checked, not assumed: ``AlgebraModule(AX, ..., validate=True)``
-    checks phi(1) = I and phi(s) phi(b) = phi(s b) for every s in the
-    generating set S of A_X and every basis element b. So I lies in V and
-    phi(s) V lies in V. A_X is spanned by left words in S, and phi takes
-    each to the product of the matrices phi(s), so V is spanned by such
-    products and holds all of them: V is the subalgebra of End(X) that
-    phi(S) generates. Every product of V then lies in V and agrees with
-    phi of the computed product at the pivot positions, hence everywhere:
-    phi is an isomorphism of algebras onto V, so A_X is associative with
-    its unit, which is recorded on it. An X that is not a module fails
-    that check with ``ValueError``."""
+    Those coordinates are the product's when the product lies in V, so V
+    must be a subalgebra of End(X) with I in it. When X is certified and
+    A satisfies its algebra laws, that is known: the action A -> End(X) is
+    then a map of unital algebras, and V is its image. Otherwise it is
+    checked, not assumed: ``AlgebraModule(AX, ..., validate=True)`` checks
+    phi(1) = I and phi(s) phi(b) = phi(s b) for every s in the generating
+    set S of A_X and every basis element b. So I lies in V and phi(s) V
+    lies in V. A_X is spanned by left words in S, and phi takes each to
+    the product of the matrices phi(s), so V is spanned by such products
+    and holds all of them: V is the subalgebra of End(X) that phi(S)
+    generates. Either way every product of V lies in V and agrees with phi
+    of the computed product at the pivot positions, hence everywhere: phi
+    is an isomorphism of algebras onto V, so A_X is associative with its
+    unit and V is a module over it, which is recorded on both. An X that
+    is not a module fails the check with ``ValueError``."""
     if not same_algebra(X.algebra, A):
         raise ValueError("module is not over the given algebra")
     f = A.field
@@ -122,7 +125,9 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
                 mult[divmod(ij, dim_q) + (k,)] = c
     names = tuple(f"[{A.name_of(p)}]" for p in pivots)
     AX = FinBialgebra(f, dim_q, names, mult, unit, has_bialgebra=False)
-    action = AlgebraModule(AX, basis_mats, validate=True)
+    known = X.certified and A.algebra_laws
+    action = AlgebraModule(AX, basis_mats, validate=not known)
+    action.certified = True
     AX.algebra_laws = True
     # faithfulness: the basis matrices are linearly independent by choice
     # of pivots, so only 0 acts as 0; double-check the kernel dimensions.

@@ -4,7 +4,8 @@ and on single-constant corruptions of the group and function algebras of
 D4 and the group algebra of S4, including corruptions away from the
 generators; Light's associativity test of a monoid table against the full
 loop; ``check_morphism`` on perturbed maps; and ``annihilator_quotient``
-against the construction from dense products."""
+against the construction from dense products, with and without the module
+check a certified module lets it skip."""
 
 import random
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 import reference_kernel as ref
 from conftest import s3_catalogue, seeded_module
-from hopfdual import io
+from hopfdual import io, tannaka
 from hopfdual.bialgebra import (BialgebraMorphism, FinBialgebra, check_hopf,
                                 check_morphism, dualize, same_structure,
                                 verify_algebra, verify_bialgebra,
@@ -324,3 +325,52 @@ def test_annihilator_quotient_refuses_a_non_module():
     with pytest.raises(ValueError,
                        match=r"module law fails at \(\[g\],\[g\]\)"):
         annihilator_quotient(A, X)
+
+
+def test_certificate_comes_from_validation_or_the_regular_representation():
+    rho = seeded_module(S3, Q, random.Random("certificate"))
+    assert not rho.certified and not rep_to_module(rho).certified
+    checked = Representation(S3, Q, rho.matrices)
+    assert checked.certified and rep_to_module(checked).certified
+    assert Representation.regular(S3, Q).certified
+    assert not Representation.trivial(S3, Q).certified
+    X = rep_to_module(rho)
+    assert AlgebraModule(X.algebra, X.matrices).certified
+
+
+def certified_representations():
+    for path in sorted(CORPUS.glob("monoid_*.json")):
+        yield path.stem, Representation.regular(io.load_monoid(path), Q)
+    for field in (Q, F7):
+        rng = random.Random(f"certified:{field.p}")
+        for G in (S3, D4):
+            rho = seeded_module(G, field, rng)
+            yield (f"conjugated {G!r} {field.describe()}",
+                   Representation(G, field, rho.matrices))
+
+
+@pytest.mark.parametrize("name,rho", list(certified_representations()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_annihilator_quotient_skips_the_check_on_a_certified_module(
+        name, rho, monkeypatch):
+    validated = []
+
+    def spy(algebra, matrices, validate=True):
+        validated.append(validate)
+        return AlgebraModule(algebra, matrices, validate=validate)
+    monkeypatch.setattr(tannaka, "AlgebraModule", spy)
+    X = rep_to_module(rho)
+    assert X.certified
+    fast = annihilator_quotient(X.algebra, X)
+    assert validated == [False]
+    slow = annihilator_quotient(
+        X.algebra, AlgebraModule(X.algebra, X.matrices, validate=False))
+    assert validated == [False, True]
+    assert fast.algebra.basis == slow.algebra.basis
+    assert fast.algebra.mult == slow.algebra.mult
+    assert fast.algebra.unit == slow.algebra.unit
+    assert fast.quotient_map == slow.quotient_map
+    assert fast.faithful_action.matrices == slow.faithful_action.matrices
+    for res in (fast, slow):
+        assert res.faithful_action.certified and res.algebra.algebra_laws
+        assert not res.degenerate
