@@ -37,30 +37,16 @@ _DOMAIN_ERRORS = (CharDividesOrder, NotAGroup, NotASection, InsufficientRoots,
                   NotPositivelyGraded, BudgetExceeded)
 
 
-class _InputDigests(dict):
-    """The SHA-256 of each file ``io`` parses while ``main`` runs one
-    command, keyed by ``str(path)``: ``main`` sets it as ``io.read_record``
-    and clears that when the command ends."""
-
-    def record(self, path, data: bytes) -> None:
-        self[str(path)] = hashlib.sha256(data).hexdigest()
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _emit(report: Report, args, inputs, started, digests) -> int:
+def _emit(report: Report, args, inputs, started, read) -> int:
     verdict = "pass" if report.passed else "fail"
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
             "tool": {"name": "hopfdual", "version": __version__},
             "command": args.command,
-            # the digest of the bytes io parsed; a file io never read is
-            # read here
+            # the digest of the bytes io parsed
             "inputs": [{"path": str(p),
-                        "sha256": digests.get(str(p)) or _sha256(p)}
+                        "sha256": hashlib.sha256(read[str(p)]).hexdigest()}
                        for p in inputs],
             "seed": args.seed,
             "verdict": verdict,
@@ -347,7 +333,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     started = time.perf_counter()
-    io.read_record = digests = _InputDigests()
+    io.read_record = read = {}
     try:
         report, inputs = args.run(args)
     except io.FileFormatError as exc:
@@ -356,13 +342,13 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         report = Report(f"{args.command}")
         report.add(type(exc).__name__, False, str(exc))
-        return _emit(report, args, [], started, digests)
+        return _emit(report, args, [], started, read)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         io.read_record = None
-    return _emit(report, args, inputs, started, digests)
+    return _emit(report, args, inputs, started, read)
 
 
 if __name__ == "__main__":

@@ -81,8 +81,9 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
     if X.dim == 0:
         zero_alg = FinBialgebra(f, 0, (), {}, (), has_bialgebra=False)
         qmap = Matrix.zero(f, 0, A.dim)
+        # the zero module: its validation passes at once, and certifies it
         return ReconstructionResult(zero_alg, qmap,
-                                    AlgebraModule(zero_alg, [], validate=False),
+                                    AlgebraModule(zero_alg, []),
                                     degenerate=True)
     # basis of the image: pivot columns of the basis-wise action images; in
     # reduced form the entries of column i are its coordinates over them

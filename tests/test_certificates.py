@@ -336,6 +336,10 @@ def test_certificate_comes_from_validation_or_the_regular_representation():
     assert not Representation.trivial(S3, Q).certified
     X = rep_to_module(rho)
     assert AlgebraModule(X.algebra, X.matrices).certified
+    zero = AlgebraModule(X.algebra, [Matrix.zero(Q, 0, 0)] * 6,
+                         validate=False)
+    res = annihilator_quotient(X.algebra, zero)
+    assert res.degenerate and res.faithful_action.certified
 
 
 def certified_representations():
