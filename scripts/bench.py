@@ -12,6 +12,10 @@ conjugated by a fixed random invertible matrix, over Q and over F_101.
 vectors against the span of the products; ``kron`` takes each action
 matrix times the top-left 4x4 block of another; ``eq`` compares each of
 the 64 products with the action of the product element.
+Times two more shapes of product: each matrix of the regular
+representation of S4 over Q (0/1 columns, one nonzero per column) times
+the matrix of each generator of S4, and every product of eight seeded
+random 15x15 matrices over F_31.
 Times the two routines ``zrep`` is built on: ``char_poly`` of a conjugated
 14x14 block-companion matrix over F_31, and ``factor_monic_fp`` of a
 degree-4 irreducible times three linear factors over F_101. Times the
@@ -167,6 +171,24 @@ def cases(field: FieldSpec) -> dict:
         "span_reduce": (len(probes),
                         lambda: [built.reduce(v) for v in probes]),
         "validate": (1, lambda: Representation(D4, field, acts).dim),
+    }
+
+
+def product_cases() -> dict:
+    """name -> (number of products, thunk) for a sparse product over Q, the
+    regular representation of S4, and a dense one over F_31."""
+    s4 = FiniteMonoid.symmetric(4)
+    reg = Representation.regular(s4, FieldSpec.rationals()).matrices
+    gens = [reg[g] for g in s4.generators]
+    f31 = FieldSpec.prime(31)
+    rng = random.Random(SEED)
+    dense = [Matrix(f31, [[rng.randrange(31) for _ in range(15)]
+                          for _ in range(15)]) for _ in range(8)]
+    return {
+        "Q.matmul.s4_regular": (len(reg) * len(gens), lambda: [
+            a * b for a in reg for b in gens]),
+        "F31.matmul.15x15": (len(dense) ** 2, lambda: [
+            a * b for a in dense for b in dense]),
     }
 
 
@@ -354,6 +376,7 @@ def run(work: Path) -> dict:
                          ("F101", FieldSpec.prime(101))):
         for name, case in cases(field).items():
             every[f"{label}.{name}"] = case
+    every.update(product_cases())
     every.update(polys_cases())
     every.update(sweep_cases())
     every.update(cli_cases())

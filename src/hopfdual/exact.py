@@ -16,7 +16,15 @@ entries are in ``[0, p)`` and den is 1. Sums, products, scaling,
 Kronecker products, transposes, :func:`lincomb`, equality and hashing work
 on that form with plain int arithmetic (over F_p one reduction per entry)
 and never build a scalar; ``Matrix.entries`` is a view of the scalars,
-built when it is first read. Zero rows are skipped in products.
+built when it is first read.
+
+Products work on packed rows (Kronecker substitution with delayed
+reduction): each row of the right factor becomes one int with a lane of
+w whole bytes per column, wide enough for every entry of the product, and
+a row of the product is the sum of those ints weighted by the nonzeros of
+the left row, unpacked once. :func:`first_bad_product` checks a batch of
+products a * b == c on the same packed rows, and over Q compares packed
+ints without unpacking or normalising a product.
 
 :class:`Span` keeps a row space in reduced echelon form as int rows, and
 its insert step is the only elimination loop: a new row is reduced against
@@ -32,9 +40,12 @@ through that step; the :class:`Echelon` it returns reads off the kernel,
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 
@@ -237,6 +248,94 @@ def _normal(field: FieldSpec, ints, den: int, cols: int) -> "Matrix":
     return Matrix._of(field, ints, den, cols)
 
 
+# -- packed rows -------------------------------------------------------------
+
+# byte width -> typecode of the unsigned machine integer of that width; a
+# lane of such a width unpacks in C through ``memoryview.cast``. Lanes are
+# laid out little-endian, so only a little-endian machine has the C path.
+_LANE_CODES = ({array(c).itemsize: c for c in "BHIQ"}
+               if sys.byteorder == "little" else {})
+
+
+def _lane_bytes(bound: int, signed: bool) -> int:
+    """The bytes w of a lane that holds every value of absolute value at
+    most bound: below 2^(8w), or below 2^(8w - 1) if lanes are signed.
+    Widths up to 8 round up to 1, 2, 4 or 8, wider ones to a multiple of
+    8."""
+    w = max(1, -(-(bound.bit_length() + signed) // 8))
+    return 1 << (w - 1).bit_length() if w <= 8 else -(-w // 8) * 8
+
+
+def _ones(w: int, cols: int) -> int:
+    """The packed row of cols ones in lanes of w bytes."""
+    return ((1 << 8 * w * cols) - 1) // ((1 << 8 * w) - 1)
+
+
+def _row_norm(m: "Matrix") -> int:
+    """The largest |.|-sum of a row of the int rows of m."""
+    return max([sum(map(abs, row)) for row in m.ints], default=0)
+
+
+def _extent(m: "Matrix") -> tuple:
+    """(flat, low, big): the int entries of m row after row, the least of
+    them and the largest absolute value."""
+    flat = list(chain.from_iterable(m.ints))
+    low = min(flat)
+    return flat, low, max(max(flat), -low)
+
+
+def _packed_rows(flat: list, cols: int, w: int, low: int = 0) -> list:
+    """The rows of the matrix with the int entries flat, row after row, in
+    cols > 0 columns, each as the one int sum_j x_j 2^(8wj) of its entries
+    x_j: lane j is bytes [jw, (j+1)w), little-endian. The entries are
+    packed less low, a lower bound of theirs, and low is added back to each
+    packed row, so a row with negative entries packs exactly; max - low
+    must be below 2^(8w)."""
+    if low:
+        flat = [x - low for x in flat]
+    code = _LANE_CODES.get(w)
+    if w == 1:
+        data = bytes(flat)
+    elif code:
+        data = array(code, flat).tobytes()
+    elif _LANE_CODES and max(flat) >> 64 == 0:
+        # a wide lane whose entry fits in its low 8 bytes
+        limbs = array("Q", bytes(w * len(flat)))
+        limbs[::w // 8] = array("Q", flat)
+        data = limbs.tobytes()
+    else:
+        data = b"".join([x.to_bytes(w, "little") for x in flat])
+    size = w * cols
+    rows = [int.from_bytes(data[i:i + size], "little")
+            for i in range(0, len(data), size)]
+    if low:
+        shift = low * _ones(w, cols)
+        rows = [x + shift for x in rows]
+    return rows
+
+
+def _product_rows(a: "Matrix", packed: list, w: int, cols: int,
+                  bias: int = 0) -> list:
+    """The int rows of lanes of sum of u[t] packed[t] over the nonzeros
+    u[t] of each row u of a. With no bias the lanes must be in
+    [0, 2^(8w)). A bias, the packed row of 2^(8w - 1) in every lane, makes
+    them signed, in [-2^(8w - 1), 2^(8w - 1)): adding it makes every lane
+    non-negative, so the packed int has exactly those digits, and flipping
+    the top bit of each lane back leaves each lane in two's complement."""
+    size = w * cols
+    data = b"".join([
+        (sum(map(mul, compress(u, u), compress(packed, u)), bias)
+         ^ bias).to_bytes(size, "little") for u in a.ints])
+    code = _LANE_CODES.get(w)
+    signed = bias != 0
+    if code:
+        return memoryview(data).cast(code.lower() if signed else code,
+                                     (a.rows, cols)).tolist()
+    return [[int.from_bytes(data[j:j + w], "little", signed=signed)
+             for j in range(i, i + size, w)]
+            for i in range(0, len(data), size)]
+
+
 class Matrix:
     """Immutable dense matrix over one field, stored as int rows ``ints``
     and one denominator ``den``: the matrix is ints / den.
@@ -325,6 +424,16 @@ class Matrix:
         return Matrix._of(field, [[0] * cols] * rows, 1, cols)
 
     @staticmethod
+    def from_map(field: FieldSpec, images) -> "Matrix":
+        """The square 0/1 matrix sending e_h to e_{images[h]}, written
+        straight as int rows: column h has its one in row images[h]."""
+        n = len(images)
+        rows = [[0] * n for _ in range(n)]
+        for h, i in enumerate(images):
+            rows[i][h] = 1
+        return Matrix._of(field, rows, 1, n)
+
+    @staticmethod
     def from_columns(field: FieldSpec, columns) -> "Matrix":
         columns = list(columns)
         n = len(columns[0]) if columns else 0
@@ -369,36 +478,31 @@ class Matrix:
         return self._plus(other, -1)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """The product; a left row with at most a quarter of its entries
-        nonzero is the sum of the rows of ``other`` weighted by those
-        entries (Gustavson's row-wise product), any other row takes a dot
-        product with each column."""
+        """The product on packed rows (:func:`_packed_rows`): row i is
+        bias + sum of u[t] P[t] over the nonzeros u[t] of row i of self,
+        for the packed rows P[t] of ``other``, unpacked once. Over F_p a
+        lane holds an unreduced sum, at most k (p - 1)^2 for the inner
+        dimension k, and is reduced once; over Q it holds a signed sum, at
+        most the largest row |.|-sum of self times the largest |entry| of
+        ``other``, and a bias of half a lane makes it non-negative."""
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
-        rows_b = other.ints
-        cols = None
-        zero = [0] * other.cols
-        out = []
-        for u in self.ints:
-            nz = len(u) - u.count(0)
-            if not nz:
-                out.append(zero)
-            elif 4 * nz <= len(u):
-                acc = zero
-                for t, x in enumerate(u):
-                    if x:
-                        acc = [a + x * y for a, y in zip(acc, rows_b[t])]
-                out.append(acc)
-            else:
-                if cols is None:
-                    cols = list(zip(*rows_b))
-                out.append([sum(map(mul, u, v)) for v in cols])
-        p = self.field.p
+        f, cols = self.field, other.cols
+        if not (self.rows and self.cols and cols):
+            return Matrix.zero(f, self.rows, cols)
+        p = f.p
         if p:
-            return Matrix._of(self.field, [[x % p for x in row]
-                                           for row in out], 1, other.cols)
-        return _normal(self.field, out, self.den * other.den, other.cols)
+            w = _lane_bytes(self.cols * (p - 1) ** 2, False)
+            rows = _product_rows(self, _packed_rows(
+                list(chain.from_iterable(other.ints)), cols, w), w, cols)
+            return Matrix._of(f, [[x % p for x in row] for row in rows], 1,
+                              cols)
+        flat, low, big = _extent(other)
+        w = _lane_bytes(max(_row_norm(self), 1) * big, True)
+        rows = _product_rows(self, _packed_rows(flat, cols, w, low), w, cols,
+                             _ones(w, cols) << (8 * w - 1))
+        return _normal(f, rows, self.den * other.den, cols)
 
     def scale(self, c) -> "Matrix":
         p = self.field.p
@@ -469,6 +573,59 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.ints))
+
+
+def first_bad_product(triples) -> int | None:
+    """The index of the first (a, b, c) in triples with a * b != c, or
+    None. Each a and b must multiply, as for ``*``; a c over another field
+    or of another shape than a * b makes a bad triple.
+
+    Over Q no product is unpacked or normalised. One lane width w serves
+    the whole batch, and each distinct matrix is packed once
+    (:func:`_packed_rows`). Row i of a * b equals row i of c exactly when
+    (sum_t a_it P_t(b)) den_c == P_i(c) den_a den_b, and w is chosen so
+    that every lane of either side is below 2^(8w - 1) in absolute value:
+    balanced base-2^(8w) digits are unique, so equal ints mean equal rows.
+    Over F_p each product is the packed product of ``*``, compared with c
+    as int rows."""
+    triples = list(triples)
+    for a, b, _ in triples:
+        a._check(b)
+        if a.cols != b.rows:
+            raise ValueError(f"shape mismatch {a.cols} vs {b.rows}")
+    # the triples over Q whose c has the field and shape of a nonempty a * b
+    packed = {i for i, (a, b, c) in enumerate(triples)
+              if not a.field.p and c.field == a.field
+              and (c.rows, c.cols) == (a.rows, b.cols)
+              and a.rows and a.cols and b.cols}
+    extents, norms, rows = {}, {}, {}
+    bound = 0
+    for i in packed:
+        a, b, c = triples[i]
+        for m in (b, c):
+            if id(m) not in extents:
+                extents[id(m)] = _extent(m)
+        if id(a) not in norms:
+            norms[id(a)] = _row_norm(a)
+        big_b, big_c = extents[id(b)][2], extents[id(c)][2]
+        # the lanes of both sides, and the entries of b and c to pack
+        bound = max(bound, norms[id(a)] * big_b * c.den,
+                    big_c * a.den * b.den, big_b, big_c)
+    w = _lane_bytes(bound, True)
+    for i, (a, b, c) in enumerate(triples):
+        if i not in packed:
+            if a * b != c:
+                return i
+            continue
+        for m in (b, c):
+            if id(m) not in rows:
+                flat, low, _ = extents[id(m)]
+                rows[id(m)] = _packed_rows(flat, m.cols, w, low)
+        pb, dc, dab = rows[id(b)], c.den, a.den * b.den
+        for u, r in zip(a.ints, rows[id(c)]):
+            if sum(map(mul, compress(u, u), compress(pb, u))) * dc != r * dab:
+                return i
+    return None
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from . import polys
 from .bialgebra import (BialgebraMorphism, FinBialgebra, check_morphism,
                         same_algebra, sparse_sum)
 from .exact import (FieldMismatch, FieldSpec, Matrix, extend_to_basis,
-                    inverse, kernel_basis, kron, lincomb, rank, solve,
-                    solve_many, span_of, stack, vbasis)
+                    first_bad_product, inverse, kernel_basis, kron, lincomb,
+                    rank, solve, solve_many, span_of, stack, vbasis)
 from .monoids import Character, FiniteMonoid, monoid_algebra
 from .report import Report
 
@@ -42,7 +42,9 @@ class Representation:
     generators, action(g) action(h) = action(s) action(g') action(h) =
     action(s) action(g'h) = action(s(g'h)) = action(gh), using the
     associativity that FiniteMonoid verifies. It takes |S| |G| products
-    instead of |G|^2, and a failure names the concrete pair (s, h).
+    instead of |G|^2, checked in one :func:`first_bad_product` call (over
+    Q on packed rows, with no product unpacked or normalised), and a
+    failure names the first pair (s, h) in that order.
 
     ``certified`` is True when the matrices are known to form a
     representation: validation passed, or :meth:`regular` built them."""
@@ -65,13 +67,16 @@ class Representation:
             ident = Matrix.identity(field, self.dim)
             if self.matrices[monoid.unit] != ident:
                 raise ValueError("unit must act as the identity")
-            for i in monoid.generators:
-                for j in range(monoid.size):
-                    if self.matrices[i] * self.matrices[j] != \
-                            self.matrices[monoid.table[i][j]]:
-                        raise ValueError(
-                            f"action({monoid.names[i]})*action({monoid.names[j]})"
-                            " disagrees with the table")
+            mats, table = self.matrices, monoid.table
+            pairs = [(i, j) for i in monoid.generators
+                     for j in range(monoid.size)]
+            bad = first_bad_product((mats[i], mats[j], mats[table[i][j]])
+                                    for i, j in pairs)
+            if bad is not None:
+                i, j = pairs[bad]
+                raise ValueError(
+                    f"action({monoid.names[i]})*action({monoid.names[j]})"
+                    " disagrees with the table")
         self.certified = validate
 
     def action(self, i: int) -> Matrix:
@@ -93,14 +98,11 @@ class Representation:
 
     @staticmethod
     def regular(monoid: FiniteMonoid, field: FieldSpec) -> "Representation":
-        """Left translation on the monoid algebra: g sends e_h to e_{gh}.
+        """Left translation on the monoid algebra: g sends e_h to e_{gh},
+        each matrix written straight as 0/1 int rows (:meth:`Matrix.from_map`).
         It is certified without a check: the table is associative with its
         unit, which FiniteMonoid verified, so (gg')h = g(g'h) and 1h = h."""
-        n = monoid.size
-        mats = []
-        for g in range(n):
-            cols = [vbasis(field, n, monoid.table[g][h]) for h in range(n)]
-            mats.append(Matrix.from_columns(field, cols))
+        mats = [Matrix.from_map(field, row) for row in monoid.table]
         rho = Representation(monoid, field, mats, validate=False)
         rho.certified = True
         return rho
@@ -154,7 +156,9 @@ class AlgebraModule:
     act(aa') act(b) = act(a) act(a') act(b) = act(a) act(a'b) =
     act(a(a'b)) = act((aa')b) by associativity. A unital subalgebra that
     holds the generators is all of A. It takes |S| dim(A) products instead
-    of dim(A)^2, and a failure names the concrete pair (s, b).
+    of dim(A)^2, checked in one :func:`first_bad_product` call against
+    act(e_s e_b) (the matrix of e_s e_b itself when that is one basis
+    element), and a failure names the first pair (s, b) in that order.
 
     ``certified`` is True when the matrices are known to form a module:
     validation passed, or the module comes from a certified
@@ -178,17 +182,27 @@ class AlgebraModule:
             f = algebra.field
             if self.act(algebra.unit) != Matrix.identity(f, self.dim):
                 raise ValueError("1 must act as the identity")
-            for i in algebra.generators:
-                for j in range(algebra.dim):
-                    lhs = self.matrices[i] * self.matrices[j]
-                    rhs = lincomb(f, self.dim, self.dim,
-                                  ((c, self.matrices[k]) for k, c
-                                   in algebra.mul_basis(i, j).items()))
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"module law fails at ({algebra.name_of(i)},"
-                            f"{algebra.name_of(j)})")
+            mats = self.matrices
+            pairs = [(i, j) for i in algebra.generators
+                     for j in range(algebra.dim)]
+            bad = first_bad_product(
+                (mats[i], mats[j], self._act_terms(algebra.mul_basis(i, j)))
+                for i, j in pairs)
+            if bad is not None:
+                i, j = pairs[bad]
+                raise ValueError(f"module law fails at ({algebra.name_of(i)},"
+                                 f"{algebra.name_of(j)})")
         self.certified = validate
+
+    def _act_terms(self, terms: dict) -> Matrix:
+        """Action of the algebra element {k: c}: the matrix of k itself
+        when the element is one basis element."""
+        if len(terms) == 1:
+            (k, c), = terms.items()
+            if c == 1:
+                return self.matrices[k]
+        return lincomb(self.algebra.field, self.dim, self.dim,
+                       ((c, self.matrices[k]) for k, c in terms.items()))
 
     def act(self, vec) -> Matrix:
         """Action of an algebra element given by its coefficient vector."""
@@ -353,7 +367,7 @@ def reynolds(rho: Representation, w: InvariantIntegral) -> ReynoldsSplit:
         raise FieldMismatch("integral over a different field")
     f = rho.field
     P = lincomb(f, rho.dim, rho.dim, zip(w.vector, rho.matrices))
-    if P * P != P:
+    if first_bad_product([(P, P, P)]) is not None:
         raise RuntimeError("averaged operator failed to be idempotent")
     image = span_of(f, [P.column(j) for j in range(rho.dim)], rho.dim)
     inv = span_of(f, invariants(rho), rho.dim)
@@ -421,9 +435,10 @@ class RepMorphism:
         """matrix * action(g) == action'(g) * matrix for every g, checked
         for the generators of the monoid: if it holds for g and h it holds
         for gh, and the unit acts as the identity on both sides."""
-        return all(self.matrix * self.source.action(g)
-                   == self.target.action(g) * self.matrix
-                   for g in self.source.monoid.generators)
+        return first_bad_product(
+            (self.matrix, self.source.action(g),
+             self.target.action(g) * self.matrix)
+            for g in self.source.monoid.generators) is None
 
     def is_surjective(self) -> bool:
         return rank(self.matrix) == self.target.dim
@@ -438,7 +453,8 @@ def equivariant_section(pi: RepMorphism, s: Matrix,
         raise ValueError("projection must be equivariant and surjective")
     if (s.rows, s.cols) != (M.dim, N.dim):
         raise ValueError("section has the wrong shape")
-    if pi.matrix * s != Matrix.identity(M.field, N.dim):
+    if first_bad_product([(pi.matrix, s,
+                           Matrix.identity(M.field, N.dim))]) is not None:
         raise NotASection("pi o s is not the identity")
     if not M.monoid.is_group:
         raise NotAGroup("averaging a section needs inverses")
@@ -446,11 +462,12 @@ def equivariant_section(pi: RepMorphism, s: Matrix,
     acc = lincomb(f, M.dim, N.dim,
                   ((c, M.action(g) * s * N.action_inv(g))
                    for g, c in enumerate(w.vector) if c != f.zero))
-    if pi.matrix * acc != Matrix.identity(f, N.dim):
+    if first_bad_product([(pi.matrix, acc,
+                           Matrix.identity(f, N.dim))]) is not None:
         raise RuntimeError("averaged map stopped being a section")
-    for g in M.monoid.generators:
-        if M.action(g) * acc != acc * N.action(g):
-            raise RuntimeError("averaged section is not equivariant")
+    if first_bad_product((M.action(g), acc, acc * N.action(g))
+                         for g in M.monoid.generators) is not None:
+        raise RuntimeError("averaged section is not equivariant")
     return acc
 
 
@@ -541,7 +558,8 @@ def twist_by_character(G: FiniteMonoid, chi: Character, F: FieldSpec):
     rep.extend(morph, prefix="twist: ")
     inv_phi = Matrix(f, [[f.inv(chi(j)) if i == j else f.zero
                           for j in range(n)] for i in range(n)])
-    rep.add("inverse twist inverts", phi * inv_phi == Matrix.identity(f, n))
+    rep.add("inverse twist inverts", first_bad_product(
+        [(phi, inv_phi, Matrix.identity(f, n))]) is None)
     chi_inv = chi.inverse()
     rep.add("inverse twist is the inverse-character twist",
             all(inv_phi.entries[i][i] == chi_inv(i) for i in range(n)))
@@ -626,7 +644,7 @@ def complete_reducibility(rho: Representation, w: InvariantIntegral,
         # equivariant projector onto the found subspace
         _, head, _ = _adapted_basis(f, found, piece.dim)
         Q = _average_conjugates(piece, w, Matrix.from_columns(f, found) * head)
-        if Q * Q != Q:
+        if first_bad_product([(Q, Q, Q)]) is not None:
             raise RuntimeError("averaged projector failed to be idempotent")
         img = span_of(f, [Q.column(j) for j in range(piece.dim)],
                       piece.dim).basis()
@@ -686,8 +704,8 @@ class ZRepDecomposition:
     summary: list              # (q, exponent, multiplicity), aggregated
 
     def verify(self, m: Matrix) -> bool:
-        return inverse(self.basis) is not None and \
-            m * self.basis == self.basis * self.companion
+        return inverse(self.basis) is not None and first_bad_product(
+            [(m, self.basis, self.basis * self.companion)]) is None
 
 
 def _companion(field, poly) -> Matrix:
