@@ -22,9 +22,10 @@ Products work on packed rows (Kronecker substitution with delayed
 reduction): each row of the right factor becomes one int with a lane of
 w whole bytes per column, wide enough for every entry of the product, and
 a row of the product is the sum of those ints weighted by the nonzeros of
-the left row, unpacked once. :func:`first_bad_product` checks a batch of
-products a * b == c on the same packed rows, and over Q compares packed
-ints without unpacking or normalising a product.
+the left row, unpacked once. A matrix keeps the bounds that size its
+lanes and its packed rows once they are read, so a factor used again is
+not read again. :func:`first_bad_product` names the first failing product
+law a * b == c of a batch.
 
 :class:`Span` keeps a row space in reduced echelon form as int rows, and
 its insert step is the only elimination loop: a new row is reduced against
@@ -272,37 +273,36 @@ def _ones(w: int, cols: int) -> int:
 
 
 def _row_norm(m: "Matrix") -> int:
-    """The largest |.|-sum of a row of the int rows of m."""
-    return max([sum(map(abs, row)) for row in m.ints], default=0)
+    """The largest |.|-sum of a row of the int rows of m, read once per
+    matrix."""
+    if m._norm is None:
+        object.__setattr__(m, "_norm", max(
+            [sum(map(abs, row)) for row in m.ints], default=0))
+    return m._norm
 
 
 def _extent(m: "Matrix") -> tuple:
-    """(flat, low, big): the int entries of m row after row, the least of
-    them and the largest absolute value."""
-    flat = list(chain.from_iterable(m.ints))
-    low = min(flat)
-    return flat, low, max(max(flat), -low)
+    """(low, big): the least int entry of a nonempty m, or 0 if it is
+    larger, and the largest absolute value; read once per matrix."""
+    if m._extent is None:
+        low = min(0, min(map(min, m.ints)))
+        object.__setattr__(m, "_extent", (
+            low, max(-low, max(map(max, m.ints)))))
+    return m._extent
 
 
-def _packed_rows(flat: list, cols: int, w: int, low: int = 0) -> list:
-    """The rows of the matrix with the int entries flat, row after row, in
-    cols > 0 columns, each as the one int sum_j x_j 2^(8wj) of its entries
-    x_j: lane j is bytes [jw, (j+1)w), little-endian. The entries are
-    packed less low, a lower bound of theirs, and low is added back to each
-    packed row, so a row with negative entries packs exactly; max - low
-    must be below 2^(8w)."""
+def _packed_rows(ints, cols: int, w: int, low: int = 0) -> list:
+    """The int rows ints, of cols > 0 columns, each as the one int
+    sum_j x_j 2^(8wj) of its entries x_j: lane j is bytes [jw, (j+1)w),
+    little-endian. The entries are packed less low, a lower bound of
+    theirs, and low is added back to each packed row, so a row with
+    negative entries packs exactly; max - low must be below 2^(8w)."""
+    flat = list(chain.from_iterable(ints))
     if low:
         flat = [x - low for x in flat]
     code = _LANE_CODES.get(w)
-    if w == 1:
-        data = bytes(flat)
-    elif code:
+    if code:
         data = array(code, flat).tobytes()
-    elif _LANE_CODES and max(flat) >> 64 == 0:
-        # a wide lane whose entry fits in its low 8 bytes
-        limbs = array("Q", bytes(w * len(flat)))
-        limbs[::w // 8] = array("Q", flat)
-        data = limbs.tobytes()
     else:
         data = b"".join([x.to_bytes(w, "little") for x in flat])
     size = w * cols
@@ -312,6 +312,17 @@ def _packed_rows(flat: list, cols: int, w: int, low: int = 0) -> list:
         shift = low * _ones(w, cols)
         rows = [x + shift for x in rows]
     return rows
+
+
+def _packed(m: "Matrix", w: int) -> list:
+    """The rows of m packed in lanes of w bytes (:func:`_packed_rows`),
+    over Q less its least entry when that is negative; kept with m for
+    the last w asked."""
+    if m._packed is None or m._packed[0] != w:
+        low = 0 if m.field.p else _extent(m)[0]
+        object.__setattr__(m, "_packed", (w, _packed_rows(m.ints, m.cols, w,
+                                                          low)))
+    return m._packed[1]
 
 
 def _product_rows(a: "Matrix", packed: list, w: int, cols: int,
@@ -343,9 +354,12 @@ class Matrix:
     Over Q den is positive and has no common factor with all the entries
     of ints, so the form is unique; over F_p the entries are in ``[0, p)``
     and den is 1. Equality and hashing compare the int form. ``entries``
-    is the view as the field's scalars, built when it is first read."""
+    is the view as the field's scalars, built when it is first read; so
+    are the row norm, the extent and the packed rows that products read
+    (:func:`_row_norm`, :func:`_extent`, :func:`_packed`)."""
 
-    __slots__ = ("field", "rows", "cols", "ints", "den", "_entries")
+    __slots__ = ("field", "rows", "cols", "ints", "den", "_entries",
+                 "_norm", "_extent", "_packed")
 
     def __init__(self, field: FieldSpec, entries, cols: int | None = None):
         entries = [tuple(row) for row in entries]
@@ -368,6 +382,9 @@ class Matrix:
         put(self, "ints", ints)
         put(self, "den", den)
         put(self, "_entries", None)
+        put(self, "_norm", None)
+        put(self, "_extent", None)
+        put(self, "_packed", None)
 
     @classmethod
     def _of(cls, field: FieldSpec, ints, den: int, cols: int) -> "Matrix":
@@ -445,7 +462,8 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.den == other.den and self.ints == other.ints)
+                and self.cols == other.cols and self.den == other.den
+                and self.ints == other.ints)
 
     def __hash__(self):
         return hash((self.field, self.den, self.ints))
@@ -494,13 +512,11 @@ class Matrix:
         p = f.p
         if p:
             w = _lane_bytes(self.cols * (p - 1) ** 2, False)
-            rows = _product_rows(self, _packed_rows(
-                list(chain.from_iterable(other.ints)), cols, w), w, cols)
+            rows = _product_rows(self, _packed(other, w), w, cols)
             return Matrix._of(f, [[x % p for x in row] for row in rows], 1,
                               cols)
-        flat, low, big = _extent(other)
-        w = _lane_bytes(max(_row_norm(self), 1) * big, True)
-        rows = _product_rows(self, _packed_rows(flat, cols, w, low), w, cols,
+        w = _lane_bytes(max(_row_norm(self), 1) * _extent(other)[1], True)
+        rows = _product_rows(self, _packed(other, w), w, cols,
                              _ones(w, cols) << (8 * w - 1))
         return _normal(f, rows, self.den * other.den, cols)
 
@@ -581,7 +597,7 @@ def first_bad_product(triples) -> int | None:
     or of another shape than a * b makes a bad triple.
 
     Over Q no product is unpacked or normalised. One lane width w serves
-    the whole batch, and each distinct matrix is packed once
+    the whole batch, and each distinct b and c is packed once
     (:func:`_packed_rows`). Row i of a * b equals row i of c exactly when
     (sum_t a_it P_t(b)) den_c == P_i(c) den_a den_b, and w is chosen so
     that every lane of either side is below 2^(8w - 1) in absolute value:
@@ -598,18 +614,12 @@ def first_bad_product(triples) -> int | None:
               if not a.field.p and c.field == a.field
               and (c.rows, c.cols) == (a.rows, b.cols)
               and a.rows and a.cols and b.cols}
-    extents, norms, rows = {}, {}, {}
     bound = 0
     for i in packed:
         a, b, c = triples[i]
-        for m in (b, c):
-            if id(m) not in extents:
-                extents[id(m)] = _extent(m)
-        if id(a) not in norms:
-            norms[id(a)] = _row_norm(a)
-        big_b, big_c = extents[id(b)][2], extents[id(c)][2]
+        big_b, big_c = _extent(b)[1], _extent(c)[1]
         # the lanes of both sides, and the entries of b and c to pack
-        bound = max(bound, norms[id(a)] * big_b * c.den,
+        bound = max(bound, _row_norm(a) * big_b * c.den,
                     big_c * a.den * b.den, big_b, big_c)
     w = _lane_bytes(bound, True)
     for i, (a, b, c) in enumerate(triples):
@@ -617,12 +627,8 @@ def first_bad_product(triples) -> int | None:
             if a * b != c:
                 return i
             continue
-        for m in (b, c):
-            if id(m) not in rows:
-                flat, low, _ = extents[id(m)]
-                rows[id(m)] = _packed_rows(flat, m.cols, w, low)
-        pb, dc, dab = rows[id(b)], c.den, a.den * b.den
-        for u, r in zip(a.ints, rows[id(c)]):
+        pb, dc, dab = _packed(b, w), c.den, a.den * b.den
+        for u, r in zip(a.ints, _packed(c, w)):
             if sum(map(mul, compress(u, u), compress(pb, u))) * dc != r * dab:
                 return i
     return None
@@ -721,7 +727,8 @@ def inverse(m: Matrix) -> Matrix | None:
 def lincomb(field: FieldSpec, rows: int, cols: int, terms) -> Matrix:
     """Sum of c * M over the (c, M) pairs of terms, as a rows x cols matrix,
     in one pass over the int rows with one common denominator; zero
-    coefficients and zero rows are skipped."""
+    coefficients and zero rows are skipped, and a sum of one term 1 * M is
+    M itself."""
     scaled = []
     for c, m in terms:
         if m.field != field:
@@ -730,6 +737,8 @@ def lincomb(field: FieldSpec, rows: int, cols: int, terms) -> Matrix:
             raise ValueError("shape mismatch")
         if c:
             scaled.append((c, m))
+    if len(scaled) == 1 and scaled[0][0] == 1:
+        return scaled[0][1]
     p = field.p
     # over Q, c * ints / d == c.numerator * k * ints / den for
     # k = den / (d * c.denominator)

@@ -186,23 +186,16 @@ class AlgebraModule:
             pairs = [(i, j) for i in algebra.generators
                      for j in range(algebra.dim)]
             bad = first_bad_product(
-                (mats[i], mats[j], self._act_terms(algebra.mul_basis(i, j)))
+                (mats[i], mats[j],
+                 lincomb(f, self.dim, self.dim,
+                         [(c, mats[k])
+                          for k, c in algebra.mul_basis(i, j).items()]))
                 for i, j in pairs)
             if bad is not None:
                 i, j = pairs[bad]
                 raise ValueError(f"module law fails at ({algebra.name_of(i)},"
                                  f"{algebra.name_of(j)})")
         self.certified = validate
-
-    def _act_terms(self, terms: dict) -> Matrix:
-        """Action of the algebra element {k: c}: the matrix of k itself
-        when the element is one basis element."""
-        if len(terms) == 1:
-            (k, c), = terms.items()
-            if c == 1:
-                return self.matrices[k]
-        return lincomb(self.algebra.field, self.dim, self.dim,
-                       ((c, self.matrices[k]) for k, c in terms.items()))
 
     def act(self, vec) -> Matrix:
         """Action of an algebra element given by its coefficient vector."""

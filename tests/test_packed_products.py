@@ -128,14 +128,26 @@ def test_products_at_each_lane_width_boundary():
 
 
 def test_first_bad_product_lanes_do_not_alias():
-    # in lanes of one byte [[254, 0]] and [[-2, 1]] pack to the same int;
-    # the true lanes of a * b reach 254, so the width must exceed a byte
+    # in signed lanes of one byte [[254, 0]] and [[-2, 1]] are the same
+    # int; the true lanes of a * b reach 254, so the width must exceed a
+    # byte
     b = Matrix(Q, [[127, 0]])
     assert first_bad_product([(Matrix(Q, [[2]]), b,
                                Matrix(Q, [[-2, 1]]))]) == 0
     # the same with the factor den_c = 2 making the lane 254
     assert first_bad_product([(Matrix(Q, [[1]]), b,
                                Matrix(Q, [[-1, Fraction(1, 2)]]))]) == 0
+
+
+def test_a_factor_used_again_at_another_lane_width():
+    # a matrix keeps its packed rows; a left factor that needs wider
+    # lanes must repack it, and a narrower one again after that
+    b = Matrix(Q, [[1, -1, Fraction(1, 3)], [2, 3, -4], [0, 5, 1]])
+    small = Matrix(Q, [[1, 0, 2], [0, -1, 0]])
+    large = Matrix(Q, [[1 << 70, 1, 0], [0, -(1 << 70), 3]])
+    for a in (small, large, small, large, small):
+        assert a * b == ref.matmul(a, b)
+        assert b * b.transpose() == ref.matmul(b, b.transpose())
 
 
 @given(st.sampled_from(FIELDS), st.integers(1, 6), st.integers(1, 6),
@@ -214,6 +226,9 @@ def test_first_bad_product_shapes_and_fields():
     assert first_bad_product([(empty, Matrix.zero(Q, 0, 2),
                                Matrix.zero(Q, 3, 2))]) is None
     assert first_bad_product([(empty, Matrix.zero(Q, 0, 2), b)]) == 0
+    # with no rows only the column count tells the shapes apart
+    assert first_bad_product([(Matrix.zero(Q, 0, 3), a,
+                               Matrix.zero(Q, 0, 2))]) == 0
     # a and b that do not multiply raise, as for *
     with pytest.raises(ValueError, match="shape mismatch"):
         first_bad_product([good, (b, b, b)])
