@@ -24,8 +24,9 @@ w whole bytes per column, wide enough for every entry of the product, and
 a row of the product is the sum of those ints weighted by the nonzeros of
 the left row, unpacked once. A matrix keeps the bounds that size its
 lanes and its packed rows once they are read, so a factor used again is
-not read again. :func:`first_bad_product` names the first failing product
-law a * b == c of a batch.
+not read again. :func:`first_bad_product` checks a batch of products
+a * b == c on the same packed rows, and over Q compares packed ints
+without unpacking or normalising a product.
 
 :class:`Span` keeps a row space in reduced echelon form as int rows, and
 its insert step is the only elimination loop: a new row is reduced against
