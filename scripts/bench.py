@@ -32,8 +32,9 @@ representation file, an in-process ``cli.main`` call of ``--format json
 reynolds`` on it (hashing its output without the timing field and with the
 file's directory dropped), and ``reconstruct_from_regular`` on Z3 x Z3.
 Times the subalgebra closure: ``generators`` of the group algebra of S4
-over Q, built afresh inside the case so that the cached property is
-recomputed on every repeat, and ``points`` of the monoid algebra of the
+over Q, rebuilt from its structure tensors inside the case so that the
+greedy closure runs on every repeat (the monoid algebra itself records the
+monoid's generating set), and ``points`` of the monoid algebra of the
 corpus file ``monoid_z8.json`` over F_7. Times the enveloping truncation:
 in-process ``cli.main`` calls of ``--format json pbw`` on the corpus file
 ``lie_sl2.json`` at orders 5 and 6 (hashing the exit code and the output
@@ -49,7 +50,9 @@ Times the scaled axiom sweeps and reconstruction, built in the script:
 in-process ``cli.main`` calls of ``--format json verify`` on the group
 algebras of S4 and S5 and the function algebra of S5 over Q, each saved to
 a bialgebra file (hashing the exit code and the output without the timing
-field), and ``reconstruct_from_regular`` on S4 x Z2 and on S5 over Q.
+field), ``reconstruct_from_regular`` on S4 x Z2 and on S5 over Q, and an
+in-process ``cli.main`` call of ``--format json formal-matrices --n 3
+--order 4``.
 Each case runs ``REPEAT`` times, a scaled one ``REPEAT_SCALED`` times;
 the best and the median seconds are kept, with a SHA-256 of the case's
 results so that two labels can be checked to compute the same thing. The
@@ -308,10 +311,11 @@ def subalgebra_cases() -> dict:
     closure: the greedy generators of a group algebra built in the case,
     and the points of a cyclic group algebra over F_7."""
     q = FieldSpec.rationals()
-    s4 = FiniteMonoid.symmetric(4)
+    k_s4 = monoid_algebra(FiniteMonoid.symmetric(4), q)
     z8 = monoid_algebra(hio.load_monoid(MONOID_Z8), FieldSpec.prime(7))
     return {
-        "Q.generators.s4": (1, lambda: monoid_algebra(s4, q).generators),
+        "Q.generators.s4": (1, lambda: FinBialgebra(
+            q, k_s4.dim, k_s4.basis, k_s4.mult, k_s4.unit).generators),
         "F7.points.z8": (1, lambda: points(z8)),
     }
 
@@ -337,7 +341,7 @@ def scaled_cases(work: Path) -> dict:
     reconstruction at the sizes of S4 and S5: the ``verify`` command on the
     group algebras of S4 and S5 and the function algebra of S5, saved
     under work, and the reconstruction of Q[S4 x Z2] and Q[S5] from their
-    regular modules."""
+    regular modules, and the ``formal-matrices`` command at n = 3, order 4."""
     q = FieldSpec.rationals()
     s4 = FiniteMonoid.symmetric(4)
     s5 = FiniteMonoid.symmetric(5)
@@ -355,6 +359,8 @@ def scaled_cases(work: Path) -> dict:
             1, lambda: reconstruct_from_regular(s4xz2, q).checks),
         "Q.reconstruct_from_regular.s5": (
             1, lambda: reconstruct_from_regular(s5, q).checks),
+        "Q.cli_formal_matrices.n3_4": (1, lambda: cli_json(
+            ["formal-matrices", "--n", "3", "--order", "4"])),
     }
 
 

@@ -150,15 +150,14 @@ def main():
     bad_mult = dict(rg.mult)
     del bad_mult[(1, 1, 0)]                    # g*g becomes 0
     corrupted = FinBialgebra(Q, 2, rg.basis, bad_mult, rg.unit, rg.comult,
-                             rg.counit, rg.antipode, has_bialgebra=False)
+                             rg.counit, rg.antipode)
     bialgebra_file("bad_rg_z2_gg_zero.json", corrupted)
 
     fn = function_bialgebra(monoids["monoid_z4"], Q)
     bad_comult = dict(fn.comult)
     bad_comult[(3, 0, 0)] = Q.one              # stray coproduct term
     bialgebra_file("bad_fn_z4_comult.json", FinBialgebra(
-        Q, 4, fn.basis, fn.mult, fn.unit, bad_comult, fn.counit,
-        has_bialgebra=False))
+        Q, 4, fn.basis, fn.mult, fn.unit, bad_comult, fn.counit))
 
     bad_coalg = FinBialgebra(Q, 2, ("e0", "e1"), None, None,
                              {(0, 0, 1): Q.one}, (Q.one, Q.zero))

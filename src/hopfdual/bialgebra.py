@@ -213,16 +213,11 @@ class FinBialgebra:
 
     Any of the algebra half (``mult``/``unit``), the coalgebra half
     (``comult``/``counit``) and the antipode may be absent; verification
-    routines demand what they need. ``has_bialgebra`` is a claim recorded
-    by constructors that know the compatibility axioms hold (degree
-    truncations, for instance, are honest algebras and coalgebras whose
-    coproduct is only multiplicative within the truncation window, and
-    they leave the claim unset).
+    routines demand what they need.
     """
 
     def __init__(self, field: FieldSpec, dim: int, basis=None, mult=None,
-                 unit=None, comult=None, counit=None, antipode=None,
-                 has_bialgebra: bool | None = None):
+                 unit=None, comult=None, counit=None, antipode=None):
         self.field = field
         self.dim = dim
         self.basis = tuple(basis) if basis else tuple(f"e{i}" for i in range(dim))
@@ -249,9 +244,6 @@ class FinBialgebra:
             raise ValueError("counit vector has wrong length")
         if antipode is not None and (antipode.rows, antipode.cols) != (dim, dim):
             raise ValueError("antipode must be dim x dim")
-        if has_bialgebra is None:
-            has_bialgebra = self.has_algebra and self.has_coalgebra
-        self.has_bialgebra = has_bialgebra
         # pair-indexed views of the tensors, read by the sweeps; safe because
         # instances are immutable by convention
         self._products = self.deltas = None
@@ -755,7 +747,7 @@ def dualize(A: FinBialgebra) -> FinBialgebra:
     names = tuple(n[:-1] if n.endswith("*") else n + "*" for n in A.basis)
     antipode = A.antipode.transpose() if A.has_antipode else None
     return FinBialgebra(A.field, A.dim, names, mult, unit, comult, counit,
-                        antipode, has_bialgebra=A.has_bialgebra)
+                        antipode)
 
 
 def tensor_bialgebra(A: FinBialgebra, B: FinBialgebra) -> FinBialgebra:
@@ -782,9 +774,7 @@ def tensor_bialgebra(A: FinBialgebra, B: FinBialgebra) -> FinBialgebra:
     antipode = None
     if A.has_antipode and B.has_antipode:
         antipode = kron(A.antipode, B.antipode)
-    claim = A.has_bialgebra and B.has_bialgebra
-    return FinBialgebra(f, dim, names, mult, unit, comult, counit, antipode,
-                        has_bialgebra=claim)
+    return FinBialgebra(f, dim, names, mult, unit, comult, counit, antipode)
 
 
 def same_structure(A: FinBialgebra, B: FinBialgebra,

@@ -236,7 +236,8 @@ def _cmd_zrep(args):
 
 def _cmd_formal_matrices(args):
     field = FieldSpec.rationals()
-    rep = formal_matrix_integral(args.n, args.order, field)
+    rep = formal_matrix_integral(args.n, args.order, field,
+                                 budget=args.budget)
     return rep, []
 
 
@@ -249,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed recorded in reports and used by randomized "
                           "searches")
     top.add_argument("--budget", type=int, default=10**7,
-                     help="cap on enumerated candidates (points) and on "
-                          "oracle relation cells (pbw)")
+                     help="cap on enumerated candidates (points), on "
+                          "oracle relation cells (pbw) and on dual basis "
+                          "functionals (formal-matrices)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the axiom suites on a bialgebra file")

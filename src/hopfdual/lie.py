@@ -611,8 +611,7 @@ def divided_power_bialgebra(N: int, F: FieldSpec):
         for i in range(n + 1):
             comult[(n, i, n - i)] = f.one
     counit = vbasis(f, N + 1, 0)
-    A = FinBialgebra(f, N + 1, names, mult, unit, comult, counit,
-                     has_bialgebra=False)
+    A = FinBialgebra(f, N + 1, names, mult, unit, comult, counit)
 
     rep = Report(f"divided powers at order {N} over {F.describe()}")
     pairs = [(i, j) for i in range(N + 1) for j in range(N + 1 - i)]
@@ -701,8 +700,7 @@ def _chart_bialgebra(preset: str, N: int, F: FieldSpec) -> FinBialgebra:
     else:
         raise ValueError(f"unsupported preset {preset!r}")
     counit = vbasis(f, N + 1, 0)
-    return FinBialgebra(f, N + 1, names, mult, unit, comult, counit,
-                        has_bialgebra=False)
+    return FinBialgebra(f, N + 1, names, mult, unit, comult, counit)
 
 
 def dist_at_identity(preset: str, N: int, F: FieldSpec):
@@ -768,11 +766,8 @@ def iadic_graded(preset: str, N: int, nvars: int = 1) -> Report:
     if preset == "poly":
         if nvars < 1:
             raise ValueError("need at least one variable")
-        monos = []
-        for total in range(N + 2):
-            monos.extend(_exponents_of_degree(nvars, total))
-        monos = [m for m in monos if sum(m) <= N + 1]
-        monos.sort(key=lambda m: (sum(m), m))
+        monos = [m for total in range(N + 2)
+                 for m in _exponents_of_degree(nvars, total)]
         index = {m: i for i, m in enumerate(monos)}
         dim = len(monos)
         mult = {}
@@ -782,8 +777,7 @@ def iadic_graded(preset: str, N: int, nvars: int = 1) -> Report:
                 if sum(s) <= N + 1:
                     mult[(index[a], index[b], index[s])] = f.one
         unit = vbasis(f, dim, 0)
-        A = FinBialgebra(f, dim, tuple(str(m) for m in monos), mult, unit,
-                         has_bialgebra=False)
+        A = FinBialgebra(f, dim, tuple(str(m) for m in monos), mult, unit)
         aug = vbasis(f, dim, 0)
         k = nvars
         title = f"I-adic grading of Q[x1..x{nvars}] at the origin"

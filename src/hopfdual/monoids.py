@@ -268,7 +268,10 @@ def monoid_algebra(G: FiniteMonoid, F: FieldSpec) -> FinBialgebra:
 
     Carries the inversion antipode exactly when G is a group. The table of
     a :class:`FiniteMonoid` was checked associative with its unit, so the
-    algebra laws are recorded as holding.
+    algebra laws are recorded as holding. The generating set is recorded
+    as :attr:`FiniteMonoid.generators`: the subalgebra generated by some
+    elements of G is spanned by the submonoid they generate, so the
+    greedy picks in basis order are the same.
     """
     n = G.size
     one = F.one
@@ -280,9 +283,9 @@ def monoid_algebra(G: FiniteMonoid, F: FieldSpec) -> FinBialgebra:
     if G.is_group:
         antipode = Matrix(F, [[one if i == G.inv(j) else F.zero
                                for j in range(n)] for i in range(n)])
-    A = FinBialgebra(F, n, G.names, mult, unit, comult, counit, antipode,
-                     has_bialgebra=True)
+    A = FinBialgebra(F, n, G.names, mult, unit, comult, counit, antipode)
     A.algebra_laws = True
+    A.generators = G.generators
     return A
 
 
@@ -304,8 +307,7 @@ def function_bialgebra(G: FiniteMonoid, F: FieldSpec) -> FinBialgebra:
         antipode = Matrix(F, [[one if i == G.inv(j) else F.zero
                                for j in range(n)] for i in range(n)])
     names = tuple(nm + "*" for nm in G.names)
-    return FinBialgebra(F, n, names, mult, unit, comult, counit, antipode,
-                        has_bialgebra=True)
+    return FinBialgebra(F, n, names, mult, unit, comult, counit, antipode)
 
 
 def cartier_check(G: FiniteMonoid, F: FieldSpec) -> Report:

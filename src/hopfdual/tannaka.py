@@ -79,7 +79,7 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
         raise ValueError("module is not over the given algebra")
     f = A.field
     if X.dim == 0:
-        zero_alg = FinBialgebra(f, 0, (), {}, (), has_bialgebra=False)
+        zero_alg = FinBialgebra(f, 0, (), {}, ())
         qmap = Matrix.zero(f, 0, A.dim)
         # the zero module: its validation passes at once, and certifies it
         return ReconstructionResult(zero_alg, qmap,
@@ -125,7 +125,7 @@ def annihilator_quotient(A: FinBialgebra, X: AlgebraModule) -> ReconstructionRes
             if c != f.zero:
                 mult[divmod(ij, dim_q) + (k,)] = c
     names = tuple(f"[{A.name_of(p)}]" for p in pivots)
-    AX = FinBialgebra(f, dim_q, names, mult, unit, has_bialgebra=False)
+    AX = FinBialgebra(f, dim_q, names, mult, unit)
     known = X.certified and A.algebra_laws
     action = AlgebraModule(AX, basis_mats, validate=not known)
     action.certified = True

@@ -36,12 +36,19 @@ on every basis pair, the antipode identities and the morphism laws, one
 ``hopfdual.bialgebra``; the associativity of a monoid table on every
 triple; and ``annihilator_quotient`` by every product of two image
 matrices in full. ``test_certificates`` compares them with the certified
-checks, on the corpus and on corrupted inputs."""
+checks, on the corpus and on corrupted inputs.
+
+At the very end, the truncated formal-matrix integral by expanding Delta
+of every monomial of degree <= N and comparing every (mu, kappa) pair.
+``test_reps`` compares it with
+``hopfdual.reps.formal_matrix_integral``, which checks the generators
+only."""
 
 import itertools
 
 from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix, Span,
                             kernel_basis, solve, solve_many, stack, vbasis)
+from hopfdual.bialgebra import sparse_sum
 from hopfdual.lie import TensorAlgebraOracle, TruncationOverflow
 from hopfdual.monoids import monoid_algebra
 from hopfdual.polys import add, degree, divmod_poly, mul, normalize, scale
@@ -735,3 +742,86 @@ def annihilator_quotient_dense(A, X) -> tuple:
     names = tuple(f"[{A.name_of(p)}]" for p in pivots)
     qmap = Matrix(f, ech.reduced.entries[:q], cols=A.dim)
     return mult, tuple(unit), names, qmap, basis
+
+
+# -- the formal-matrix integral by full expansion ------------------------------
+
+def monomials_up_to(nvars: int, bound: int) -> list:
+    out = []
+
+    def rec(prefix, remaining, budget):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for e in range(budget + 1):
+            rec(prefix + [e], remaining - 1, budget - e)
+
+    rec([], nvars, bound)
+    out.sort(key=lambda m: (sum(m), m))
+    return out
+
+
+def formal_matrix_delta(n: int, N: int, f) -> dict:
+    """Delta of every monomial of degree <= N in the n^2 entries, as
+    {kappa: {(mL, mR): c}}; each variable x_ij splits as
+    sum_l x_il (x) x_lj."""
+    nv = n * n
+
+    def bump(mono, var):
+        out = list(mono)
+        out[var] += 1
+        return tuple(out)
+
+    def comult(mono):
+        acc = {((0,) * nv, (0,) * nv): f.one}
+        for var, exp in enumerate(mono):
+            i, j = divmod(var, n)
+            for _ in range(exp):
+                acc = sparse_sum(f, (
+                    ((bump(ml, i * n + l), bump(mr, l * n + j)), c)
+                    for (ml, mr), c in acc.items() for l in range(n)))
+        return acc
+
+    return {mono: comult(mono) for mono in monomials_up_to(nv, N)}
+
+
+def formal_matrix_integral_expanded(n: int, N: int, F) -> Report:
+    """``formal_matrix_integral`` by comparing every (mu, kappa) pair of the
+    expanded Delta table, with its check names and witnesses."""
+    if n < 1 or N < 1:
+        raise ValueError("need n >= 1 and N >= 1")
+    nv = n * n
+    f = F
+    delta = formal_matrix_delta(n, N, f)
+    monos = list(delta)
+    index = {mo: i for i, mo in enumerate(monos)}
+    unit_mono = (0,) * nv
+    rep = Report(f"formal-matrix integral (n={n}, order {N}, "
+                 f"{F.describe()})")
+
+    # delta_mu * delta_0 over the dual basis: kappa-coefficient is the
+    # (mu, unit)-coefficient of Delta(kappa)
+    ok_right = ok_left = True
+    for mu in monos:
+        pair_value = f.one if mu == unit_mono else f.zero  # a(1)
+        for kappa in monos:
+            right = delta[kappa].get((mu, unit_mono), f.zero)
+            left = delta[kappa].get((unit_mono, mu), f.zero)
+            want = f.mul(pair_value, f.one if kappa == unit_mono else f.zero)
+            if right != want:
+                ok_right = False
+                rep.add("a * delta_0 = a(1) delta_0", False,
+                        f"a = dual of {mu}, at {kappa}")
+            if left != want:
+                ok_left = False
+                rep.add("delta_0 * a = a(1) delta_0", False,
+                        f"a = dual of {mu}, at {kappa}")
+    if ok_right:
+        rep.add("a * delta_0 = a(1) delta_0", True)
+    if ok_left:
+        rep.add("delta_0 * a = a(1) delta_0", True)
+    rep.add("delta_0 is idempotent",
+            delta[unit_mono].get((unit_mono, unit_mono)) == f.one)
+    rep.add("dual basis size", len(monos) == len(index),
+            f"{len(monos)} functionals")
+    return rep

@@ -49,7 +49,7 @@ class TestVerifiers:
         mult = dict(rg.mult)
         del mult[(1, 1, 0)]
         A = FinBialgebra(Q, 2, rg.basis, mult, rg.unit, rg.comult, rg.counit,
-                         rg.antipode, has_bialgebra=False)
+                         rg.antipode)
         assert verify_algebra(A).passed
         rep = verify_bialgebra(A)
         assert not rep.passed
@@ -87,8 +87,7 @@ class TestVerifiers:
         fn = function_bialgebra(FiniteMonoid.cyclic(4), Q)
         comult = dict(fn.comult)
         comult[(3, 0, 0)] = Q.one
-        A = FinBialgebra(Q, 4, fn.basis, fn.mult, fn.unit, comult, fn.counit,
-                         has_bialgebra=False)
+        A = FinBialgebra(Q, 4, fn.basis, fn.mult, fn.unit, comult, fn.counit)
         rep = verify_bialgebra(A)
         assert any("comult multiplicative" in c.name for c in rep.failures())
 

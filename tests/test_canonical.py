@@ -258,7 +258,7 @@ def as_fractions(A: FinBialgebra) -> FinBialgebra:
         return None if v is None else tuple(Fraction(c) for c in v)
     return FinBialgebra(A.field, A.dim, A.basis, tensor(A.mult),
                         vector(A.unit), tensor(A.comult), vector(A.counit),
-                        A.antipode, has_bialgebra=A.has_bialgebra)
+                        A.antipode)
 
 
 def checks(rep):

@@ -150,8 +150,7 @@ def reconstructed_algebra(G):
     A = monoid_algebra(G, Q)
     AX = annihilator_quotient(A, rep_to_module(Representation.regular(G, Q))
                               ).algebra
-    return FinBialgebra(Q, AX.dim, AX.basis, AX.mult, AX.unit,
-                        has_bialgebra=False)
+    return FinBialgebra(Q, AX.dim, AX.basis, AX.mult, AX.unit)
 
 
 def test_generators_multiply_by_the_generators_only(monkeypatch):
@@ -191,6 +190,20 @@ def test_greedy_generators_match_the_round_by_round_closure():
         assert A.generators == tuple(ref.greedy_generators(A))
     assert monoid_algebra(D4, Q).generators == (D4.index_of("r1"),
                                                  D4.index_of("s0"))
+
+
+def test_monoid_algebra_records_the_greedy_algebra_generators():
+    # the same structure built afresh finds its generating set by growing
+    # subalgebra spans; the monoid algebra records the monoid's
+    monoids = [io.load_monoid(path)
+               for path in sorted(CORPUS.glob("monoid_*.json"))]
+    monoids += [S3, D4, FiniteMonoid.symmetric(4), FiniteMonoid.symmetric(5)]
+    for G in monoids:
+        for field in (Q, F2):
+            A = monoid_algebra(G, field)
+            assert "generators" in A.__dict__
+            fresh = FinBialgebra(field, A.dim, A.basis, A.mult, A.unit)
+            assert A.generators == G.generators == fresh.generators
 
 
 def test_hom_dims_match_the_full_stack():

@@ -72,6 +72,7 @@ CASES = [
     ["zrep", D + "matrix_f2.json"],
     ["formal-matrices", "--n", "1", "--order", "3"],
     ["formal-matrices", "--n", "2", "--order", "3"],
+    ["formal-matrices", "--n", "3", "--order", "4"],
     ["verify", C + "divided_power_4.json"],
     ["dist", "--preset", "ga", "--order", "4"],
     ["dist", "--preset", "gm", "--order", "4"],

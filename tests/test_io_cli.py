@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,30 @@ class TestCliContract:
 
     def test_formal_matrices_cli(self):
         assert run_cli("formal-matrices", "--n", "2", "--order", "2") == 0
+
+    def test_formal_matrices_reads_generators_only(self, capsys):
+        # C(16 + 4, 4) functionals, certified on the 16 generators
+        started = time.perf_counter()
+        assert run_cli("--format", "json", "formal-matrices", "--n", "4",
+                       "--order", "4") == 0
+        assert time.perf_counter() - started < 2
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[-1] == {"name": "dual basis size", "status": "pass",
+                              "witness": "4845 functionals"}
+
+    @pytest.mark.parametrize("n, order, witness", [
+        (2, 10000, "C(10004, 10000) functionals exceed budget 10000000"),
+        (10**9, 10**9, "C(1000000001000000000, 1000000000) functionals "
+                       "exceed budget 10000000")])
+    def test_formal_matrices_refuses_a_basis_over_budget(self, capsys, n,
+                                                         order, witness):
+        started = time.perf_counter()
+        assert run_cli("--format", "json", "formal-matrices", "--n", str(n),
+                       "--order", str(order)) == 1
+        assert time.perf_counter() - started < 1
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check == {"name": "BudgetExceeded", "status": "fail",
+                         "witness": witness}
 
 
 def test_reused_parser_keeps_no_state(capsys):

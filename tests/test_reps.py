@@ -9,7 +9,8 @@ import reference_kernel as ref
 from conftest import (random_invariant_subspace, random_invertible, rng_for,
                       s3_catalogue, seeded_module)
 from hopfdual.exact import FieldSpec, Matrix, inverse, span_of, vbasis
-from hopfdual.monoids import Character, FiniteMonoid, monoid_algebra
+from hopfdual.monoids import (BudgetExceeded, Character, FiniteMonoid,
+                             monoid_algebra)
 from hopfdual.reps import (AlgebraModule, CharDividesOrder, NotAGroup,
                            NotASection, RepMorphism, Representation,
                            assemble_summands, check_invariant_exactness,
@@ -565,3 +566,28 @@ class TestFormalMatrixIntegral:
 
     def test_prime_field_also_works(self):
         assert formal_matrix_integral(2, 2, F5).passed
+
+    @pytest.mark.parametrize("field", [Q, F2, F5], ids=FieldSpec.describe)
+    @pytest.mark.parametrize("n, order", [(1, 1), (1, 5), (2, 1), (2, 3),
+                                          (3, 1), (3, 2)])
+    def test_matches_the_full_expansion(self, field, n, order):
+        assert formal_matrix_integral(n, order, field).to_dict() == \
+            ref.formal_matrix_integral_expanded(n, order, field).to_dict()
+
+    @pytest.mark.parametrize("n, order", [(1, 5), (2, 3), (3, 2)])
+    def test_no_unit_side_off_the_unit(self, n, order):
+        # Delta(kappa) is bihomogeneous of bidegree (|kappa|, |kappa|), so
+        # the (mu, 1) and (1, mu) coefficients the laws read vanish unless
+        # kappa = mu = 1
+        unit = (0,) * (n * n)
+        for kappa, terms in ref.formal_matrix_delta(n, order, Q).items():
+            assert all(sum(ml) == sum(mr) == sum(kappa)
+                       for ml, mr in terms)
+            if kappa != unit:
+                assert all(unit not in pair for pair in terms)
+
+    def test_budget_bounds_the_dual_basis(self):
+        # C(4 + 3, 3) = 35 functionals at n = 2, order 3
+        assert formal_matrix_integral(2, 3, Q, budget=35).passed
+        with pytest.raises(BudgetExceeded, match=r"C\(7, 3\).* budget 34"):
+            formal_matrix_integral(2, 3, Q, budget=34)

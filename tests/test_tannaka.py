@@ -107,8 +107,7 @@ class TestTensorCoproductRecovery:
         A = monoid_algebra(S3, Q)
         wrong = {(k, k, k): Q.one for k in range(5)}
         wrong[(5, 4, 4)] = Q.one
-        B = FinBialgebra(Q, 6, A.basis, A.mult, A.unit, wrong, A.counit,
-                         has_bialgebra=False)
+        B = FinBialgebra(Q, 6, A.basis, A.mult, A.unit, wrong, A.counit)
         from hopfdual.exact import kron
         bad_pairs = []
         for g in range(6):
