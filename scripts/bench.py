@@ -50,9 +50,7 @@ Times the scaled axiom sweeps and reconstruction, built in the script:
 in-process ``cli.main`` calls of ``--format json verify`` on the group
 algebras of S4 and S5 and the function algebra of S5 over Q, each saved to
 a bialgebra file (hashing the exit code and the output without the timing
-field), ``reconstruct_from_regular`` on S4 x Z2 and on S5 over Q, and an
-in-process ``cli.main`` call of ``--format json formal-matrices --n 3
---order 4``.
+field), and ``reconstruct_from_regular`` on S4 x Z2 and on S5 over Q.
 Each case runs ``REPEAT`` times, a scaled one ``REPEAT_SCALED`` times;
 the best and the median seconds are kept, with a SHA-256 of the case's
 results so that two labels can be checked to compute the same thing. The
@@ -341,7 +339,7 @@ def scaled_cases(work: Path) -> dict:
     reconstruction at the sizes of S4 and S5: the ``verify`` command on the
     group algebras of S4 and S5 and the function algebra of S5, saved
     under work, and the reconstruction of Q[S4 x Z2] and Q[S5] from their
-    regular modules, and the ``formal-matrices`` command at n = 3, order 4."""
+    regular modules."""
     q = FieldSpec.rationals()
     s4 = FiniteMonoid.symmetric(4)
     s5 = FiniteMonoid.symmetric(5)
@@ -359,8 +357,6 @@ def scaled_cases(work: Path) -> dict:
             1, lambda: reconstruct_from_regular(s4xz2, q).checks),
         "Q.reconstruct_from_regular.s5": (
             1, lambda: reconstruct_from_regular(s5, q).checks),
-        "Q.cli_formal_matrices.n3_4": (1, lambda: cli_json(
-            ["formal-matrices", "--n", "3", "--order", "4"])),
     }
 
 

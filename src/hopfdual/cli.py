@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "searches")
     top.add_argument("--budget", type=int, default=10**7,
                      help="cap on enumerated candidates (points), on "
-                          "oracle relation cells (pbw) and on dual basis "
-                          "functionals (formal-matrices)")
+                          "oracle relation cells (pbw) and on the reported "
+                          "count of dual basis functionals (formal-matrices)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the axiom suites on a bialgebra file")

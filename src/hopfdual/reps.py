@@ -12,7 +12,7 @@ from functools import reduce
 
 from . import polys
 from .bialgebra import (BialgebraMorphism, FinBialgebra, check_morphism,
-                        same_algebra, sparse_sum)
+                        same_algebra)
 from .exact import (FieldMismatch, FieldSpec, Matrix, extend_to_basis,
                     first_bad_product, inverse, kernel_basis, kron, lincomb,
                     rank, solve, solve_many, span_of, stack, vbasis)
@@ -830,7 +830,7 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
 def formal_matrix_integral(n: int, N: int, F: FieldSpec,
                            budget: int | None = None) -> Report:
     """Truncated coalgebra of the formal-matrix semigroup and its dual
-    convolution algebra; checks that evaluation at the zero matrix absorbs:
+    convolution algebra; reports that evaluation at the zero matrix absorbs:
     a * delta_0 = a(1) delta_0 = delta_0 * a for every dual basis vector.
 
     The coalgebra is spanned by the monomials kappa of degree <= N in the
@@ -840,12 +840,12 @@ def formal_matrix_integral(n: int, N: int, F: FieldSpec,
     and that of a_mu(1) delta_0 is the mu-coefficient of delta_0(kappa) 1.
     Delta and delta_0 are algebra maps, so both sides are algebra maps
     k[x] -> k[x] applied to kappa, and the law holds on every monomial iff
-    it holds on the n^2 generators: sum_l x_il delta_0(x_lj) =
-    delta_0(x_ij) 1. The left law is the same with
-    (delta_0 (x) id) Delta, and delta_0 is idempotent iff the algebra maps
-    delta_0 * delta_0 and delta_0 agree on the generators. A failure names
-    a generator kappa and a mu where the two sides differ. Nothing is
-    expanded: the dual basis size C(n^2+N, N) is a running product that
+    it holds on the n^2 generators: sum_l x_il delta_0(x_lj) = 0 =
+    delta_0(x_ij) 1, since every entry of the zero matrix is 0. The left
+    law is the same with (delta_0 (x) id) Delta, and delta_0 is idempotent
+    by the right law at a = delta_0, as delta_0(1) = 1. So the three laws
+    hold for every n, N and field, and the report states them; only the
+    dual basis size C(n^2+N, N) is computed, as a running product that
     raises :class:`BudgetExceeded` as soon as it passes ``budget``.
     """
     if n < 1 or N < 1:
@@ -857,36 +857,10 @@ def formal_matrix_integral(n: int, N: int, F: FieldSpec,
         if budget is not None and size > budget:
             raise BudgetExceeded(f"C({nv + N}, {N}) functionals exceed "
                                  f"budget {budget}")
-
-    def expo(*ij):
-        """The exponent vector of x_ij, or of 1 when ij is empty."""
-        k = ij[0] * n + ij[1] if ij else -1
-        return tuple(int(v == k) for v in range(nv))
-
-    # delta_0(x_ij) is entry (i, j) of the point it evaluates at, kept as
-    # the nonzero entries {(i, j): c}: the zero matrix has none
-    point = {}
-
-    def failures(right):
-        """Witnesses where sum_l x_il delta_0(x_lj) (right) or
-        sum_l delta_0(x_il) x_lj (left) differs from delta_0(x_ij) 1, as
-        terms {(x_ij, mu): c} of the difference. Only a generator that
-        shares a column (right) or a row (left) with a nonzero entry of the
-        point has terms."""
-        terms = []
-        for (a, b), c in point.items():
-            terms.append((((a, b), ()), -c))
-            terms.extend(((((t, b), (t, a)) if right else ((a, t), (b, t))),
-                          c) for t in range(n))
-        return [f"a = dual of {expo(*mu)}, at {expo(*kappa)}"
-                for kappa, mu in sorted(sparse_sum(F, terms))]
-
-    square = sparse_sum(F, (((i, j), c * d) for (i, l), c in point.items()
-                            for (m, j), d in point.items() if l == m))
     rep = Report(f"formal-matrix integral (n={n}, order {N}, "
                  f"{F.describe()})")
-    rep.sweep("a * delta_0 = a(1) delta_0", failures(right=True))
-    rep.sweep("delta_0 * a = a(1) delta_0", failures(right=False))
-    rep.add("delta_0 is idempotent", square == point)
+    rep.add("a * delta_0 = a(1) delta_0", True)
+    rep.add("delta_0 * a = a(1) delta_0", True)
+    rep.add("delta_0 is idempotent", True)
     rep.add("dual basis size", True, f"{size} functionals")
     return rep

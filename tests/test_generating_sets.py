@@ -206,6 +206,29 @@ def test_monoid_algebra_records_the_greedy_algebra_generators():
             assert A.generators == G.generators == fresh.generators
 
 
+def test_greedy_closure_on_fresh_group_algebras(monkeypatch):
+    # a monoid algebra records its monoid's generators, so the greedy
+    # closure is run here on the same structure tensors built afresh: it
+    # matches the round-by-round closure, and on S4 keeps the call bound
+    def fresh(A):
+        return FinBialgebra(A.field, A.dim, A.basis, A.mult, A.unit)
+
+    algebras = [fresh(monoid_algebra(G, field))
+                for G in GROUPS + (BOOL,) for field in (Q, F2, F3)]
+    algebras += [fresh(monoid_algebra(FiniteMonoid.symmetric(4), Q)),
+                 fresh(monoid_algebra(FiniteMonoid.dihedral(6), Q))]
+    for A in algebras:
+        assert "generators" not in A.__dict__
+        assert A.generators == tuple(ref.greedy_generators(A))
+    S4 = fresh(monoid_algebra(FiniteMonoid.symmetric(4), Q))
+    calls = []
+    mul_vec = FinBialgebra.mul_vec
+    monkeypatch.setattr(FinBialgebra, "mul_vec", lambda self, x, y:
+                        calls.append(1) or mul_vec(self, x, y))
+    assert len(S4.generators) == 3
+    assert 0 < len(calls) <= 72
+
+
 def test_hom_dims_match_the_full_stack():
     for G in GROUPS:
         rng = random.Random(f"hom-dims:{G.size}")
