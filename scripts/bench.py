@@ -2,6 +2,7 @@
 """Layer microbenchmarks for the exact kernel and the polynomial routines.
 
     python3 scripts/bench.py --label after [--out DIR]
+    python3 scripts/bench.py --label after --other-src OTHER/src [--runs 5]
 
 Times matrix sums, products, Kronecker products and equality tests,
 ``rref``, ``inverse`` (``solve_many`` on the identity), ``Span.add``,
@@ -16,9 +17,14 @@ Times two more shapes of product: each matrix of the regular
 representation of S4 over Q (0/1 columns, one nonzero per column) times
 the matrix of each generator of S4, and every product of eight seeded
 random 15x15 matrices over F_31.
-Times the two routines ``zrep`` is built on: ``char_poly`` of a conjugated
-14x14 block-companion matrix over F_31, and ``factor_monic_fp`` of a
-degree-4 irreducible times three linear factors over F_101. Times the
+Times the routines ``zrep`` is built on: ``char_poly`` of a conjugated
+14x14 block-companion matrix over F_31, ``factor_monic_fp`` of a
+degree-4 irreducible times three linear factors over F_101, and
+``eval_at_matrix`` of a seeded degree-7 polynomial at a seeded 15x15
+matrix over F_31. Times in-process ``cli.main`` calls of ``--format json
+zrep`` on seeded dense random invertible matrices built in the script,
+n = 40 and n = 80 over F_101 and n = 40 over F_2147483647 (hashing the
+exit code and the output without the timing field). Times the
 structure-tensor sweeps: ``verify_bialgebra`` on the monoid and function
 algebras of D4, each on a copy made in the case so that no certificate
 cached by an earlier repeat is reused, ``coproduct_on_U`` on sl2 at order 5,
@@ -51,13 +57,24 @@ in-process ``cli.main`` calls of ``--format json verify`` on the group
 algebras of S4 and S5 and the function algebra of S5 over Q, each saved to
 a bialgebra file (hashing the exit code and the output without the timing
 field), and ``reconstruct_from_regular`` on S4 x Z2 and on S5 over Q.
-Each case runs ``REPEAT`` times, a scaled one ``REPEAT_SCALED`` times;
-the best and the median seconds are kept, with a SHA-256 of the case's
-results so that two labels can be checked to compute the same thing. The
-hash prints every rational as "a/b" or "a", so it does not depend on
-whether an integral rational is an ``int`` or a ``Fraction``. Writes
-``BENCH_<label>.json``. Runs from the root of the checkout it sits in,
-whatever the working directory.
+With one label, every case runs in this process ``REPEAT`` times, a
+scaled one ``REPEAT_SCALED`` times, and the best and the median seconds
+are kept. With ``--other-src``, the cases of this script time two trees,
+this checkout's ``src`` and the other one, labelled ``before``, in
+alternation: for each of ``--runs`` runs and each case, one fresh child
+process per tree times the case ``REPEAT_CHILD`` times, the tree that
+goes first alternating from case to case and run to run, so that a slow
+spell of a shared machine lands on both trees and not on one label. A
+case's ``best_s`` is then the median over the runs of each run's best,
+its ``median_s`` the median of all its times, and ``run_best_s`` lists
+each run's best in run order, so that the two files can be compared run
+by run. Each case keeps a SHA-256 of its results so that two labels
+can be checked to compute the same thing. The hash prints every rational
+as "a/b" or "a", so it does not depend on whether an integral rational is
+an ``int`` or a ``Fraction``. Writes ``BENCH_<label>.json`` (and
+``BENCH_before.json``). Runs from the root of the checkout it sits
+in, whatever the working directory; the corpus files are this checkout's
+for both trees.
 End-to-end timings of the command line live in ``perfbench/``.
 """
 
@@ -73,6 +90,7 @@ import platform
 import random
 import re
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -80,12 +98,13 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+# a child process of --other-src imports hopfdual from the tree it is given
+sys.path.insert(0, os.environ.get("BENCH_SRC", str(ROOT / "src")))
 
 from hopfdual import cli  # noqa: E402
 from hopfdual import io as hio  # noqa: E402
 from hopfdual.exact import (FieldSpec, Matrix, inverse, kron,  # noqa: E402
-                            rref, span_of)
+                            rank, rref, span_of)
 from hopfdual.bialgebra import FinBialgebra, verify_bialgebra  # noqa: E402
 from hopfdual.lie import (LieAlgebra, TensorAlgebraOracle,  # noqa: E402
                           TruncatedEnveloping, coproduct_on_U,
@@ -93,13 +112,15 @@ from hopfdual.lie import (LieAlgebra, TensorAlgebraOracle,  # noqa: E402
 from hopfdual.monoids import (FiniteAbelianGroup,  # noqa: E402
                               FiniteMonoid, function_bialgebra,
                               monoid_algebra, points)
-from hopfdual.polys import char_poly, factor_monic_fp, mul  # noqa: E402
+from hopfdual.polys import (char_poly, eval_at_matrix,  # noqa: E402
+                            factor_monic_fp, mul)
 from hopfdual.reps import Representation  # noqa: E402
 from hopfdual.tannaka import reconstruct_from_regular  # noqa: E402
 
 SEED = 16
 REPEAT = 11
 REPEAT_SCALED = 3
+REPEAT_CHILD = 3
 CORPUS = "src/hopfdual/corpus/"
 RG_D4 = CORPUS + "rg_d4.json"
 MONOID_Z8 = CORPUS + "monoid_z8.json"
@@ -212,8 +233,8 @@ def block_companion(field: FieldSpec, polys) -> Matrix:
 
 
 def polys_cases() -> dict:
-    """name -> (number of calls, thunk) for ``char_poly`` and
-    ``factor_monic_fp``."""
+    """name -> (number of calls, thunk) for ``char_poly``,
+    ``factor_monic_fp`` and ``eval_at_matrix``."""
     f31 = FieldSpec.prime(31)
     rng = random.Random(SEED)
     m = block_companion(f31, [tuple(rng.randrange(31) for _ in range(d))
@@ -229,9 +250,15 @@ def polys_cases() -> dict:
     poly = (2, 0, 0, 0, 1)  # x^4 + 2, irreducible over F_101
     for root in (1, 2, 3):
         poly = mul(f101, poly, (f101.from_int(-root), 1))
+    square = Matrix(f31, [[rng.randrange(31) for _ in range(15)]
+                          for _ in range(15)])
+    deg7 = (tuple(rng.randrange(31) for _ in range(7))
+            + (1 + rng.randrange(30),))
     return {
         "F31.char_poly": (1, lambda: char_poly(m)),
         "F101.factor_monic_fp": (1, lambda: factor_monic_fp(f101, poly)),
+        "F31.eval_at_matrix.deg7_15x15": (
+            1, lambda: eval_at_matrix(f31, deg7, square).entries),
     }
 
 
@@ -360,6 +387,28 @@ def scaled_cases(work: Path) -> dict:
     }
 
 
+def zrep_cases(work: Path) -> dict:
+    """name -> (number of calls, thunk) for the ``zrep`` command on seeded
+    dense random invertible matrices, saved under work: n = 40 and n = 80
+    over F_101 and n = 40 over F_2147483647."""
+    out = {}
+    for n, p in ((40, 101), (80, 101), (40, 2**31 - 1)):
+        field = FieldSpec.prime(p)
+        rng = random.Random(f"zrep:{n}:{p}:{SEED}")
+        while True:
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            if rank(Matrix(field, rows)) == n:
+                break
+        path = work / f"zrep_f{p}_n{n}.json"
+        path.write_text(json.dumps({
+            "field": {"kind": "PrimeField", "p": p},
+            "matrix": [[str(x) for x in row] for row in rows]}),
+            encoding="utf-8")
+        out[f"F{p}.cli_zrep.n{n}"] = (
+            1, lambda path=path: cli_json(["zrep", str(path)], work))
+    return out
+
+
 def printed(x) -> str:
     """x printed with every rational as "a/b" or "a"."""
     if isinstance(x, Fraction):
@@ -372,57 +421,105 @@ def printed(x) -> str:
     return repr(x)
 
 
-def run(work: Path) -> dict:
-    every = {}
-    for label, field in (("Q", FieldSpec.rationals()),
-                         ("F101", FieldSpec.prime(101))):
-        for name, case in cases(field).items():
-            every[f"{label}.{name}"] = case
-    every.update(product_cases())
-    every.update(polys_cases())
-    every.update(sweep_cases())
-    every.update(cli_cases())
-    every.update(bookkeeping_cases())
-    every.update(rep_cases(work))
-    every.update(subalgebra_cases())
-    every.update(pbw_cases())
-    every = {name: case + (REPEAT,) for name, case in every.items()}
-    every.update({name: case + (REPEAT_SCALED,)
-                  for name, case in scaled_cases(work).items()})
-    out = {}
-    for name, (calls, thunk, repeat) in every.items():
-        times = []
-        for _ in range(repeat):
-            start = time.perf_counter()
-            result = thunk()
-            times.append(time.perf_counter() - start)
-        out[name] = {
-            "calls": calls,
-            "best_s": round(min(times), 6),
+def groups(work: Path) -> list:
+    """(repeat, builder) per group of cases; a builder returns name ->
+    (number of calls, thunk) and builds the inputs its cases share."""
+    return [
+        (REPEAT, lambda: {f"Q.{name}": case for name, case in
+                          cases(FieldSpec.rationals()).items()}),
+        (REPEAT, lambda: {f"F101.{name}": case for name, case in
+                          cases(FieldSpec.prime(101)).items()}),
+        (REPEAT, product_cases),
+        (REPEAT, polys_cases),
+        (REPEAT, sweep_cases),
+        (REPEAT, cli_cases),
+        (REPEAT, bookkeeping_cases),
+        (REPEAT, lambda: rep_cases(work)),
+        (REPEAT, subalgebra_cases),
+        (REPEAT, pbw_cases),
+        (REPEAT_SCALED, lambda: scaled_cases(work)),
+        (REPEAT_SCALED, lambda: zrep_cases(work)),
+    ]
+
+
+def timed(thunk, repeat: int) -> tuple:
+    """(seconds of each of repeat calls, SHA-256 of the printed result)."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = thunk()
+        times.append(time.perf_counter() - start)
+    return times, hashlib.sha256(printed(result).encode()).hexdigest()
+
+
+def entry(calls: int, best: float, times: list, repeat: int,
+          digest: str) -> dict:
+    return {"calls": calls, "best_s": round(best, 6),
             "median_s": round(statistics.median(times), 6),
-            "repeat": repeat,
-            "result_sha256": hashlib.sha256(
-                printed(result).encode()).hexdigest(),
-        }
+            "repeat": repeat, "result_sha256": digest}
+
+
+def run(work: Path) -> dict:
+    """Every case, timed in this process."""
+    out = {}
+    for repeat, build in groups(work):
+        for name, (calls, thunk) in build().items():
+            times, digest = timed(thunk, repeat)
+            out[name] = entry(calls, min(times), times, repeat, digest)
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--out", default=str(ROOT))
-    args = ap.parse_args(argv)
-    out_dir = Path(args.out).resolve()
-    os.chdir(ROOT)
+def child(work: Path, group: int, name: str) -> dict:
+    """One case of one group, timed REPEAT_CHILD times in this process; the
+    group's other cases are built but not run."""
+    calls, thunk = groups(work)[group][1]()[name]
+    times, digest = timed(thunk, REPEAT_CHILD)
+    return {"calls": calls, "times": times, "result_sha256": digest}
+
+
+def alternate(trees: list, runs: int) -> dict:
+    """label -> cases, for the (label, src) pairs of trees timed case by
+    case in fresh child processes, alternating which tree goes first."""
     with tempfile.TemporaryDirectory() as work:
-        results = run(Path(work))
+        listing = [(g, name) for g, (_, build) in
+                   enumerate(groups(Path(work))) for name in build()]
+    got = {label: {name: [] for _, name in listing} for label, _ in trees}
+    for r in range(runs):
+        for i, (g, name) in enumerate(listing):
+            order = trees if (r + i) % 2 == 0 else trees[::-1]
+            for label, src in order:
+                done = subprocess.run(
+                    [sys.executable, __file__, "--child", "--group", str(g),
+                     "--case", name], env=dict(os.environ, BENCH_SRC=src),
+                    capture_output=True, text=True, check=True)
+                got[label][name].append(
+                    json.loads(done.stdout.splitlines()[-1]))
+            print(f"run {r + 1}/{runs} {name}", file=sys.stderr)
+    out = {}
+    for label, per_case in got.items():
+        out[label] = {}
+        for name, results in per_case.items():
+            digests = {res["result_sha256"] for res in results}
+            if len(digests) != 1:
+                raise RuntimeError(f"{label} {name}: results differ between "
+                                   "runs")
+            bests = [min(res["times"]) for res in results]
+            out[label][name] = dict(entry(
+                results[0]["calls"], statistics.median(bests),
+                [t for res in results for t in res["times"]], REPEAT_CHILD,
+                digests.pop()), runs=runs,
+                run_best_s=[round(t, 6) for t in bests])
+    return out
+
+
+def write(out_dir: Path, label: str, results: dict) -> None:
     doc = {
-        "label": args.label,
+        "label": label,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cases": results,
     }
-    path = out_dir / f"BENCH_{args.label}.json"
+    path = out_dir / f"BENCH_{label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
     for name, case in doc["cases"].items():
@@ -430,6 +527,39 @@ def main(argv=None) -> int:
               f"{case['best_s'] * 1000:9.2f} ms  median "
               f"{case['median_s'] * 1000:9.2f} ms")
     print(f"wrote {path}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label")
+    ap.add_argument("--out", default=str(ROOT))
+    ap.add_argument("--other-src", default=None,
+                    help="src directory of a second tree to time in "
+                         "alternation with this one")
+    ap.add_argument("--runs", type=int, default=5,
+                    help="alternated runs with --other-src")
+    # one case in a child process
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--group", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--case", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    out_dir = Path(args.out).resolve()
+    os.chdir(ROOT)
+    if args.child:
+        with tempfile.TemporaryDirectory() as work:
+            print(json.dumps(child(Path(work), args.group, args.case)))
+        return 0
+    if args.label is None or (args.other_src and args.label == "before"):
+        ap.error("--label is required, and with --other-src it names this "
+                 "tree, not the other one (before)")
+    if args.other_src is None:
+        with tempfile.TemporaryDirectory() as work:
+            write(out_dir, args.label, run(Path(work)))
+        return 0
+    trees = [(args.label, str(ROOT / "src")),
+             ("before", str(Path(args.other_src).resolve()))]
+    for label, results in alternate(trees, args.runs).items():
+        write(out_dir, label, results)
     return 0
 
 

@@ -1,22 +1,42 @@
-"""Dense univariate polynomials over a FieldSpec, as low-to-high coefficient
-tuples. Enough machinery for characteristic polynomials (Hessenberg
-reduction), factorization over prime fields (square-free, distinct-degree and
-Cantor-Zassenhaus equal-degree splitting) and rational root extraction over
-Q."""
+"""Dense univariate polynomials over a FieldSpec, as low-to-high tuples of
+canonical scalars; the zero polynomial is ().
+
+Each routine has one code path for Q and F_p. It computes with plain
+``+``, ``-`` and ``*`` on scalars and calls ``field.canonical`` once per
+coefficient it returns and once per leading coefficient it divides by:
+delayed reduction, as :func:`hopfdual.exact.lincomb` does. Products and
+remainders are the schoolbook ones, on coefficient lists (von zur Gathen
+and Gerhard, *Modern Computer Algebra*, ch. 2). :func:`add`,
+:func:`scale` and :func:`divmod_poly` also take raw coefficients, such as
+an unreduced product, and return canonical ones.
+
+:func:`char_poly` runs a Hessenberg reduction and the minors recurrence on
+row lists. :func:`eval_at_matrix` evaluates at a matrix by
+Paterson-Stockmeyer, in about 2 sqrt(d) products for degree d. The
+factoring routines work over F_p only: square-free, distinct-degree and
+Cantor-Zassenhaus equal-degree splitting (von zur Gathen and Gerhard,
+ch. 14), each division through the module-level :func:`divmod_poly`.
+:func:`rational_roots` finds the rational roots of a polynomial over Q."""
 
 from __future__ import annotations
 
 import math
 import random
 
-from .exact import FieldSpec, Matrix
+from .exact import FieldSpec, Matrix, lincomb
 
 
 def normalize(field: FieldSpec, coeffs) -> tuple:
+    """coeffs without its trailing zeros, as a tuple."""
     coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == field.zero:
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _reduced(field: FieldSpec, raw) -> tuple:
+    """The polynomial of raw coefficients, each made canonical once."""
+    return normalize(field, map(field.canonical, raw))
 
 
 def degree(poly) -> int:
@@ -24,80 +44,118 @@ def degree(poly) -> int:
 
 
 def add(field: FieldSpec, a, b) -> tuple:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero
-        y = b[i] if i < len(b) else field.zero
-        out.append(field.add(x, y))
-    return normalize(field, out)
+    if len(a) < len(b):
+        a, b = b, a
+    return _reduced(field, [x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def _product(a, b) -> list:
+    """The raw coefficients of a * b: the longer factor, times each nonzero
+    coefficient of the shorter one, added in at its offset."""
+    if len(a) < len(b):
+        a, b = b, a
+    la = len(a)
+    out = [0] * (la + len(b) - 1) if b else []
+    for i, x in enumerate(b):
+        if x:
+            out[i:i + la] = [s + x * y for s, y in zip(out[i:i + la], a)]
+    return out
 
 
 def mul(field: FieldSpec, a, b) -> tuple:
-    if not a or not b:
-        return ()
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == field.zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return normalize(field, out)
+    return _reduced(field, _product(a, b))
 
 
 def scale(field: FieldSpec, c, a) -> tuple:
-    return normalize(field, [field.mul(c, x) for x in a])
+    return _reduced(field, [c * x for x in a])
 
 
 def divmod_poly(field: FieldSpec, a, b):
-    """Quotient and remainder; b must be nonzero."""
+    """Quotient and remainder of a by b; b must be nonzero. From the top
+    down, each quotient coefficient is the leading coefficient of what is
+    left, made canonical once times the inverse of b's, and b times it
+    is taken off the coefficients below unreduced."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = field.inv(b[-1])
-    while len(a) >= len(b) and any(x != field.zero for x in a):
-        if a[-1] == field.zero:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = field.mul(a[-1], inv_lead)
-        q[shift] = c
-        for i, x in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(c, x))
-        a.pop()
-    return normalize(field, q), normalize(field, a)
+    canon = field.canonical
+    m, top = len(b) - 1, len(a) - len(b)
+    if top < 0:
+        return (), _reduced(field, a)
+    inv = field.inv(b[-1])
+    low = b[:-1]
+    r = list(a)
+    q = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        c = q[k] = canon(r[k + m] * inv)
+        if c:
+            r[k:k + m] = [x - c * y for x, y in zip(r[k:k + m], low)]
+    return normalize(field, q), _reduced(field, r[:m])
+
+
+def _block_length(d: int) -> int:
+    """The block length k that makes :func:`eval_at_matrix` at degree d
+    use the fewest products: min(k, d) - 1 for the powers of m and
+    ceil(d / k) - 1 for Horner's rule. The first such k is taken."""
+    return min(range(1, d + 2), key=lambda k: min(k, d) + -(-d // k))
 
 
 def eval_at_matrix(field: FieldSpec, poly, m: Matrix) -> Matrix:
-    """poly(m) by Horner's rule, each step adding c on the diagonal."""
-    acc = Matrix.zero(field, m.rows, m.rows)
-    for c in reversed(poly):
-        acc = (acc * m).shift(c)
+    """poly(m) for a square m, by Paterson and Stockmeyer ("On the number
+    of nonscalar multiplications necessary to evaluate polynomials", SIAM
+    J. Comput. 1973), in about 2 sqrt(d) products for degree d.
+
+    Cut poly into blocks at 0, k, 2k, ... below d, so that poly = sum_j
+    B_j(x) (x^k)^j with the top block of 2 to k + 1 coefficients, and run
+    Horner's rule over the blocks in m^k. A step is one linear combination
+    of m, ..., m^k and the Horner product, then a shift of the diagonal by
+    the block's constant term. So degree <= 1 costs no product, and no
+    product is by the zero or the identity matrix."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("not square")
+    if not poly:
+        return Matrix.zero(field, n, n)
+    d = degree(poly)
+    k = _block_length(d)
+    powers = [m]  # m^1, m^2, ...
+    while len(powers) < min(k, d):
+        powers.append(powers[-1] * m)
+    starts = range(0, max(d, 1), k)
+    acc = None
+    for start in reversed(starts):
+        block = poly[start:start + k + (start == starts[-1])]
+        terms = list(zip(block[1:], powers))
+        if acc is not None:
+            terms.append((1, acc * powers[k - 1]))
+        acc = lincomb(field, n, n, terms).shift(block[0])
     return acc
 
 
 def char_poly(m: Matrix) -> tuple:
-    """Characteristic polynomial det(xI - m), monic, in O(n^3) field
+    """Characteristic polynomial det(xI - m), monic, in O(n^3) scalar
     operations over any FieldSpec.
 
     A copy of the entries is brought to upper Hessenberg form H by similarity
-    (Cohen, Alg. 2.2.9): in each column the first nonzero entry below the
-    diagonal is swapped onto the subdiagonal and clears the entries below
-    it. The characteristic polynomials p_k of the leading k x k blocks of H
-    then satisfy
+    (Cohen, Alg. 2.2.9): in each column c the first nonzero entry below the
+    diagonal is swapped onto the subdiagonal, row r = c + 1, and row i > r
+    less u_i times row r clears entry (i, c); then column r gains the sum of
+    u_i times column i. The characteristic polynomials p_k of the leading
+    k x k blocks of H then satisfy
 
         p_k = (x - h_kk) p_(k-1)
               - sum_(i<k) h_ik h_(k,k-1) h_(k-1,k-2) ... h_(i+1,i) p_(i-1).
-    """
+
+    Each entry a step changes is made canonical once, and each p_k once per
+    coefficient."""
     f = m.field
+    canon = f.canonical
     n = m.rows
     if m.cols != n:
         raise ValueError("characteristic polynomial needs a square matrix")
     h = [list(row) for row in m.entries]
     for c in range(n - 2):
         r = c + 1
-        piv = next((i for i in range(r, n) if h[i][c] != f.zero), None)
+        piv = next((i for i in range(r, n) if h[i][c]), None)
         if piv is None:
             continue
         if piv != r:
@@ -105,24 +163,33 @@ def char_poly(m: Matrix) -> tuple:
             for row in h:
                 row[piv], row[r] = row[r], row[piv]
         inv = f.inv(h[r][c])
+        # row r is zero left of column c, so the row steps start there
+        hr = h[r][c:]
+        steps = []
         for i in range(r + 1, n):
-            if h[i][c] == f.zero:
-                continue
-            # row_i -= u row_r, then column_r += u column_i
-            u = f.mul(h[i][c], inv)
-            h[i] = [f.sub(x, f.mul(u, y)) for x, y in zip(h[i], h[r])]
+            if h[i][c]:
+                u = canon(h[i][c] * inv)
+                h[i][c:] = map(canon, [x - u * y
+                                       for x, y in zip(h[i][c:], hr)])
+                steps.append((i, u))
+        if steps:
             for row in h:
-                row[r] = f.add(row[r], f.mul(u, row[i]))
-    minors = [(f.one,)]
+                row[r] = canon(row[r] + sum([u * row[i] for i, u in steps]))
+    minors = [(1,)]
     for k in range(n):
-        pk = mul(f, (f.neg(h[k][k]), f.one), minors[k])
-        t = f.one
+        prev = minors[k]
+        hkk = h[k][k]
+        acc = [0, *prev]
+        acc[:k + 1] = [x - hkk * y for x, y in zip(acc, prev)]
+        t = 1
         for i in range(k - 1, -1, -1):
-            t = f.mul(t, h[i + 1][i])
-            if t == f.zero:
+            t = canon(t * h[i + 1][i])
+            if not t:
                 break
-            pk = add(f, pk, scale(f, f.neg(f.mul(h[i][k], t)), minors[i]))
-        minors.append(pk)
+            s = h[i][k] * t
+            if s:
+                acc[:i + 1] = [x - s * y for x, y in zip(acc, minors[i])]
+        minors.append(tuple(map(canon, acc)))
     return minors[n]
 
 
@@ -134,15 +201,16 @@ def gcd_poly(field: FieldSpec, a, b) -> tuple:
 
 
 def powmod(field: FieldSpec, a, e: int, mod) -> tuple:
-    """a^e modulo mod (of positive degree), by repeated squaring."""
-    out = (field.one,)
+    """a^e modulo mod (of positive degree), by repeated squaring; each
+    product is reduced only by the division."""
+    out = (1,)
     a = divmod_poly(field, a, mod)[1]
     while e:
         if e & 1:
-            out = divmod_poly(field, mul(field, out, a), mod)[1]
+            out = divmod_poly(field, _product(out, a), mod)[1]
         e >>= 1
         if e:
-            a = divmod_poly(field, mul(field, a, a), mod)[1]
+            a = divmod_poly(field, _product(a, a), mod)[1]
     return out
 
 
@@ -156,7 +224,7 @@ def factor_monic_fp(field: FieldSpec, poly) -> dict:
     """
     if field.p is None:
         raise ValueError("factorization implemented over prime fields only")
-    if not poly or poly[-1] != field.one:
+    if not poly or poly[-1] != 1:
         raise ValueError("monic polynomial required")
     rng = random.Random(0)
     factors: dict = {}
@@ -171,8 +239,7 @@ def _squarefree(field: FieldSpec, poly) -> list:
     """Pairs (g, e) with poly the product of the g^e: each g monic,
     square-free and nonconstant, no two with a common factor."""
     p = field.p
-    deriv = normalize(field, [field.mul(field.from_int(i), c)
-                              for i, c in enumerate(poly)][1:])
+    deriv = _reduced(field, [i * c for i, c in enumerate(poly)][1:])
     c = gcd_poly(field, poly, deriv)
     w = divmod_poly(field, poly, c)[0]
     out = []
@@ -196,13 +263,12 @@ def _distinct_degree(field: FieldSpec, poly) -> list:
     """Pairs (d, g) with g the product of the irreducible factors of degree
     d of a square-free monic poly."""
     out = []
-    h = (field.zero, field.one)
+    h = (0, 1)
     d = 0
     while 2 * (d + 1) <= degree(poly):
         d += 1
         h = powmod(field, h, field.p, poly)  # x^(p^d) mod poly
-        g = gcd_poly(field, poly, add(field, h, (field.zero,
-                                                 field.neg(field.one))))
+        g = gcd_poly(field, poly, add(field, h, (0, -1)))
         if degree(g) > 0:
             out.append((d, g))
             poly = divmod_poly(field, poly, g)[0]
@@ -226,11 +292,10 @@ def _equal_degree(field: FieldSpec, poly, d: int, rng) -> list:
             b, t = (), a
             for _ in range(d):
                 b = add(field, b, t)
-                t = divmod_poly(field, mul(field, t, t), poly)[1]
+                t = divmod_poly(field, _product(t, t), poly)[1]
         else:
             # a^((p^d - 1)/2) is 0 or +-1 mod each factor
-            b = add(field, powmod(field, a, (p ** d - 1) // 2, poly),
-                    (field.neg(field.one),))
+            b = add(field, powmod(field, a, (p ** d - 1) // 2, poly), (-1,))
         g = gcd_poly(field, poly, b)
         if 0 < degree(g) < n:
             return (_equal_degree(field, g, d, rng)

@@ -695,10 +695,15 @@ class ZRepDecomposition:
     basis: Matrix              # columns: iterated images of the generators
     companion: Matrix          # block diagonal companion form
     summary: list              # (q, exponent, multiplicity), aggregated
+    similar: bool = False      # verify(m), run once by decompose_rep_of_Z
 
     def verify(self, m: Matrix) -> bool:
-        return inverse(self.basis) is not None and first_bad_product(
-            [(m, self.basis, self.basis * self.companion)]) is None
+        """basis^-1 m basis == companion: the basis is n x n of rank n, and
+        m basis == basis companion."""
+        n = m.rows
+        return (self.basis.cols == n and rank(self.basis) == n
+                and first_bad_product([(m, self.basis, self.basis
+                                        * self.companion)]) is None)
 
 
 def _companion(field, poly) -> Matrix:
@@ -765,16 +770,18 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
     matrix: factor the characteristic polynomial (Hessenberg reduction, then
     square-free, distinct-degree and Cantor-Zassenhaus splitting), split into
     primary components, then into cyclic blocks with explicit companion form
-    and base change."""
+    and base change. m is singular iff the characteristic polynomial has
+    constant term det(-m) = 0. The similarity of the companion form to m is
+    checked once, here, and its result kept as ``similar``."""
     f = m.field
     if f.p is None:
         raise ValueError("decomposition implemented over prime fields")
     n = m.rows
     if m.cols != n:
         raise ValueError("square matrix required")
-    if rank(m) != n:
-        raise ValueError("singular matrix: not a representation of Z")
     cp = polys.char_poly(m)
+    if not cp[0]:
+        raise ValueError("singular matrix: not a representation of Z")
     factors = polys.factor_monic_fp(f, cp)
     blocks = []
     for q in sorted(factors):
@@ -819,7 +826,8 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
         summary[key] = summary.get(key, 0) + 1
     summary_list = [(q, e, mult) for (q, e), mult in sorted(summary.items())]
     out = ZRepDecomposition(f, blocks, basis, companion, summary_list)
-    if not out.verify(m):
+    out.similar = out.verify(m)
+    if not out.similar:
         raise RuntimeError("reassembled companion form is not similar to "
                            "the input")
     return out

@@ -5,11 +5,14 @@ linear combination and elimination) and the echelon ``Span``, one
 The integer-row kernel in ``hopfdual.exact`` must agree with these exactly;
 ``test_exact`` compares the two.
 
-Below them, the small-n polynomial routines: the characteristic polynomial
-by minor expansion over column subsets (2^n), factoring over F_p by trial
-division over every monic candidate (p^d), and F_p eigenvalues by
-evaluation at every field element (p). ``test_polys`` and ``test_reps``
-compare ``hopfdual.polys`` and ``hopfdual.reps`` with them.
+Below them, the polynomial routines with one ``FieldSpec`` call per scalar
+operation: sum, product, scaling, division with remainder, gcd, modular
+power and the Hessenberg characteristic polynomial, which ``hopfdual.polys``
+computes with delayed reduction. Then the small-n ones: the characteristic
+polynomial by minor expansion over column subsets (2^n), factoring over
+F_p by trial division over every monic candidate (p^d), and F_p
+eigenvalues by evaluation at every field element (p). ``test_polys`` and
+``test_reps`` compare ``hopfdual.polys`` and ``hopfdual.reps`` with them.
 
 Last, the G-laws on every element: invariants, the integral system,
 equivariance, subspace invariance and the module law, each over all of G
@@ -51,7 +54,6 @@ from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix, Span,
 from hopfdual.bialgebra import sparse_sum
 from hopfdual.lie import TensorAlgebraOracle, TruncationOverflow
 from hopfdual.monoids import monoid_algebra
-from hopfdual.polys import add, degree, divmod_poly, mul, normalize, scale
 from hopfdual.report import Report
 
 
@@ -255,6 +257,125 @@ class Span:
         return [tuple(r) for r in self.rows]
 
 
+# -- polynomials, one FieldSpec call per scalar operation ----------------------
+
+def normalize(field, coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == field.zero:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def degree(poly) -> int:
+    return len(poly) - 1
+
+
+def poly_add(field, a, b) -> tuple:
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else field.zero
+        y = b[i] if i < len(b) else field.zero
+        out.append(field.add(x, y))
+    return normalize(field, out)
+
+
+def poly_mul(field, a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == field.zero:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return normalize(field, out)
+
+
+def poly_scale(field, c, a) -> tuple:
+    return normalize(field, [field.mul(c, x) for x in a])
+
+
+def poly_divmod(field, a, b):
+    """Quotient and remainder; b must be nonzero."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [field.zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = field.inv(b[-1])
+    while len(a) >= len(b) and any(x != field.zero for x in a):
+        if a[-1] == field.zero:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        c = field.mul(a[-1], inv_lead)
+        q[shift] = c
+        for i, x in enumerate(b):
+            a[shift + i] = field.sub(a[shift + i], field.mul(c, x))
+        a.pop()
+    return normalize(field, q), normalize(field, a)
+
+
+def poly_gcd(field, a, b) -> tuple:
+    """Monic greatest common divisor; () when both are zero."""
+    while b:
+        a, b = b, poly_divmod(field, a, b)[1]
+    return poly_scale(field, field.inv(a[-1]), a) if a else ()
+
+
+def poly_powmod(field, a, e: int, mod) -> tuple:
+    """a^e modulo mod (of positive degree), by repeated squaring."""
+    out = (field.one,)
+    a = poly_divmod(field, a, mod)[1]
+    while e:
+        if e & 1:
+            out = poly_divmod(field, poly_mul(field, out, a), mod)[1]
+        e >>= 1
+        if e:
+            a = poly_divmod(field, poly_mul(field, a, a), mod)[1]
+    return out
+
+
+def char_poly_hessenberg(m: Matrix) -> tuple:
+    """det(xI - m) by the Hessenberg reduction and the minors recurrence
+    of Cohen, Alg. 2.2.9, one FieldSpec call per scalar operation: each
+    row step is followed by its column step."""
+    f = m.field
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("characteristic polynomial needs a square matrix")
+    h = [list(row) for row in m.entries]
+    for c in range(n - 2):
+        r = c + 1
+        piv = next((i for i in range(r, n) if h[i][c] != f.zero), None)
+        if piv is None:
+            continue
+        if piv != r:
+            h[piv], h[r] = h[r], h[piv]
+            for row in h:
+                row[piv], row[r] = row[r], row[piv]
+        inv = f.inv(h[r][c])
+        for i in range(r + 1, n):
+            if h[i][c] == f.zero:
+                continue
+            u = f.mul(h[i][c], inv)
+            h[i] = [f.sub(x, f.mul(u, y)) for x, y in zip(h[i], h[r])]
+            for row in h:
+                row[r] = f.add(row[r], f.mul(u, row[i]))
+    minors = [(f.one,)]
+    for k in range(n):
+        pk = poly_mul(f, (f.neg(h[k][k]), f.one), minors[k])
+        t = f.one
+        for i in range(k - 1, -1, -1):
+            t = f.mul(t, h[i + 1][i])
+            if t == f.zero:
+                break
+            pk = poly_add(f, pk, poly_scale(f, f.neg(f.mul(h[i][k], t)),
+                                            minors[i]))
+        minors.append(pk)
+    return minors[n]
+
+
 def char_poly(m: Matrix) -> tuple:
     """Characteristic polynomial det(xI - m), monic, by minor expansion with
     memoization over column subsets. Exact over any FieldSpec; intended for
@@ -284,10 +405,10 @@ def char_poly(m: Matrix) -> tuple:
             e = entry(r, j)
             if e:
                 sub = det(r + 1, cols[:idx] + cols[idx + 1:])
-                term = mul(f, e, sub)
+                term = poly_mul(f, e, sub)
                 if idx % 2 == 1:
-                    term = scale(f, f.neg(f.one), term)
-                acc = add(f, acc, term)
+                    term = poly_scale(f, f.neg(f.one), term)
+                acc = poly_add(f, acc, term)
         memo[key] = acc
         return acc
 
@@ -317,11 +438,11 @@ def factor_monic_fp(field: FieldSpec, poly) -> dict:
         for tail in itertools.product(range(p), repeat=d):
             q = normalize(field, tuple(field.from_int(c) for c in tail)
                           + (field.one,))
-            quo, r = divmod_poly(field, rem, q)
+            quo, r = poly_divmod(field, rem, q)
             while not r:
                 factors[q] = factors.get(q, 0) + 1
                 rem = quo
-                quo, r = divmod_poly(field, rem, q)
+                quo, r = poly_divmod(field, rem, q)
             if degree(rem) < 2 * d:
                 break
         d += 1

@@ -1,8 +1,12 @@
-"""The Hessenberg characteristic polynomial and the Cantor-Zassenhaus
-factoring in ``hopfdual.polys`` against the slow routines they replaced
-(``reference_kernel``): minor expansion over column subsets and trial
-division over every monic candidate."""
+"""``hopfdual.polys`` against the slow routines of ``reference_kernel``:
+the delayed-reduction sums, products, remainders, gcds, modular powers and
+Hessenberg characteristic polynomial against their one-call-per-scalar
+versions, the characteristic polynomial against minor expansion over
+column subsets, Paterson-Stockmeyer evaluation at a matrix against
+Horner's rule, and the Cantor-Zassenhaus factoring against trial division
+over every monic candidate."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,14 +15,21 @@ from hypothesis import strategies as st
 
 import reference_kernel as ref
 from conftest import is_canonical
+from hopfdual import polys
 from hopfdual.exact import FieldSpec, Matrix
-from hopfdual.polys import (char_poly, degree, eval_at_matrix,
-                            factor_monic_fp, mul)
+from hopfdual.polys import (add, char_poly, degree, divmod_poly,
+                            eval_at_matrix, factor_monic_fp, gcd_poly, mul,
+                            powmod, scale)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
+F31 = FieldSpec.prime(31)
+F101 = FieldSpec.prime(101)
 BIG = FieldSpec.prime(2**31 - 1)
+
+FIELDS = [Q, F2, F31, F101, BIG]
+FIELD_IDS = ["Q", "F2", "F31", "F101", "F2147483647"]
 
 # Largest degree at which trial division over F_p stays cheap: it tries the
 # p^d monic candidates of every degree d up to half the degree.
@@ -41,6 +52,37 @@ def square_matrices(draw, field, max_n=7):
              if draw(st.floats(0, 1)) < density else field.zero
              for _ in range(n)] for _ in range(n)]
     return Matrix(field, rows, cols=n)
+
+
+def coefficients(field):
+    """Canonical scalars. Over F_p 0, 1 and p - 1 come often; over Q small
+    fractions, and numerators within 2^8 of +-2^63 over denominators up
+    to 2^40."""
+    if field.p is not None:
+        return st.one_of(st.sampled_from([0, 1, field.p - 1]),
+                         st.integers(0, field.p - 1))
+    near = st.integers(2**63 - 2**8, 2**63 + 2**8)
+    numerators = st.one_of(st.integers(-9, 9), near, near.map(lambda n: -n))
+    denominators = st.one_of(st.integers(1, 9), st.integers(1, 2**40))
+    return st.builds(lambda n, d: Q.canonical(Fraction(n, d)), numerators,
+                     denominators)
+
+
+@st.composite
+def polynomials(draw, field, max_degree=6, min_degree=-1):
+    """Normalized polynomials of canonical coefficients, of degree
+    min_degree to max_degree: the zero polynomial (degree -1), constants,
+    and any nonzero leading coefficient, non-monic included."""
+    d = draw(st.integers(min_degree, max_degree))
+    if d < 0:
+        return ()
+    tail = draw(st.lists(coefficients(field), min_size=d, max_size=d))
+    return tuple(tail) + (draw(coefficients(field).filter(bool)),)
+
+
+def all_canonical(field, poly):
+    return (type(poly) is tuple and all(is_canonical(field, c) for c in poly)
+            and (not poly or poly[-1] != 0))
 
 
 def monic(field, tail):
@@ -120,6 +162,127 @@ class TestCharPoly:
         assert char_poly(Matrix(Q, [], cols=0)) == (Q.one,)
         with pytest.raises(ValueError):
             char_poly(Matrix.zero(Q, 2, 3))
+
+
+class TestArithmetic:
+    """Each delayed-reduction routine against its one-call-per-scalar
+    oracle, with canonical results."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_add_mul_scale(self, field, data):
+        a = data.draw(polynomials(field))
+        b = data.draw(polynomials(field))
+        c = data.draw(coefficients(field))
+        for got, want in ((add(field, a, b), ref.poly_add(field, a, b)),
+                          (mul(field, a, b), ref.poly_mul(field, a, b)),
+                          (scale(field, c, a), ref.poly_scale(field, c, a))):
+            assert got == want
+            assert all_canonical(field, got)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_divmod(self, field, data):
+        a = data.draw(polynomials(field, max_degree=8))
+        b = data.draw(polynomials(field, max_degree=4, min_degree=0))
+        q, r = divmod_poly(field, a, b)
+        assert (q, r) == ref.poly_divmod(field, a, b)
+        assert all_canonical(field, q) and all_canonical(field, r)
+        assert degree(r) < degree(b)
+        assert ref.poly_add(field, ref.poly_mul(field, q, b), r) == a
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_divmod_of_a_raw_product(self, field, data):
+        # powmod divides unreduced products: the division reduces them
+        a = data.draw(polynomials(field, max_degree=4))
+        b = data.draw(polynomials(field, max_degree=4))
+        m = data.draw(polynomials(field, max_degree=3, min_degree=0))
+        got = divmod_poly(field, polys._product(a, b), m)
+        assert got == ref.poly_divmod(field, ref.poly_mul(field, a, b), m)
+        assert all(all_canonical(field, x) for x in got)
+
+    def test_divide_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod_poly(F5, (1, 2), ())
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_gcd(self, field, data):
+        a = data.draw(polynomials(field, max_degree=5))
+        b = data.draw(polynomials(field, max_degree=5))
+        g = data.draw(polynomials(field, max_degree=2))
+        a, b = mul(field, a, g), mul(field, b, g)
+        got = gcd_poly(field, a, b)
+        assert got == ref.poly_gcd(field, a, b)
+        assert all_canonical(field, got)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_powmod(self, field, data):
+        a = data.draw(polynomials(field, max_degree=5))
+        mod = data.draw(polynomials(field, max_degree=4, min_degree=1))
+        e = data.draw(st.integers(0, 12 if field.p is None else 200))
+        got = powmod(field, a, e, mod)
+        assert got == ref.poly_powmod(field, a, e, mod)
+        assert all_canonical(field, got)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_char_poly_matches_the_hessenberg_oracle(self, field, data):
+        n = data.draw(st.integers(0, 6))
+        m = Matrix(field, [[data.draw(coefficients(field)) for _ in range(n)]
+                           for _ in range(n)], cols=n)
+        got = char_poly(m)
+        assert got == ref.char_poly_hessenberg(m)
+        assert all_canonical(field, got) and got[-1] == 1
+
+
+class TestEvalAtMatrix:
+    """Paterson-Stockmeyer evaluation at every degree 0-12, so at every way
+    of cutting a polynomial into blocks that these degrees take."""
+
+    @pytest.mark.parametrize("d", range(13))
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_matches_horner(self, field, d, data):
+        m = data.draw(square_matrices(field, max_n=3))
+        poly = data.draw(polynomials(field, max_degree=d, min_degree=d))
+        got = eval_at_matrix(field, poly, m)
+        assert got == ref.eval_at_matrix(field, poly, m)
+
+    @pytest.mark.parametrize("d", range(13))
+    def test_product_count(self, d, monkeypatch):
+        # min over k of min(k, d) - 1 + ceil(d / k) - 1 products, at most
+        # 2 sqrt(d); none for degree <= 1
+        count = [0]
+        product = Matrix.__mul__
+
+        def counted(a, b):
+            count[0] += 1
+            return product(a, b)
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        m = Matrix.from_int_rows(F31, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        poly = tuple(range(1, d + 2))
+        got = eval_at_matrix(F31, poly, m)
+        monkeypatch.undo()
+        assert got == ref.eval_at_matrix(F31, poly, m)
+        best = min(min(k, d) + -(-d // k) - 2 for k in range(1, d + 1)) \
+            if d > 1 else 0
+        assert count[0] == best <= 2 * math.sqrt(d)
+
+    def test_zero_polynomial_and_empty_matrix(self):
+        m = Matrix.from_int_rows(F5, [[1, 2], [3, 4]])
+        assert eval_at_matrix(F5, (), m) == Matrix.zero(F5, 2, 2)
+        empty = Matrix(Q, [], cols=0)
+        assert eval_at_matrix(Q, (1, 2, 3), empty) == empty
 
 
 class TestFactor:

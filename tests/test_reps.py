@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 import reference_kernel as ref
 from conftest import (random_invariant_subspace, random_invertible, rng_for,
                       s3_catalogue, seeded_module)
-from hopfdual.exact import FieldSpec, Matrix, inverse, span_of, vbasis
+from hopfdual import cli, reps
+from hopfdual.exact import FieldSpec, Matrix, inverse, rank, span_of, vbasis
 from hopfdual.monoids import (BudgetExceeded, Character, FiniteMonoid,
                              monoid_algebra)
 from hopfdual.reps import (AlgebraModule, CharDividesOrder, NotAGroup,
@@ -27,6 +29,7 @@ F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 F7 = FieldSpec.prime(7)
+F101 = FieldSpec.prime(101)
 
 Z2 = FiniteMonoid.cyclic(2)
 Z3 = FiniteMonoid.cyclic(3)
@@ -522,7 +525,7 @@ class TestZRepDecomposition:
         # companion matrix of (x-1)^2 (x-2) over F_5
         m = Matrix.from_int_rows(F5, [[0, 0, 2], [1, 0, 0], [0, 1, 4]])
         d = decompose_rep_of_Z(m)
-        assert d.verify(m)
+        assert d.similar and d.verify(m)
         got = {(q, e) for q, e, _ in d.summary}
         assert got == {((3, 1), 1), ((4, 1), 2)}  # x-2 and (x-1)^2
 
@@ -534,6 +537,66 @@ class TestZRepDecomposition:
     def test_singular_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             decompose_rep_of_Z(Matrix.zero(F5, 2, 2))
+
+    @pytest.mark.parametrize("field, rows", [
+        # row 2 is twice row 1
+        (F5, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]),
+        # row 4 is row 1 plus row 2
+        (F101, [[3, 0, 7, 1], [5, 2, 0, 9], [1, 1, 1, 4], [8, 2, 7, 10]]),
+        # det = 1 - 6 = -5: invertible over Q, singular over F_5
+        (F5, [[1, 2], [3, 1]]),
+    ], ids=["rank2_of_3_F5", "rank3_of_4_F101", "det_minus5_F5"])
+    def test_singular_of_rank_below_n_rejected(self, field, rows):
+        m = Matrix.from_int_rows(field, rows)
+        assert rank(m) == m.rows - 1
+        with pytest.raises(ValueError,
+                           match="^singular matrix: not a representation "
+                                 "of Z$"):
+            decompose_rep_of_Z(m)
+
+    def test_singular_mod_p_through_the_cli(self, tmp_path, capsys):
+        assert rank(Matrix.from_int_rows(Q, [[1, 2], [3, 1]])) == 2
+        path = tmp_path / "det_minus5.json"
+        path.write_text(json.dumps({"field": {"kind": "PrimeField", "p": 5},
+                                    "matrix": [["1", "2"], ["3", "1"]]}),
+                        encoding="utf-8")
+        assert cli.main(["zrep", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: singular matrix: not a representation of Z\n"
+
+    def test_one_similarity_check_per_cli_job(self, tmp_path, capsys,
+                                              monkeypatch):
+        calls = []
+        check = reps.ZRepDecomposition.verify
+
+        def counted(self, m):
+            calls.append(m)
+            return check(self, m)
+        monkeypatch.setattr(reps.ZRepDecomposition, "verify", counted)
+        path = tmp_path / "companion.json"
+        # companion matrix of (x - 1)^2 (x - 2) over F_5
+        path.write_text(json.dumps({
+            "field": {"kind": "PrimeField", "p": 5},
+            "matrix": [["0", "0", "2"], ["1", "0", "0"], ["0", "1", "4"]]}),
+            encoding="utf-8")
+        assert cli.main(["--format", "json", "zrep", str(path)]) == 0
+        assert len(calls) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[0] == {"name": "reassembled matrix is similar to the "
+                                     "input", "status": "pass"}
+
+    def test_corrupted_companion_still_raises(self, monkeypatch):
+        companion = reps._companion
+
+        def corrupted(field, poly):
+            c = companion(field, poly)
+            rows = [list(row) for row in c.entries]
+            rows[0][-1] = field.canonical(rows[0][-1] + 1)
+            return Matrix(field, rows)
+        monkeypatch.setattr(reps, "_companion", corrupted)
+        m = Matrix.from_int_rows(F5, [[0, 0, 2], [1, 0, 0], [0, 1, 4]])
+        with pytest.raises(RuntimeError, match="not similar"):
+            decompose_rep_of_Z(m)
 
     def test_rationals_rejected(self):
         with pytest.raises(ValueError):
