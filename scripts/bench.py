@@ -2,7 +2,7 @@
 """Layer microbenchmarks for the exact kernel and the polynomial routines.
 
     python3 scripts/bench.py --label after [--out DIR]
-    python3 scripts/bench.py --label after --other-src OTHER/src [--runs 5]
+    python3 scripts/bench.py --label after --other-src OTHER/src
 
 Times matrix sums, products, Kronecker products and equality tests,
 ``rref``, ``inverse`` (``solve_many`` on the identity), ``Span.add``,
@@ -57,24 +57,22 @@ in-process ``cli.main`` calls of ``--format json verify`` on the group
 algebras of S4 and S5 and the function algebra of S5 over Q, each saved to
 a bialgebra file (hashing the exit code and the output without the timing
 field), and ``reconstruct_from_regular`` on S4 x Z2 and on S5 over Q.
-With one label, every case runs in this process ``REPEAT`` times, a
-scaled one ``REPEAT_SCALED`` times, and the best and the median seconds
-are kept. With ``--other-src``, the cases of this script time two trees,
-this checkout's ``src`` and the other one, labelled ``before``, in
-alternation: for each of ``--runs`` runs and each case, one fresh child
-process per tree times the case ``REPEAT_CHILD`` times, the tree that
-goes first alternating from case to case and run to run, so that a slow
-spell of a shared machine lands on both trees and not on one label. A
-case's ``best_s`` is then the median over the runs of each run's best,
+For each of ``RUNS`` runs and each case, one fresh child process per
+tree times the case ``REPEAT_CHILD`` times. With one label the tree is
+this checkout's ``src``. With ``--other-src`` there are two trees, this
+one and the other, labelled ``before``, timed in alternation: the tree
+that goes first alternates from case to case and run to run, so that a
+slow spell of a shared machine lands on both trees and not on one label.
+A case's ``best_s`` is the median over the runs of each run's best,
 its ``median_s`` the median of all its times, and ``run_best_s`` lists
 each run's best in run order, so that the two files can be compared run
 by run. Each case keeps a SHA-256 of its results so that two labels
 can be checked to compute the same thing. The hash prints every rational
 as "a/b" or "a", so it does not depend on whether an integral rational is
-an ``int`` or a ``Fraction``. Writes ``BENCH_<label>.json`` (and
-``BENCH_before.json``). Runs from the root of the checkout it sits
-in, whatever the working directory; the corpus files are this checkout's
-for both trees.
+an ``int`` or a ``Fraction``. Writes ``BENCH_<label>.json`` (and, with
+``--other-src``, ``BENCH_before.json``). Runs from the root of the
+checkout it sits in, whatever the working directory; the corpus files are
+this checkout's for both trees.
 End-to-end timings of the command line live in ``perfbench/``.
 """
 
@@ -118,8 +116,7 @@ from hopfdual.reps import Representation  # noqa: E402
 from hopfdual.tannaka import reconstruct_from_regular  # noqa: E402
 
 SEED = 16
-REPEAT = 11
-REPEAT_SCALED = 3
+RUNS = 11
 REPEAT_CHILD = 3
 CORPUS = "src/hopfdual/corpus/"
 RG_D4 = CORPUS + "rg_d4.json"
@@ -422,23 +419,23 @@ def printed(x) -> str:
 
 
 def groups(work: Path) -> list:
-    """(repeat, builder) per group of cases; a builder returns name ->
-    (number of calls, thunk) and builds the inputs its cases share."""
+    """One builder per group of cases; a builder returns name -> (number of
+    calls, thunk) and builds the inputs its cases share."""
     return [
-        (REPEAT, lambda: {f"Q.{name}": case for name, case in
-                          cases(FieldSpec.rationals()).items()}),
-        (REPEAT, lambda: {f"F101.{name}": case for name, case in
-                          cases(FieldSpec.prime(101)).items()}),
-        (REPEAT, product_cases),
-        (REPEAT, polys_cases),
-        (REPEAT, sweep_cases),
-        (REPEAT, cli_cases),
-        (REPEAT, bookkeeping_cases),
-        (REPEAT, lambda: rep_cases(work)),
-        (REPEAT, subalgebra_cases),
-        (REPEAT, pbw_cases),
-        (REPEAT_SCALED, lambda: scaled_cases(work)),
-        (REPEAT_SCALED, lambda: zrep_cases(work)),
+        lambda: {f"Q.{name}": case for name, case in
+                 cases(FieldSpec.rationals()).items()},
+        lambda: {f"F101.{name}": case for name, case in
+                 cases(FieldSpec.prime(101)).items()},
+        product_cases,
+        polys_cases,
+        sweep_cases,
+        cli_cases,
+        bookkeeping_cases,
+        lambda: rep_cases(work),
+        subalgebra_cases,
+        pbw_cases,
+        lambda: scaled_cases(work),
+        lambda: zrep_cases(work),
     ]
 
 
@@ -452,39 +449,22 @@ def timed(thunk, repeat: int) -> tuple:
     return times, hashlib.sha256(printed(result).encode()).hexdigest()
 
 
-def entry(calls: int, best: float, times: list, repeat: int,
-          digest: str) -> dict:
-    return {"calls": calls, "best_s": round(best, 6),
-            "median_s": round(statistics.median(times), 6),
-            "repeat": repeat, "result_sha256": digest}
-
-
-def run(work: Path) -> dict:
-    """Every case, timed in this process."""
-    out = {}
-    for repeat, build in groups(work):
-        for name, (calls, thunk) in build().items():
-            times, digest = timed(thunk, repeat)
-            out[name] = entry(calls, min(times), times, repeat, digest)
-    return out
-
-
 def child(work: Path, group: int, name: str) -> dict:
     """One case of one group, timed REPEAT_CHILD times in this process; the
     group's other cases are built but not run."""
-    calls, thunk = groups(work)[group][1]()[name]
+    calls, thunk = groups(work)[group]()[name]
     times, digest = timed(thunk, REPEAT_CHILD)
     return {"calls": calls, "times": times, "result_sha256": digest}
 
 
-def alternate(trees: list, runs: int) -> dict:
+def alternate(trees: list) -> dict:
     """label -> cases, for the (label, src) pairs of trees timed case by
     case in fresh child processes, alternating which tree goes first."""
     with tempfile.TemporaryDirectory() as work:
-        listing = [(g, name) for g, (_, build) in
+        listing = [(g, name) for g, build in
                    enumerate(groups(Path(work))) for name in build()]
     got = {label: {name: [] for _, name in listing} for label, _ in trees}
-    for r in range(runs):
+    for r in range(RUNS):
         for i, (g, name) in enumerate(listing):
             order = trees if (r + i) % 2 == 0 else trees[::-1]
             for label, src in order:
@@ -494,7 +474,7 @@ def alternate(trees: list, runs: int) -> dict:
                     capture_output=True, text=True, check=True)
                 got[label][name].append(
                     json.loads(done.stdout.splitlines()[-1]))
-            print(f"run {r + 1}/{runs} {name}", file=sys.stderr)
+            print(f"run {r + 1}/{RUNS} {name}", file=sys.stderr)
     out = {}
     for label, per_case in got.items():
         out[label] = {}
@@ -504,11 +484,14 @@ def alternate(trees: list, runs: int) -> dict:
                 raise RuntimeError(f"{label} {name}: results differ between "
                                    "runs")
             bests = [min(res["times"]) for res in results]
-            out[label][name] = dict(entry(
-                results[0]["calls"], statistics.median(bests),
-                [t for res in results for t in res["times"]], REPEAT_CHILD,
-                digests.pop()), runs=runs,
-                run_best_s=[round(t, 6) for t in bests])
+            times = [t for res in results for t in res["times"]]
+            out[label][name] = {
+                "calls": results[0]["calls"],
+                "best_s": round(statistics.median(bests), 6),
+                "median_s": round(statistics.median(times), 6),
+                "repeat": REPEAT_CHILD, "runs": RUNS,
+                "result_sha256": digests.pop(),
+                "run_best_s": [round(t, 6) for t in bests]}
     return out
 
 
@@ -536,8 +519,6 @@ def main(argv=None) -> int:
     ap.add_argument("--other-src", default=None,
                     help="src directory of a second tree to time in "
                          "alternation with this one")
-    ap.add_argument("--runs", type=int, default=5,
-                    help="alternated runs with --other-src")
     # one case in a child process
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--group", type=int, help=argparse.SUPPRESS)
@@ -552,13 +533,10 @@ def main(argv=None) -> int:
     if args.label is None or (args.other_src and args.label == "before"):
         ap.error("--label is required, and with --other-src it names this "
                  "tree, not the other one (before)")
-    if args.other_src is None:
-        with tempfile.TemporaryDirectory() as work:
-            write(out_dir, args.label, run(Path(work)))
-        return 0
-    trees = [(args.label, str(ROOT / "src")),
-             ("before", str(Path(args.other_src).resolve()))]
-    for label, results in alternate(trees, args.runs).items():
+    trees = [(args.label, str(ROOT / "src"))]
+    if args.other_src is not None:
+        trees.append(("before", str(Path(args.other_src).resolve())))
+    for label, results in alternate(trees).items():
         write(out_dir, label, results)
     return 0
 

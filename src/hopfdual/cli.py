@@ -227,7 +227,8 @@ def _cmd_zrep(args):
             f"{args.file}: matrix is over F_{m.field.p}, --p said {args.p}")
     rep = Report(f"primary decomposition of {args.file}")
     dec = decompose_rep_of_Z(m)
-    rep.add("reassembled matrix is similar to the input", dec.similar)
+    # decompose_rep_of_Z has checked the similarity and raises if it fails
+    rep.add("reassembled matrix is similar to the input", True)
     for q, e, mult in dec.summary:
         rep.add(f"summand F_p[x]/(({poly_str(m.field, q)})^{e})^{mult}",
                 True)

@@ -11,11 +11,11 @@ and Gerhard, *Modern Computer Algebra*, ch. 2). :func:`add`,
 an unreduced product, and return canonical ones.
 
 :func:`char_poly` runs a Hessenberg reduction and the minors recurrence on
-row lists. :func:`eval_at_matrix` evaluates at a matrix by
-Paterson-Stockmeyer, in about 2 sqrt(d) products for degree d. The
-factoring routines work over F_p only: square-free, distinct-degree and
-Cantor-Zassenhaus equal-degree splitting (von zur Gathen and Gerhard,
-ch. 14), each division through the module-level :func:`divmod_poly`.
+row lists. :func:`eval_at_matrix` evaluates at a matrix by Horner's rule,
+in d - 1 products for degree d >= 1. The factoring routines work over F_p
+only: square-free, distinct-degree and Cantor-Zassenhaus equal-degree
+splitting (von zur Gathen and Gerhard, ch. 14), each division through the
+module-level :func:`divmod_poly`.
 :func:`rational_roots` finds the rational roots of a polynomial over Q."""
 
 from __future__ import annotations
@@ -92,42 +92,21 @@ def divmod_poly(field: FieldSpec, a, b):
     return normalize(field, q), _reduced(field, r[:m])
 
 
-def _block_length(d: int) -> int:
-    """The block length k that makes :func:`eval_at_matrix` at degree d
-    use the fewest products: min(k, d) - 1 for the powers of m and
-    ceil(d / k) - 1 for Horner's rule. The first such k is taken."""
-    return min(range(1, d + 2), key=lambda k: min(k, d) + -(-d // k))
-
-
 def eval_at_matrix(field: FieldSpec, poly, m: Matrix) -> Matrix:
-    """poly(m) for a square m, by Paterson and Stockmeyer ("On the number
-    of nonscalar multiplications necessary to evaluate polynomials", SIAM
-    J. Comput. 1973), in about 2 sqrt(d) products for degree d.
-
-    Cut poly into blocks at 0, k, 2k, ... below d, so that poly = sum_j
-    B_j(x) (x^k)^j with the top block of 2 to k + 1 coefficients, and run
-    Horner's rule over the blocks in m^k. A step is one linear combination
-    of m, ..., m^k and the Horner product, then a shift of the diagonal by
-    the block's constant term. So degree <= 1 costs no product, and no
-    product is by the zero or the identity matrix."""
+    """poly(m) for a square m, by Horner's rule started at a m + b for the
+    top two coefficients a, b: degree d costs d - 1 products, and degree
+    <= 1 none."""
     n = m.rows
     if m.cols != n:
         raise ValueError("not square")
     if not poly:
         return Matrix.zero(field, n, n)
     d = degree(poly)
-    k = _block_length(d)
-    powers = [m]  # m^1, m^2, ...
-    while len(powers) < min(k, d):
-        powers.append(powers[-1] * m)
-    starts = range(0, max(d, 1), k)
-    acc = None
-    for start in reversed(starts):
-        block = poly[start:start + k + (start == starts[-1])]
-        terms = list(zip(block[1:], powers))
-        if acc is not None:
-            terms.append((1, acc * powers[k - 1]))
-        acc = lincomb(field, n, n, terms).shift(block[0])
+    if d == 0:
+        return lincomb(field, n, n, []).shift(poly[0])
+    acc = lincomb(field, n, n, [(poly[d], m)]).shift(poly[d - 1])
+    for c in reversed(poly[:d - 1]):
+        acc = (acc * m).shift(c)
     return acc
 
 

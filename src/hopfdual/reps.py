@@ -695,7 +695,6 @@ class ZRepDecomposition:
     basis: Matrix              # columns: iterated images of the generators
     companion: Matrix          # block diagonal companion form
     summary: list              # (q, exponent, multiplicity), aggregated
-    similar: bool = False      # verify(m), run once by decompose_rep_of_Z
 
     def verify(self, m: Matrix) -> bool:
         """basis^-1 m basis == companion: the basis is n x n of rank n, and
@@ -772,7 +771,7 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
     primary components, then into cyclic blocks with explicit companion form
     and base change. m is singular iff the characteristic polynomial has
     constant term det(-m) = 0. The similarity of the companion form to m is
-    checked once, here, and its result kept as ``similar``."""
+    checked once, here, and a failed check raises."""
     f = m.field
     if f.p is None:
         raise ValueError("decomposition implemented over prime fields")
@@ -826,8 +825,7 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
         summary[key] = summary.get(key, 0) + 1
     summary_list = [(q, e, mult) for (q, e), mult in sorted(summary.items())]
     out = ZRepDecomposition(f, blocks, basis, companion, summary_list)
-    out.similar = out.verify(m)
-    if not out.similar:
+    if not out.verify(m):
         raise RuntimeError("reassembled companion form is not similar to "
                            "the input")
     return out
