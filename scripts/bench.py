@@ -13,6 +13,9 @@ conjugated by a fixed random invertible matrix, over Q and over F_101.
 vectors against the span of the products; ``kron`` takes each action
 matrix times the top-left 4x4 block of another; ``eq`` compares each of
 the 64 products with the action of the product element.
+Times ``rref`` and ``span_of(...).basis()`` on 100 seeded random square
+matrices each, 3x3 over F_5 and 4x4 and 8x8 over F_7, the widths of the
+spans of ``points --p`` and ``cartier --p``.
 Times two more shapes of product: each matrix of the regular
 representation of S4 over Q (0/1 columns, one nonzero per column) times
 the matrix of each generator of S4, and every product of eight seeded
@@ -209,6 +212,25 @@ def product_cases() -> dict:
         "F31.matmul.15x15": (len(dense) ** 2, lambda: [
             a * b for a in dense for b in dense]),
     }
+
+
+def small_cases() -> dict:
+    """name -> (number of calls, thunk) for ``rref`` and
+    ``span_of(...).basis()`` on 100 seeded random square matrices each,
+    3x3 over F_5 and 4x4 and 8x8 over F_7: the widths of the spans of
+    ``points --p`` and ``cartier --p``."""
+    out = {}
+    for p, n in ((5, 3), (7, 4), (7, 8)):
+        field = FieldSpec.prime(p)
+        rng = random.Random(f"small:{p}:{n}:{SEED}")
+        mats = [Matrix(field, [[rng.randrange(p) for _ in range(n)]
+                               for _ in range(n)]) for _ in range(100)]
+        out[f"F{p}.rref.{n}x{n}"] = (len(mats), lambda mats=mats: [
+            rref(m).reduced.entries for m in mats])
+        out[f"F{p}.span_basis.{n}x{n}"] = (
+            len(mats), lambda mats=mats, field=field, n=n: [
+                span_of(field, m.entries, n).basis() for m in mats])
+    return out
 
 
 def block_companion(field: FieldSpec, polys) -> Matrix:
@@ -426,6 +448,7 @@ def groups(work: Path) -> list:
                  cases(FieldSpec.rationals()).items()},
         lambda: {f"F101.{name}": case for name, case in
                  cases(FieldSpec.prime(101)).items()},
+        small_cases,
         product_cases,
         polys_cases,
         sweep_cases,

@@ -165,6 +165,15 @@ def _parse_tensor(field, rows, dim, path, label):
     return out
 
 
+def _rows(data, path, label) -> list:
+    """data, which must be a list of lists, as the rows of a matrix."""
+    if not (isinstance(data, list)
+            and all(isinstance(row, list) for row in data)):
+        _fail(path, f"{label} must be a list of rows, each a list of "
+                    "scalars")
+    return data
+
+
 def _parse_vector(field, data, dim, path, label):
     if not (isinstance(data, list) and len(data) == dim):
         _fail(path, f"{label} must be a list of {dim} scalars")
@@ -295,8 +304,8 @@ def representation_from_json(obj, path="<representation>",
     for name in monoid.names:
         if name not in mats:
             _fail(path, f"missing action matrix for element {name!r}")
-        rows = mats[name]
-        if not (isinstance(rows, list) and len(rows) == dim):
+        rows = _rows(mats[name], path, f"matrix for {name!r}")
+        if len(rows) != dim:
             _fail(path, f"matrix for {name!r} must be {dim}x{dim}")
         try:
             m = Matrix.parse(field, rows)
@@ -375,7 +384,7 @@ def load_matrix(path) -> Matrix:
         _fail(str(path), "expected an object with a 'matrix'")
     field = field_from_json(obj.get("field", {"kind": "Rationals"}),
                             str(path))
-    rows = obj["matrix"]
+    rows = _rows(obj["matrix"], str(path), "matrix")
     try:
         return Matrix.parse(field, rows)
     except ValueError as exc:
@@ -390,9 +399,9 @@ def load_subspace(path, field: FieldSpec) -> list:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "subspace" not in obj:
         _fail(str(path), "expected an object with 'subspace'")
+    rows = _rows(obj["subspace"], str(path), "subspace")
     try:
-        return [tuple(field.parse(str(c)) for c in row)
-                for row in obj["subspace"]]
+        return [tuple(field.parse(str(c)) for c in row) for row in rows]
     except ValueError as exc:
         _fail(str(path), str(exc))
 

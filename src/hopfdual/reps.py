@@ -13,9 +13,10 @@ from functools import reduce
 from . import polys
 from .bialgebra import (BialgebraMorphism, FinBialgebra, check_morphism,
                         same_algebra)
-from .exact import (FieldMismatch, FieldSpec, Matrix, extend_to_basis,
-                    first_bad_product, inverse, kernel_basis, kron, lincomb,
-                    rank, solve, solve_many, span_of, stack, vbasis)
+from .exact import (FieldMismatch, FieldSpec, Matrix, augment,
+                    extend_to_basis, first_bad_product, inverse, kernel_basis,
+                    kron, lincomb, rank, rref, solve_many, span_of, stack,
+                    vbasis)
 from .monoids import BudgetExceeded, Character, FiniteMonoid, monoid_algebra
 from .report import Report
 
@@ -309,9 +310,14 @@ def integral_system(G: FiniteMonoid, F: FieldSpec):
     # counit row: all ones (the trivial character pairing)
     blocks.append(Matrix(F, [[F.one] * n]))
     full = stack(blocks)
-    rhs = (F.zero,) * (full.rows - 1) + (F.one,)
-    w = solve(full, rhs)
-    unique = len(kernel_basis(full)) == 0
+    rhs = Matrix(F, [[F.zero]] * (full.rows - 1) + [[F.one]], cols=1)
+    # one elimination of [full | rhs]: the solution is unique iff full has
+    # rank n, that is n pivots among the first n columns; the system has
+    # no solution iff the last column holds the one pivot past them
+    ech = rref(augment(full, rhs))
+    x = ech.solution(n)
+    w = None if x is None else x.column(0)
+    unique = ech.rank - (x is None) == n
     return w, unique
 
 
@@ -723,21 +729,16 @@ def _cyclic_generators(field, M: Matrix, q) -> list:
     if n == 0:
         return []
     Qm = polys.eval_at_matrix(field, q, M)
-    kernels = [span_of(field, [], n)]
-    power = Matrix.identity(field, n)
-    e = 0
-    while kernels[-1].dim < n:
-        power = power * Qm
-        kernels.append(span_of(field, kernel_basis(power), n))
-        e += 1
-        if e > n:
+    # powers[s] = q(M)^s up to the first zero power q(M)^e; a unit vector
+    # outside the kernel of q(M)^(e-1) is one at a nonzero column of it
+    powers = [Matrix.identity(field, n)]
+    while not powers[-1].is_zero():
+        if len(powers) > n:
             raise ValueError("q(M) is not nilpotent on this space")
-    v = None
-    for i in range(n):
-        cand = vbasis(field, n, i)
-        if not kernels[e - 1].contains(cand):
-            v = cand
-            break
+        powers.append(powers[-1] * Qm)
+    e = len(powers) - 1
+    i = next(j for j, col in enumerate(zip(*powers[e - 1].ints)) if any(col))
+    v = vbasis(field, n, i)
     deg_q = polys.degree(q)
     block = deg_q * e
     cyc = [v]
@@ -754,7 +755,7 @@ def _cyclic_generators(field, M: Matrix, q) -> list:
     lifts = [quot_sect.apply(wbar) for wbar, _ in rest]
     fixed = {}
     for s in sorted({s for _, s in rest}):
-        P = Qm ** s
+        P = powers[s]
         idx = [i for i, (_, t) in enumerate(rest) if t == s]
         L = Matrix.from_columns(field, [lifts[i] for i in idx])
         coords = solve_many(P * Cmat, P * L)
@@ -764,14 +765,33 @@ def _cyclic_generators(field, M: Matrix, q) -> list:
     return [(v, e)] + [(fixed[i], s) for i, (_, s) in enumerate(rest)]
 
 
+def _restriction(m: Matrix, ech) -> tuple:
+    """(B, R): the kernel basis of the echelon form ech, an m-invariant
+    subspace, as the columns of B, and the matrix R of m on it, so that
+    m B = B R. The basis is the identity on the free columns of ech, so
+    the coordinates of a vector of the subspace are its entries there: R
+    is m B on those rows, and one batch product checks m B = B R, which
+    fails if the subspace is not invariant."""
+    f = m.field
+    B = Matrix.from_columns(f, ech.kernel())
+    image = m * B
+    free = sorted(set(range(m.cols)) - set(ech.pivots))
+    R = Matrix.from_int_rows(f, [image.ints[j] for j in free])
+    if first_bad_product([(B, R, image)]) is not None:
+        raise RuntimeError("primary component is not invariant")
+    return B, R
+
+
 def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
     """Primary decomposition of the F_p[x]-module defined by an invertible
     matrix: factor the characteristic polynomial (Hessenberg reduction, then
     square-free, distinct-degree and Cantor-Zassenhaus splitting), split into
     primary components, then into cyclic blocks with explicit companion form
     and base change. m is singular iff the characteristic polynomial has
-    constant term det(-m) = 0. The similarity of the companion form to m is
-    checked once, here, and a failed check raises."""
+    constant term det(-m) = 0. Each primary component is the kernel of
+    q(m)^a from one :func:`rref`, and m restricted to it is read off that
+    form (:func:`_restriction`). The similarity of the companion form to m
+    is checked once, here, and a failed check raises."""
     f = m.field
     if f.p is None:
         raise ValueError("decomposition implemented over prime fields")
@@ -785,14 +805,10 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
     blocks = []
     for q in sorted(factors):
         a = factors[q]
-        comp_basis = kernel_basis(polys.eval_at_matrix(f, q, m) ** a)
-        if len(comp_basis) != polys.degree(q) * a:
+        ech = rref(polys.eval_at_matrix(f, q, m) ** a)
+        if n - ech.rank != polys.degree(q) * a:
             raise RuntimeError("primary component has unexpected dimension")
-        # restrict m to the primary component
-        proj_cols = Matrix.from_columns(f, comp_basis)
-        Mq = solve_many(proj_cols, m * proj_cols)
-        if Mq is None:
-            raise RuntimeError("primary component is not invariant")
+        proj_cols, Mq = _restriction(m, ech)
         for gen, e in _cyclic_generators(f, Mq, q):
             ambient = proj_cols.apply(gen)
             blocks.append(CyclicBlock(q, e, ambient))

@@ -13,6 +13,10 @@ polynomial by minor expansion over column subsets (2^n), factoring over
 F_p by trial division over every monic candidate (p^d), and F_p
 eigenvalues by evaluation at every field element (p). ``test_polys`` and
 ``test_reps`` compare ``hopfdual.polys`` and ``hopfdual.reps`` with them.
+Then the two steps of the primary decomposition of a matrix over F_p as
+they were: the cyclic generators by a chain of kernels of q(M)^s, and the
+restriction of m to a primary component by a solve; ``test_reps`` runs
+the whole decomposition with each and compares.
 
 Last, the G-laws on every element: invariants, the integral system,
 equivariance, subspace invariance and the module law, each over all of G
@@ -49,8 +53,10 @@ only."""
 
 import itertools
 
+from hopfdual import polys, reps
 from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix, Span,
-                            kernel_basis, solve, solve_many, stack, vbasis)
+                            kernel_basis, solve, solve_many, span_of, stack,
+                            vbasis)
 from hopfdual.bialgebra import sparse_sum
 from hopfdual.lie import TensorAlgebraOracle, TruncationOverflow
 from hopfdual.monoids import monoid_algebra
@@ -461,6 +467,62 @@ def eval_at(field, poly, x):
     for c in reversed(poly):
         acc = field.add(field.mul(acc, x), c)
     return acc
+
+
+# -- the primary decomposition by kernel chains ------------------------------
+
+def cyclic_generators_kernel_chain(field, M: Matrix, q) -> list:
+    """``reps._cyclic_generators`` as it was: the kernels of q(M)^s as one
+    span each until one is the whole space, the generator the first unit
+    vector outside the kernel before it, and q(M)^s recomputed by a power
+    for each lift."""
+    n = M.rows
+    if n == 0:
+        return []
+    Qm = polys.eval_at_matrix(field, q, M)
+    kernels = [span_of(field, [], n)]
+    power = Matrix.identity(field, n)
+    e = 0
+    while kernels[-1].dim < n:
+        power = power * Qm
+        kernels.append(span_of(field, kernel_basis(power), n))
+        e += 1
+        if e > n:
+            raise ValueError("q(M) is not nilpotent on this space")
+    v = next(vbasis(field, n, i) for i in range(n)
+             if not kernels[e - 1].contains(vbasis(field, n, i)))
+    block = polys.degree(q) * e
+    cyc = [v]
+    for _ in range(block - 1):
+        cyc.append(M.apply(cyc[-1]))
+    if block == n:
+        return [(v, e)]
+    comp, _, quot_proj = reps._adapted_basis(field, cyc, n)
+    quot_sect = Matrix.from_columns(field, comp)
+    rest = cyclic_generators_kernel_chain(field, quot_proj * M * quot_sect,
+                                          q)
+    Cmat = Matrix.from_columns(field, cyc)
+    lifts = [quot_sect.apply(wbar) for wbar, _ in rest]
+    fixed = {}
+    for s in sorted({s for _, s in rest}):
+        P = Qm ** s
+        idx = [i for i, (_, t) in enumerate(rest) if t == s]
+        L = Matrix.from_columns(field, [lifts[i] for i in idx])
+        coords = solve_many(P * Cmat, P * L)
+        if coords is None:
+            raise RuntimeError("cyclic correction system is inconsistent")
+        fixed.update(zip(idx, (L - Cmat * coords).transpose().entries))
+    return [(v, e)] + [(fixed[i], s) for i, (_, s) in enumerate(rest)]
+
+
+def restriction_by_solve(m: Matrix, ech) -> tuple:
+    """``reps._restriction`` by solving for the matrix of m on the kernel
+    basis of ech: one elimination of [B | m B]."""
+    B = Matrix.from_columns(m.field, ech.kernel())
+    R = solve_many(B, m * B)
+    if R is None:
+        raise RuntimeError("primary component is not invariant")
+    return B, R
 
 
 # -- the G-laws on every element ----------------------------------------------

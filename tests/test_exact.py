@@ -1,15 +1,16 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
 from conftest import is_canonical
-from hopfdual.exact import (FieldMismatch, FieldSpec, Matrix, Span, inverse,
-                            kernel_basis, kron, lincomb, rref, solve,
-                            solve_many, span_of, stack, vbasis)
+from hopfdual.exact import (_PACKED_WIDTH, FieldMismatch, FieldSpec, Matrix,
+                            Span, inverse, kernel_basis, kron, lincomb, rref,
+                            solve, solve_many, span_of, stack, vbasis)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -469,15 +470,23 @@ def test_no_rows_keep_the_width():
 
 @st.composite
 def span_programs(draw):
-    """A field, a width and a sequence of (operation, vector) calls. The
-    vectors are fresh, zero, repeated, or sums of multiples of earlier
-    ones, so that both members and non-members come up."""
+    """A field, a width, a sequence of (operation, vector) calls and the
+    index of the call before which the span is copied. The vectors are
+    fresh, zero, repeated, or sums of multiples of earlier ones, so that
+    both members and non-members come up. Widths reach past
+    ``_PACKED_WIDTH``, so that spans over F_p with list rows and with
+    packed rows both run, and 40 calls reach full rank, where packed
+    lanes grow the most."""
     field = draw(st.sampled_from(KERNEL_FIELDS))
-    width = draw(st.integers(0, 5))
+    width = draw(st.integers(0, 24))
     seen = [(field.zero,) * width]
     calls = []
-    for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combine")))
+    # a filling program mostly adds fresh vectors
+    fill = 4 * draw(st.booleans()) + 1
+    kinds = ("fresh",) * fill + ("zero", "repeat", "combine")
+    ops = ("add",) * fill + ("contains", "reduce")
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
         if kind == "fresh":
             vec = tuple(draw(st.lists(scalars(field), min_size=width,
                                       max_size=width)))
@@ -490,17 +499,34 @@ def span_programs(draw):
             c = draw(scalars(field))
             vec = tuple(field.add(field.mul(c, x), y) for x, y in zip(u, w))
         seen.append(vec)
-        calls.append((draw(st.sampled_from(("add", "contains", "reduce"))),
-                      vec))
-    return field, width, calls
+        calls.append((draw(st.sampled_from(ops)), vec))
+    return field, width, calls, draw(st.integers(0, len(calls)))
+
+
+def assert_same_rows(sp, want):
+    """The int rows of sp, read as ``bialgebra.subalgebra_span`` reads
+    them, are the reference's echelon rows up to a nonzero scalar each
+    (over F_p exactly them)."""
+    rows = sp.rows
+    assert len(rows) == want.dim and sp.pivots == want.pivots
+    for row, c, ref_row in zip(rows, sp.pivots, want.rows):
+        assert len(row) == sp.width and all(type(x) is int for x in row)
+        if sp.field.p:
+            assert list(row) == list(ref_row)
+        else:
+            assert [Fraction(x, row[c]) for x in row] == list(ref_row)
 
 
 @given(span_programs())
 @settings(max_examples=200, deadline=None)
 def test_span_matches_reference(program):
-    field, width, calls = program
+    field, width, calls, fork = program
     sp, want = Span(field, width), ref.Span(field, width)
-    for op, vec in calls:
+    for i, (op, vec) in enumerate(calls):
+        if i == fork:
+            # the copy carries on; the original must not move with it
+            kept, sp = sp, sp.copy()
+            kept_rows, kept_basis = list(map(list, kept.rows)), kept.basis()
         got = getattr(sp, op)(vec)
         assert got == getattr(want, op)(vec)
         if op == "reduce":
@@ -510,6 +536,35 @@ def test_span_matches_reference(program):
         assert sp.dim == want.dim
         assert sp.basis() == want.basis()
         assert_scalars(field, [x for row in sp.basis() for x in row])
+    assert_same_rows(sp, want)
+    event(f"{'packed' if sp._w else 'list'} rows, "
+          f"{'full' if sp.dim == width else 'partial'} rank")
+    if fork < len(calls):
+        assert list(map(list, kept.rows)) == kept_rows
+        assert kept.basis() == kept_basis
+
+
+@given(st.sampled_from([f for f in KERNEL_FIELDS if f.p]),
+       st.integers(_PACKED_WIDTH, 24), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_packed_span_filled_to_full_rank(field, width, seed):
+    """Packed rows up to full rank, half the entries p - 1: every stored
+    row takes large multiples of the later rows, and a reduction of a
+    vector of p - 1's takes p - 1 times every row, the sums the lanes are
+    sized for."""
+    p, rng = field.p, random.Random(seed)
+    sp, want = Span(field, width), ref.Span(field, width)
+    while sp.dim < width:
+        vec = tuple(rng.choice((p - 1, rng.randrange(p)))
+                    for _ in range(width))
+        assert sp.add(vec) == want.add(vec)
+        assert_same_rows(sp, want)
+    assert sp._w is not None
+    probe = (p - 1,) * width
+    assert sp.reduce(probe) == (0,) * width and sp.contains(probe)
+    assert sp.contains_terms({0: p - 1, width - 1: 1})
+    assert rref(Matrix(field, [probe] * 2 + sp.basis())).reduced.entries[
+        :width] == tuple(sp.basis())
 
 
 def test_span_rejects_a_vector_of_the_wrong_length():

@@ -213,6 +213,48 @@ class TestCliContract:
         assert io.load_subspace(CORPUS / "quotient_z2_f2.json",
                                 FieldSpec.prime(2)) == [(1, 0)]
 
+    @pytest.mark.parametrize("matrix", ["3", 5, [1, 2], [["1"], "2"]],
+                             ids=["string", "number", "number_rows",
+                                  "string_row"])
+    def test_matrix_file_needs_a_list_of_rows(self, tmp_path, capsys,
+                                              matrix):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"field": {"kind": "PrimeField", "p": 5},
+                                    "matrix": matrix}), encoding="utf-8")
+        assert run_cli("zrep", str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: matrix must be a list of rows, each a list of "
+            "scalars\n")
+
+    @pytest.mark.parametrize("rows", ["1", 1, ["1"], [1]],
+                             ids=["string", "number", "string_rows",
+                                  "number_rows"])
+    def test_representation_file_needs_lists_of_rows(self, tmp_path, capsys,
+                                                     rows):
+        obj = json.loads((CORPUS / "rep_s3_sign.json").read_text(
+            encoding="utf-8"))
+        obj["monoid"] = json.loads((CORPUS / "monoid_s3.json").read_text(
+            encoding="utf-8"))
+        obj["matrices"]["012"] = rows
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert run_cli("reynolds", str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: matrix for '012' must be a list of rows, each a "
+            "list of scalars\n")
+
+    @pytest.mark.parametrize("subspace", [[7], "1", [["1", "0"], 7]],
+                             ids=["number_rows", "string", "number_row"])
+    def test_subspace_file_needs_a_list_of_rows(self, tmp_path, capsys,
+                                                subspace):
+        rep = str(CORPUS / "rep_s3_regular.json")
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"subspace": subspace}), encoding="utf-8")
+        assert run_cli("exactness", rep, str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: subspace must be a list of rows, each a list of "
+            "scalars\n")
+
     def test_verify_runs_each_sweep_once(self, monkeypatch, capsys):
         calls = []
         for name in ("verify_algebra", "verify_coalgebra",

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import reference_kernel as ref
 from conftest import (random_invariant_subspace, random_invertible, rng_for,
                       s3_catalogue, seeded_module)
-from hopfdual import cli, reps
+from hopfdual import cli, polys, reps
 from hopfdual.exact import FieldSpec, Matrix, inverse, rank, span_of, vbasis
 from hopfdual.monoids import (BudgetExceeded, Character, FiniteMonoid,
                              monoid_algebra)
@@ -29,6 +30,7 @@ F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 F7 = FieldSpec.prime(7)
+F31 = FieldSpec.prime(31)
 F101 = FieldSpec.prime(101)
 
 Z2 = FiniteMonoid.cyclic(2)
@@ -610,6 +612,73 @@ class TestZRepDecomposition:
             d = decompose_rep_of_Z(m)
             assert d.verify(m)
             assert inverse(d.basis) is not None
+
+
+def _irreducibles(field) -> list:
+    """Monic irreducible polynomials over field other than x: the linear
+    x + c for c = 1..5 and x^2 + c x + d, x^3 + x + d for small c, d."""
+    cands = [(c, 1) for c in range(1, 6)]
+    cands += [(d, c, 1) for c in range(3) for d in range(1, 9)]
+    cands += [(d, 1, 0, 1) for d in range(1, 3)]
+    return [q for q in ({tuple(x % field.p for x in q) for q in cands})
+            if q[0] and polys.factor_monic_fp(field, q) == {q: 1}]
+
+
+ZREP_FIELDS = {f: sorted(_irreducibles(f)) for f in
+               (F2, F31, F101, FieldSpec.prime(2**31 - 1))}
+
+
+@st.composite
+def conjugated_block_companions(draw):
+    """(field, m): a block-companion matrix of powers q^e of irreducible
+    q over a prime field, conjugated by a random invertible matrix. The
+    first q has at least two blocks, one of exponent >= 2, so that the
+    cyclic decomposition lifts and corrects a generator."""
+    field = draw(st.sampled_from(sorted(ZREP_FIELDS, key=lambda f: f.p)))
+    p = field.p
+
+    def irreducible():
+        return draw(st.sampled_from(ZREP_FIELDS[field]))
+    first = irreducible()
+    blocks = [(first, draw(st.integers(2, 3))),
+              (first, draw(st.integers(1, 2)))]
+    for _ in range(draw(st.integers(0, 2))):
+        blocks.append((irreducible(), draw(st.integers(1, 2))))
+    rows = []
+    size = sum(polys.degree(q) * e for q, e in blocks)
+    off = 0
+    for q, e in blocks:
+        qe = (1,)
+        for _ in range(e):
+            qe = polys.mul(field, qe, q)
+        d = len(qe) - 1
+        for i in range(d):
+            row = [0] * size
+            if i:
+                row[off + i - 1] = 1
+            row[off + d - 1] = -qe[i] % p
+            rows.append(row)
+        off += d
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = Matrix.from_int_rows(field, rows)
+    u = random_invertible(field, size, rng, spread=p - 1)
+    return field, u * m * inverse(u)
+
+
+@given(conjugated_block_companions())
+@settings(max_examples=100, deadline=None)
+def test_decomposition_matches_the_kernel_chain(case):
+    """The whole decomposition, blocks, basis, companion form and summary,
+    is the one the kernel chain and the solved restriction give."""
+    _, m = case
+    got = decompose_rep_of_Z(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reps, "_cyclic_generators",
+                   ref.cyclic_generators_kernel_chain)
+        mp.setattr(reps, "_restriction", ref.restriction_by_solve)
+        want = decompose_rep_of_Z(m)
+    assert got == want
+    assert any(e >= 2 for _, e, _ in got.summary)
 
 
 class TestFormalMatrixIntegral:
