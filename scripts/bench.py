@@ -6,9 +6,12 @@
 
 Times matrix sums, products, Kronecker products and equality tests,
 ``rref``, ``inverse`` (``solve_many`` on the identity), ``Span.add``,
-``Span.reduce`` and the validation of a ``Representation`` on the action of
-the dihedral group D4 on two copies of its regular module (dimension 16),
-conjugated by a fixed random invertible matrix, over Q and over F_101.
+``Span.reduce``, the validation of a ``Representation`` and the completion
+of a subspace to an adapted basis (``reps._adapted_basis``, the one
+elimination behind ``quotient_rep``) on the action of the dihedral group
+D4 on two copies of its regular module (dimension 16), conjugated by a
+fixed random invertible matrix q, over Q and over F_101; the subspace is
+the augmentation ideal of the first copy, carried through q.
 ``Span.reduce`` reduces the 64 flattened products and 64 seeded random
 vectors against the span of the products; ``kron`` takes each action
 matrix times the top-left 4x4 block of another; ``eq`` compares each of
@@ -35,11 +38,14 @@ cached by an earlier repeat is reused, ``coproduct_on_U`` on sl2 at order 5,
 Q; their hash is of the report's checks. Times ten in-process
 ``cli.main`` calls of ``--format json verify`` on the corpus file
 ``rg_d4.json``, hashing their exit codes and output without the timing
-field. Times the representation pipeline over Q on a file: loading (parsing
-plus validation) the conjugated 16-dimensional D4 module above, saved as a
-representation file, an in-process ``cli.main`` call of ``--format json
-reynolds`` on it (hashing its output without the timing field and with the
-file's directory dropped), and ``reconstruct_from_regular`` on Z3 x Z3.
+field. Times the representation pipeline over Q on a file:
+``Matrix.parse`` of the eight matrices of the conjugated 16-dimensional
+D4 module above, as its representation file holds them, loading that
+file (parsing plus validation), in-process ``cli.main`` calls of
+``--format json reynolds`` on it and of ``--format json exactness`` on it
+and its augmentation-ideal subspace saved as a subspace file (hashing
+their output without the timing field and with the file's directory
+dropped), and ``reconstruct_from_regular`` on Z3 x Z3.
 Times the subalgebra closure: ``generators`` of the group algebra of S4
 over Q, rebuilt from its structure tensors inside the case so that the
 greedy closure runs on every repeat (the monoid algebra itself records the
@@ -102,7 +108,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # a child process of --other-src imports hopfdual from the tree it is given
 sys.path.insert(0, os.environ.get("BENCH_SRC", str(ROOT / "src")))
 
-from hopfdual import cli  # noqa: E402
+from hopfdual import cli, reps  # noqa: E402
 from hopfdual import io as hio  # noqa: E402
 from hopfdual.exact import (FieldSpec, Matrix, inverse, kron,  # noqa: E402
                             rank, rref, span_of)
@@ -144,8 +150,10 @@ def cli_json(argv, work=None):
     return code, text
 
 
-def d4_action(field: FieldSpec) -> list:
-    """Action matrices of D4 on a conjugated sum of two regular modules."""
+def d4_module(field: FieldSpec) -> tuple:
+    """(action matrices, subspace) of D4 on a sum of two regular modules
+    conjugated by q: the subspace is the augmentation ideal of the first
+    copy, spanned by e_h - e_{h+1} for h < 7, carried through q."""
     reg = Representation.regular(D4, field)
     rho = Representation.direct_sum(reg, reg)
     rng = random.Random(SEED)
@@ -155,12 +163,15 @@ def d4_action(field: FieldSpec) -> list:
         if inverse(q) is not None:
             break
     rho = rho.conjugate(q)
-    return [rho.action(g) for g in range(D4.size)]
+    sub = [q.apply([field.one if j == h else field.neg(field.one)
+                    if j == h + 1 else field.zero for j in range(rho.dim)])
+           for h in range(D4.size - 1)]
+    return [rho.action(g) for g in range(D4.size)], sub
 
 
 def cases(field: FieldSpec) -> dict:
     """name -> (number of kernel calls, thunk returning printable results)."""
-    acts = d4_action(field)
+    acts, sub = d4_module(field)
     n = acts[0].rows
     ident = Matrix.identity(field, n)
     augmented = [Matrix(field, [r + e for r, e in zip(a.entries,
@@ -193,6 +204,8 @@ def cases(field: FieldSpec) -> dict:
         "span_reduce": (len(probes),
                         lambda: [built.reduce(v) for v in probes]),
         "validate": (1, lambda: Representation(D4, field, acts).dim),
+        "adapted_basis.d4_16": (1, lambda: reps._adapted_basis(field, sub,
+                                                               n)),
     }
 
 
@@ -332,19 +345,33 @@ def bookkeeping_cases() -> dict:
 
 def rep_cases(work: Path) -> dict:
     """name -> (number of calls, thunk) for the representation pipeline
-    over Q: the D4 module of :func:`d4_action` written to a file under
-    work, loaded, averaged by the ``reynolds`` command, and the
-    reconstruction of QZ3xZ3 from its regular module."""
+    over Q: the D4 module of :func:`d4_module` written to a file under
+    work, its matrices parsed, the file loaded, averaged by the
+    ``reynolds`` command and put through the ``exactness`` command with
+    its subspace, and the reconstruction of QZ3xZ3 from its regular
+    module."""
     q = FieldSpec.rationals()
     path = work / "rep_d4_16.json"
-    hio.save_representation(Representation(D4, q, d4_action(q),
-                                           validate=False), path)
+    acts, sub = d4_module(q)
+    hio.save_representation(Representation(D4, q, acts, validate=False),
+                            path)
+    sub_path = work / "sub_d4_16.json"
+    sub_path.write_text(json.dumps({"subspace": [[str(x) for x in v]
+                                                 for v in sub]}),
+                        encoding="utf-8")
+    rows = list(json.loads(path.read_text(encoding="utf-8"))
+                ["matrices"].values())
     z3xz3 = FiniteAbelianGroup((3, 3)).to_monoid()
     return {
+        "Q.parse.d4_16": (len(rows), lambda: [Matrix.parse(q, m)
+                                               for m in rows]),
         "Q.load_representation.d4_16": (
             1, lambda: hio.load_representation(path).matrices),
         "Q.cli_reynolds.d4_16": (
             1, lambda: cli_json(["reynolds", str(path)], work)),
+        "Q.cli_exactness.d4_16": (
+            1, lambda: cli_json(["exactness", str(path), str(sub_path)],
+                                work)),
         "Q.reconstruct_from_regular.z3xz3": (
             1, lambda: reconstruct_from_regular(z3xz3, q).checks),
     }

@@ -159,7 +159,7 @@ def _cmd_reynolds(args):
 
 def _cmd_exactness(args):
     rho = io.load_representation(args.file)
-    sub = io.load_subspace(args.quotient, rho.field)
+    sub = io.load_subspace(args.quotient, rho.field, rho.dim)
     quot, proj, _ = quotient_rep(rho, sub)
     pi = RepMorphism(rho, quot, proj)
     rep = Report(f"invariant exactness for {args.file} -> quotient")

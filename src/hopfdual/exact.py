@@ -16,17 +16,22 @@ entries are in ``[0, p)`` and den is 1. Sums, products, scaling,
 Kronecker products, transposes, :func:`lincomb`, equality and hashing work
 on that form with plain int arithmetic (over F_p one reduction per entry)
 and never build a scalar; ``Matrix.entries`` is a view of the scalars,
-built when it is first read.
+built when it is first read. Over Q :meth:`Matrix.parse` reads rows whose
+entries are all "a" or "a/b" in ASCII digits in one scan, with one
+``int`` per entry and one per distinct denominator.
 
 Products work on packed rows (Kronecker substitution with delayed
 reduction): each row of the right factor becomes one int with a lane of
 w whole bytes per column, wide enough for every entry of the product, and
 a row of the product is the sum of those ints weighted by the nonzeros of
-the left row, unpacked once. A matrix keeps the bounds that size its
-lanes and its packed rows once they are read, so a factor used again is
-not read again. :func:`first_bad_product` checks a batch of products
-a * b == c on the same packed rows, and over Q compares packed ints
-without unpacking or normalising a product.
+the left row, unpacked once: lanes of 1, 2, 4 or 8 bytes by one
+``memoryview.cast``, and lanes of 16 bytes, the width of most products
+over F_2147483647 and over Q with entries of a few dozen bits, by two,
+one for the low and one for the high word of each lane. A matrix keeps
+the bounds that size its lanes and its packed rows once they are read,
+so a factor used again is not read again. :func:`first_bad_product`
+checks a batch of products a * b == c on the same packed rows, and over
+Q compares packed ints without unpacking or normalising a product.
 
 :class:`Span` keeps a row space in reduced echelon form, and its insert
 step is the only elimination loop: a new row is reduced against the
@@ -56,9 +61,9 @@ from array import array
 from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 
 class FieldMismatch(ValueError):
@@ -113,6 +118,40 @@ def _ratio(s: str) -> tuple:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar {s!r} for {RATIONALS}: {exc}") from exc
     return x.numerator, x.denominator
+
+
+# every character of the serialized forms
+_SERIAL_CHARS = str.maketrans("", "", "-/0123456789")
+
+
+def _serial_ratios(cells: list) -> tuple | None:
+    """(numerators, denominators), as :func:`_ratio` reads them, of a list
+    of strings that are all in the serialized form "a" or "a/b", or None
+    if some cell is not. The joined text is checked once for characters
+    other than ASCII digits, "-" and "/". On such strings ``int`` reads
+    the part before the first "/" exactly when it matches -?[0-9]+, and
+    reads the part after it as a positive int exactly when it matches
+    [0-9]+ and is not zero; each distinct part after a "/" is read once.
+    A cell with a "/" and nothing after it, or with two "/", makes the
+    count of "/" differ from the count of nonempty parts after one."""
+    try:
+        text = "".join(cells)
+    except TypeError:
+        return None
+    if not text.isascii() or text.translate(_SERIAL_CHARS):
+        return None
+    parts = list(map(str.partition, cells, repeat("/")))
+    tails = list(map(itemgetter(2), parts))
+    if text.count("/") != len(tails) - tails.count(""):
+        return None
+    try:
+        nums = list(map(int, map(itemgetter(0), parts)))
+        dens = {b: int(b) if b else 1 for b in set(tails)}
+    except ValueError:
+        return None
+    if min(dens.values(), default=1) <= 0:
+        return None
+    return nums, list(map(dens.__getitem__, tails))
 
 
 @dataclass(frozen=True)
@@ -353,11 +392,22 @@ def _product_rows(a: "Matrix", packed: list, w: int, cols: int,
 def _unpacked(data: bytes, w: int, cols: int, signed: bool = False) -> list:
     """The rows of cols lanes of w bytes each that make up the nonempty
     little-endian bytes data, as int rows; the lanes are read in two's
-    complement if signed."""
+    complement if signed. A lane of a machine width is read by one
+    ``memoryview.cast``, a 16-byte lane by two, of its low and its high
+    8-byte words, and any other lane by ``int.from_bytes``."""
     code = _LANE_CODES.get(w)
     if code:
         return memoryview(data).cast(code.lower() if signed else code,
                                      (len(data) // (w * cols), cols)).tolist()
+    word = _LANE_CODES.get(8)
+    if w == 16 and word:
+        # lane j is the words 2j (low, unsigned) and 2j + 1 (high, signed
+        # if the lane is)
+        words = memoryview(data).cast(word)
+        high = memoryview(data).cast(word.lower() if signed else word)[1::2]
+        lanes = [lo + (hi << 64) for lo, hi in zip(words[::2].tolist(),
+                                                   high.tolist())]
+        return [lanes[i:i + cols] for i in range(0, len(lanes), cols)]
     size = w * cols
     return [[int.from_bytes(data[j:j + w], "little", signed=signed)
              for j in range(i, i + size, w)]
@@ -432,17 +482,26 @@ class Matrix:
         same errors, the first bad entry in row order first. Over Q the
         entries go straight to int rows over one common denominator and one
         normalisation, with no ``Fraction`` for an entry in serialized
-        form."""
+        form: rows of strings that are all "a" or "a/b" in ASCII digits
+        are read in one scan (:func:`_serial_ratios`), and any other matrix
+        entry by entry (:func:`_ratio`)."""
         if field.p:
             return Matrix(field, [[field.parse(str(c)) for c in row]
                                   for row in rows])
-        ratios = [[_ratio(str(c).strip()) for c in row] for row in rows]
-        cols = len(ratios[0]) if ratios else 0
-        if any(len(row) != cols for row in ratios):
+        rows = [list(row) for row in rows]
+        cells = list(chain.from_iterable(rows))
+        read = _serial_ratios(cells)
+        if read is None:
+            ratios = [_ratio(str(c).strip()) for c in cells]
+            read = [n for n, _ in ratios], [d for _, d in ratios]
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
             raise ValueError("ragged rows")
-        den = lcm(*[d for row in ratios for _, d in row])
-        return _normal(field, [[n * (den // d) for n, d in row]
-                               for row in ratios], den, cols)
+        nums, dens = read
+        den = lcm(*set(dens))
+        flat = [n * (den // d) for n, d in zip(nums, dens)]
+        return _normal(field, [flat[i * cols:(i + 1) * cols]
+                               for i in range(len(rows))], den, cols)
 
     @staticmethod
     def from_int_rows(field: FieldSpec, rows) -> "Matrix":
@@ -835,9 +894,10 @@ class Span:
     spans keep int rows and reduce each step mod p: below that width the
     packing costs more than it saves. On ``rref`` and ``span_of`` of random
     square matrices packed rows won from width 7-8 for p <= 101 and from
-    about 12 for p = 2147483647, whose 16-byte lanes have no
-    ``memoryview.cast`` path; but ``monoids.points`` on Z8 over F_7, many
-    inserts into spans of width 9 with few rows, ran 1.13 times slower."""
+    about 12 for p = 2147483647 (measured when its 16-byte lanes were
+    still unpacked lane by lane); but ``monoids.points`` on Z8 over F_7,
+    many inserts into spans of width 9 with few rows, ran 1.13 times
+    slower."""
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
@@ -1007,14 +1067,3 @@ def span_of(field: FieldSpec, vectors, width: int) -> Span:
     for v in vectors:
         sp.add(v)
     return sp
-
-
-def extend_to_basis(field: FieldSpec, vectors, width: int) -> list:
-    """Complete the given independent family to a basis using unit vectors."""
-    sp = span_of(field, vectors, width)
-    extra = []
-    for i in range(width):
-        e = vbasis(field, width, i)
-        if sp.add(e):
-            extra.append(e)
-    return extra

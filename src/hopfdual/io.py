@@ -393,13 +393,17 @@ def load_matrix(path) -> Matrix:
 
 # -- subspace files --------------------------------------------------------------
 
-def load_subspace(path, field: FieldSpec) -> list:
+def load_subspace(path, field: FieldSpec, dim: int) -> list:
     """The spanning vectors of a subspace file, ``{"subspace": [[...]]}``,
-    as tuples of scalars of the given field."""
+    of F^dim, as tuples of scalars of the given field; a vector of
+    another length is an error that names the file and the vector."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or "subspace" not in obj:
         _fail(str(path), "expected an object with 'subspace'")
     rows = _rows(obj["subspace"], str(path), "subspace")
+    for i, row in enumerate(rows):
+        if len(row) != dim:
+            _fail(str(path), f"subspace[{i}] must be a list of {dim} scalars")
     try:
         return [tuple(field.parse(str(c)) for c in row) for row in rows]
     except ValueError as exc:

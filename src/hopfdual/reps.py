@@ -14,9 +14,8 @@ from . import polys
 from .bialgebra import (BialgebraMorphism, FinBialgebra, check_morphism,
                         same_algebra)
 from .exact import (FieldMismatch, FieldSpec, Matrix, augment,
-                    extend_to_basis, first_bad_product, inverse, kernel_basis,
-                    kron, lincomb, rank, rref, solve_many, span_of, stack,
-                    vbasis)
+                    first_bad_product, inverse, kernel_basis, kron, lincomb,
+                    rank, rref, solve_many, span_of, stack, vbasis)
 from .monoids import BudgetExceeded, Character, FiniteMonoid, monoid_algebra
 from .report import Report
 
@@ -330,20 +329,24 @@ def invariant_integral(G: FiniteMonoid, F: FieldSpec) -> InvariantIntegral:
     n = G.size
     if F.characteristic() and n % F.characteristic() == 0:
         raise CharDividesOrder(f"|G| = {n} vanishes in {F.describe()}")
-    inv_n = F.inv(F.from_int(n))
-    w = tuple(inv_n for _ in range(n))
+    # the identities of w hold iff those of the all-ones vector u = n w
+    # do, n being invertible in F: g u = u = u g, u u = n u and the
+    # coefficients of u sum to n; u has integer entries, so no Fraction
+    # is built
     A = monoid_algebra(G, F)
+    u = (F.one,) * n
     for g in G.generators:
         e = A.basis_vec(g)
-        if A.mul_vec(e, w) != w or A.mul_vec(w, e) != w:
+        if A.mul_vec(e, u) != u or A.mul_vec(u, e) != u:
             raise RuntimeError("averaging element is not invariant")
-    if A.mul_vec(w, w) != w:
+    if A.mul_vec(u, u) != (F.from_int(n),) * n:
         raise RuntimeError("averaging element is not idempotent")
     total = F.zero
-    for c in w:
+    for c in u:
         total = F.add(total, c)
-    if total != F.one:
+    if total != F.from_int(n):
         raise RuntimeError("averaging element is not normalized")
+    w = (F.inv(F.from_int(n)),) * n
     solved, unique = integral_system(G, F)
     if solved != w or not unique:
         raise RuntimeError("invariance system does not pin the integral")
@@ -359,20 +362,32 @@ class ReynoldsSplit:
 
 def reynolds(rho: Representation, w: InvariantIntegral) -> ReynoldsSplit:
     """rho(w): the equivariant projector onto the invariants, together with
-    the splitting image + kernel."""
+    the splitting image + kernel.
+
+    One batch of products certifies P P = P and image(P) = M^G: A_s P = P
+    for every generator s puts each column of P in M^G (a vector every
+    generator fixes is fixed by G), and P K = K for the matrix K of the
+    invariant basis puts M^G in image(P). The invariant basis returned is
+    the reduced echelon basis of M^G."""
     if w.group != rho.monoid:
         raise ValueError("integral belongs to a different group")
     if w.field != rho.field:
         raise FieldMismatch("integral over a different field")
     f = rho.field
     P = lincomb(f, rho.dim, rho.dim, zip(w.vector, rho.matrices))
-    if first_bad_product([(P, P, P)]) is not None:
+    inv = invariants(rho)
+    checks = [(P, P, P)] + [(rho.action(s), P, P)
+                            for s in rho.monoid.generators]
+    if inv:
+        K = Matrix.from_columns(f, inv)
+        checks.append((P, K, K))
+    bad = first_bad_product(checks)
+    if bad == 0:
         raise RuntimeError("averaged operator failed to be idempotent")
-    image = span_of(f, [P.column(j) for j in range(rho.dim)], rho.dim)
-    inv = span_of(f, invariants(rho), rho.dim)
-    if image.basis() != inv.basis():
+    if bad is not None:
         raise RuntimeError("projector image is not the invariant subspace")
-    return ReynoldsSplit(P, image.basis(), kernel_basis(P))
+    return ReynoldsSplit(P, span_of(f, inv, rho.dim).basis(),
+                         kernel_basis(P))
 
 
 @dataclass
@@ -472,7 +487,8 @@ def equivariant_section(pi: RepMorphism, s: Matrix,
 
 def check_invariant_exactness(pi: RepMorphism) -> bool:
     """True iff the invariants of the source surject onto the invariants of
-    the target."""
+    the target. An equivariant map sends M^G into N^G, so it is onto N^G
+    iff the image of M^G has the dimension of N^G."""
     if not pi.is_equivariant():
         raise ValueError("map is not equivariant")
     if not pi.is_surjective():
@@ -483,7 +499,7 @@ def check_invariant_exactness(pi: RepMorphism) -> bool:
         return True
     image = span_of(f, [pi.matrix.apply(v) for v in invariants(pi.source)],
                     pi.target.dim)
-    return all(image.contains(v) for v in inv_target)
+    return image.dim == len(inv_target)
 
 
 def sub_rep(rho: Representation, basis) -> Representation:
@@ -504,41 +520,85 @@ def sub_rep(rho: Representation, basis) -> Representation:
 
 def _adapted_basis(field: FieldSpec, sub, n: int):
     """Complete the independent family sub to a basis of F^n with unit
-    vectors. Returns (complement, head, tail): the rows of the inverse base
-    change split into coordinates over sub (head) and over the complement
-    (tail)."""
+    vectors, taken greedily in index order. Returns (complement, head,
+    tail): the rows of the inverse base change [sub | complement] split
+    into coordinates over sub (head) and over the complement (tail).
+
+    One elimination of the k rows [reversed s_i | e_i] gives all three.
+    The greedy completion leaves e_c out exactly when some vector of the
+    span has its last nonzero entry at c, so the columns K it leaves out
+    are the pivots of the reversed vectors. The reduced row with pivot
+    k in K is r_k | c_k: r_k is the vector of the span that is 1 at k and
+    0 on the rest of K, and c_k its coordinates over sub. A vector x is
+    sum_K x_k r_k plus a vector zero on K, so its coordinates over sub
+    are sum_K x_k c_k (head: c_k in column k), and over the complement
+    its entries off K less those of sum_K x_k r_k (tail: the identity off
+    K and -r_k in column k). A pivot in the appended block is a
+    dependence among the s_i."""
     sub = list(sub)
-    comp = extend_to_basis(field, sub, n)
-    if len(sub) + len(comp) != n:
-        raise ValueError("subspace basis is dependent")
-    rows = inverse(Matrix.from_columns(field, sub + comp)).entries
     k = len(sub)
-    return (comp, Matrix(field, rows[:k], cols=n),
-            Matrix(field, rows[k:], cols=n))
+    for v in sub:
+        if len(v) != n:
+            raise ValueError(f"subspace vector of length {len(v)} in "
+                             f"dimension {n}")
+    ech = rref(Matrix(field, [tuple(reversed(v)) + vbasis(field, k, i)
+                              for i, v in enumerate(sub)], cols=n + k))
+    if ech.pivots and ech.pivots[-1] >= n:
+        raise ValueError("subspace basis is dependent")
+    red = ech.reduced
+    rows = red.ints[:k]
+    left = [n - 1 - c for c in ech.pivots]  # K, one column per row
+    head = [[0] * n for _ in range(k)]
+    for row, c in zip(rows, left):
+        for i, x in enumerate(row[n:]):
+            head[i][c] = x
+    out = set(left)
+    tail, comp = [], []
+    for j in range(n):
+        if j in out:
+            continue
+        t = [0] * n
+        t[j] = red.den
+        for row, c in zip(rows, left):
+            t[c] = -row[n - 1 - j]
+        tail.append(t)
+        comp.append(vbasis(field, n, j))
+    scale = field.inv(red.den)
+    return (comp, Matrix(field, head, cols=n).scale(scale),
+            Matrix(field, tail, cols=n).scale(scale))
 
 
 def quotient_rep(rho: Representation, sub_basis):
     """Quotient by an invariant subspace.
 
     Returns (quotient representation, projection matrix, linear section)
-    with the complement spanned by unit vectors chosen deterministically.
+    with the complement spanned by unit vectors chosen deterministically
+    (:func:`_adapted_basis`). A vector lies in the subspace iff the
+    projection kills it, so the subspace is invariant iff proj A_s S = 0
+    for the matrix S of its spanning vectors and every generator s (a
+    subspace every generator keeps is kept by every product of them): one
+    batch of products, reusing the proj A_s of the quotient. A failure
+    names the first generator, and the first spanning vector it moves out.
     """
     f = rho.field
     sub = list(sub_basis)
     comp, _, proj = _adapted_basis(f, sub, rho.dim)
     sect = Matrix.from_columns(f, comp)
-    quot = Representation(rho.monoid, f,
-                          [proj * m * sect for m in rho.matrices],
+    moved = [proj * m for m in rho.matrices]
+    if sub:
+        gens = rho.monoid.generators
+        S = Matrix.from_columns(f, sub)
+        zero = Matrix.zero(f, proj.rows, len(sub))
+        bad = first_bad_product((moved[g], S, zero) for g in gens)
+        if bad is not None:
+            g = gens[bad]
+            i = next(j for j, col in enumerate(zip(*(moved[g] * S).ints))
+                     if any(col))
+            raise ValueError(
+                f"subspace is not invariant: {rho.monoid.names[g]} moves "
+                f"spanning vector {i} out of it")
+    quot = Representation(rho.monoid, f, [pm * sect for pm in moved],
                           validate=False)
-    # well-definedness needs invariance of the subspace; a subspace every
-    # generator keeps is kept by every product of generators
-    sp = span_of(f, sub, rho.dim)
-    for g in rho.monoid.generators:
-        for i, v in enumerate(sub):
-            if not sp.contains(rho.action(g).apply(v)):
-                raise ValueError(
-                    f"subspace is not invariant: {rho.monoid.names[g]} moves "
-                    f"spanning vector {i} out of it")
     return quot, proj, sect
 
 

@@ -16,7 +16,14 @@ eigenvalues by evaluation at every field element (p). ``test_polys`` and
 Then the two steps of the primary decomposition of a matrix over F_p as
 they were: the cyclic generators by a chain of kernels of q(M)^s, and the
 restriction of m to a primary component by a solve; ``test_reps`` runs
-the whole decomposition with each and compares.
+the whole decomposition with each and compares. Then the subspace
+questions as they were answered with spans and an inverse: the adapted
+basis by the greedy unit-vector completion and the inverse of [sub |
+complement], the quotient with invariance tested by membership in the
+span of the subspace, the Reynolds image as the span of the columns of
+P, and invariant exactness by testing each invariant of the target for
+membership in the image; ``test_reps`` compares ``hopfdual.reps`` with
+them.
 
 Last, the G-laws on every element: invariants, the integral system,
 equivariance, subspace invariance and the module law, each over all of G
@@ -55,8 +62,8 @@ import itertools
 
 from hopfdual import polys, reps
 from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix, Span,
-                            kernel_basis, solve, solve_many, span_of, stack,
-                            vbasis)
+                            inverse, kernel_basis, solve, solve_many, span_of,
+                            stack, vbasis)
 from hopfdual.bialgebra import sparse_sum
 from hopfdual.lie import TensorAlgebraOracle, TruncationOverflow
 from hopfdual.monoids import monoid_algebra
@@ -497,7 +504,7 @@ def cyclic_generators_kernel_chain(field, M: Matrix, q) -> list:
         cyc.append(M.apply(cyc[-1]))
     if block == n:
         return [(v, e)]
-    comp, _, quot_proj = reps._adapted_basis(field, cyc, n)
+    comp, _, quot_proj = adapted_basis_by_inverse(field, cyc, n)
     quot_sect = Matrix.from_columns(field, comp)
     rest = cyclic_generators_kernel_chain(field, quot_proj * M * quot_sect,
                                           q)
@@ -523,6 +530,74 @@ def restriction_by_solve(m: Matrix, ech) -> tuple:
     if R is None:
         raise RuntimeError("primary component is not invariant")
     return B, R
+
+
+# -- subspace questions by spans and an inverse ------------------------------
+
+def adapted_basis_by_inverse(field, sub, n: int):
+    """``reps._adapted_basis`` as it was: the unit vectors that enlarge the
+    span of sub, in index order, as the complement, and the head and tail
+    read off the inverse of [sub | complement]."""
+    sub = list(sub)
+    sp = span_of(field, sub, n)
+    comp = [vbasis(field, n, i) for i in range(n)
+            if sp.add(vbasis(field, n, i))]
+    if len(sub) + len(comp) != n:
+        raise ValueError("subspace basis is dependent")
+    rows = inverse(Matrix.from_columns(field, sub + comp)).entries
+    k = len(sub)
+    return (comp, Matrix(field, rows[:k], cols=n),
+            Matrix(field, rows[k:], cols=n))
+
+
+def quotient_rep_by_span(rho, sub):
+    """``reps.quotient_rep`` as it was: invariance by a membership test of
+    each action(s) sub[i] in the span of sub."""
+    f = rho.field
+    sub = list(sub)
+    comp, _, proj = adapted_basis_by_inverse(f, sub, rho.dim)
+    sect = Matrix.from_columns(f, comp)
+    quot = reps.Representation(rho.monoid, f,
+                               [proj * m * sect for m in rho.matrices],
+                               validate=False)
+    sp = span_of(f, sub, rho.dim)
+    for g in rho.monoid.generators:
+        for i, v in enumerate(sub):
+            if not sp.contains(rho.action(g).apply(v)):
+                raise ValueError(
+                    f"subspace is not invariant: {rho.monoid.names[g]} moves "
+                    f"spanning vector {i} out of it")
+    return quot, proj, sect
+
+
+def reynolds_by_span(rho, w):
+    """``reps.reynolds`` as it was: the image of P as the span of its
+    columns, compared basis for basis with the span of the invariants."""
+    f = rho.field
+    P = lincomb(f, rho.dim, rho.dim, zip(w.vector, rho.matrices))
+    if P * P != P:
+        raise RuntimeError("averaged operator failed to be idempotent")
+    image = span_of(f, [P.column(j) for j in range(rho.dim)], rho.dim)
+    inv = span_of(f, reps.invariants(rho), rho.dim)
+    if image.basis() != inv.basis():
+        raise RuntimeError("projector image is not the invariant subspace")
+    return reps.ReynoldsSplit(P, image.basis(), kernel_basis(P))
+
+
+def invariant_exactness_by_contains(pi) -> bool:
+    """``reps.check_invariant_exactness`` as it was: each invariant of the
+    target tested for membership in the image of the source invariants."""
+    if not pi.is_equivariant():
+        raise ValueError("map is not equivariant")
+    if not pi.is_surjective():
+        raise ValueError("map is not surjective")
+    inv_target = reps.invariants(pi.target)
+    if not inv_target:
+        return True
+    image = span_of(pi.source.field, [pi.matrix.apply(v) for v in
+                                      reps.invariants(pi.source)],
+                    pi.target.dim)
+    return all(image.contains(v) for v in inv_target)
 
 
 # -- the G-laws on every element ----------------------------------------------

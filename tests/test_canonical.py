@@ -309,3 +309,64 @@ def test_coproduct_on_U_ignores_the_scalar_form(name):
     assert checks(rep_a) == checks(rep_b)
     assert tensor_a == tensor_b
     assert_canonical(c for d in tensor_b.values() for c in d.values())
+
+
+PARSE_EDGES = ["+5", " 5", "1_2", "١٢", "1/0", "1/-2", "5/", "/5",
+               "1,2", "", "-0", "007/010", "1/2/3", "-", "5-", "3/-0",
+               " 1/2 ", "1/00", "-7/3"]
+
+
+def entrywise_parse(rows):
+    """``Matrix.parse`` over Q with the one-scan read switched off, so that
+    every entry goes through ``_ratio``: its matrix, or its error."""
+    import hopfdual.exact as exact
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_serial_ratios", lambda cells: None)
+        try:
+            return Matrix.parse(Q, rows)
+        except ValueError as exc:
+            return f"error: {exc}"
+
+
+def one_scan_parse(rows):
+    try:
+        return Matrix.parse(Q, rows)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("s", PARSE_EDGES)
+def test_one_scan_parse_matches_the_entrywise_read(s):
+    """Each edge string alone, after a serialized entry, before one and in
+    a later row: the same matrix or the same error either way."""
+    for rows in ([[s]], [["1/2", s]], [[s, "3"]], [["1", "2"], ["4/3", s]],
+                 [[s, s], ["-1", "0"]]):
+        got = one_scan_parse(rows)
+        assert got == entrywise_parse(rows), rows
+        if isinstance(got, Matrix):
+            assert got.ints == entrywise_parse(rows).ints
+
+
+@pytest.mark.parametrize("rows", [
+    [], [[]], [[], []], [["1"], []], [["1", "2"], ["3"]], [["x"], ["1", "2"]],
+    [[1, 2], [3, 4]], [[1, "1/2"], ["3", -4]], [[0.5, "2"]], [[True]],
+    [[None, "1"]], [[[1], "2"]], ["12", "34"], [("1", "2/3"), ("4", "5")],
+], ids=["no_rows", "one_empty_row", "two_empty_rows", "ragged_empty",
+        "ragged", "bad_then_ragged", "ints", "mixed", "float", "bool",
+        "none", "list", "string_rows", "tuple_rows"])
+def test_one_scan_parse_of_other_values_and_shapes(rows):
+    assert one_scan_parse(rows) == entrywise_parse(rows)
+
+
+@pytest.mark.parametrize("s", PARSE_EDGES)
+def test_one_scan_takes_exactly_the_serialized_form(s):
+    """The one-scan read takes a string iff it matches "a" or "a/b" with b
+    positive, and then gives ``_ratio``'s (n, d); it leaves every other
+    string to ``_ratio``."""
+    import hopfdual.exact as exact
+    m = exact._SERIAL.fullmatch(s)
+    serial = m is not None and (m.group(2) is None or int(m.group(2)) > 0)
+    got = exact._serial_ratios([s])
+    assert (got is not None) == serial
+    if serial:
+        assert [(n, d) for n, d in zip(*got)] == [exact._ratio(s)]

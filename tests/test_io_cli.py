@@ -211,7 +211,19 @@ class TestCliContract:
             f"error: {q}: bad scalar 'x' for Rationals: Invalid literal for "
             "Fraction: 'x'\n")
         assert io.load_subspace(CORPUS / "quotient_z2_f2.json",
-                                FieldSpec.prime(2)) == [(1, 0)]
+                                FieldSpec.prime(2), 2) == [(1, 0)]
+
+    @pytest.mark.parametrize("length", [2, 7], ids=["short", "long"])
+    def test_exactness_subspace_vector_of_the_wrong_length(
+            self, tmp_path, capsys, length):
+        rep = str(CORPUS / "rep_s3_regular.json")
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"subspace": [["1", "-1"] + ["0"] * 4,
+                                              ["1"] * length]}),
+                     encoding="utf-8")
+        assert run_cli("exactness", rep, str(q)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {q}: subspace[1] must be a list of 6 scalars\n")
 
     @pytest.mark.parametrize("matrix", ["3", 5, [1, 2], [["1"], "2"]],
                              ids=["string", "number", "number_rows",

@@ -168,6 +168,28 @@ def test_portable_lanes_match_reference(field, r, k, c, data):
         exact._LANE_CODES.update(codes)
 
 
+@given(st.booleans(), st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sixteen_byte_lanes_unpack_as_from_bytes(signed, rows, cols, data):
+    # 16-byte lanes are read as two 8-byte words each, the high one
+    # signed if the lanes are; the extremes of both words are drawn often
+    edges = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 127) - 1, (1 << 128) - 1,
+             1 << 127, (1 << 127) + (1 << 63)]
+    lane = st.one_of(st.sampled_from(edges), st.integers(0, (1 << 128) - 1))
+    raw = [data.draw(lane) for _ in range(rows * cols)]
+    packed = b"".join(x.to_bytes(16, "little") for x in raw)
+    want = [[int.from_bytes(packed[j:j + 16], "little", signed=signed)
+             for j in range(i, i + 16 * cols, 16)]
+            for i in range(0, len(packed), 16 * cols)]
+    assert exact._unpacked(packed, 16, cols, signed) == want
+    codes = dict(exact._LANE_CODES)
+    exact._LANE_CODES.clear()
+    try:
+        assert exact._unpacked(packed, 16, cols, signed) == want
+    finally:
+        exact._LANE_CODES.update(codes)
+
+
 def reference_first_bad(triples):
     return next((i for i, (a, b, c) in enumerate(triples)
                  if not ref.equal(ref.matmul(a, b), c)), None)

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
@@ -377,6 +377,185 @@ def test_quotient_rep_rejects_dependent_basis():
     ones = (Q.one,) * S3.size
     with pytest.raises(ValueError, match="dependent"):
         quotient_rep(reg, [ones, tuple(2 * x for x in ones)])
+
+
+# -- subspace questions against the span-and-inverse algorithms ----------------
+
+BIG = FieldSpec.prime(2_147_483_647)
+SUBSPACE_FIELDS = (Q, F2, F101, BIG)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError or RuntimeError it
+    raises."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def scalar(field):
+    """Scalars of the field, zero often: over Q small fractions."""
+    if field.p:
+        return st.one_of(st.just(0), st.just(1), st.integers(0, field.p - 1))
+    return st.one_of(st.just(0), st.integers(-3, 3),
+                     st.builds(Fraction, st.integers(-9, 9),
+                               st.integers(1, 4)).map(Q.canonical))
+
+
+@st.composite
+def families(draw, dependent=False):
+    """(field, n, k vectors of F^n) with n <= 10 and k = 0..n; with
+    dependent, one of them is a drawn combination of the others (the
+    zero vector when there are no others)."""
+    field = draw(st.sampled_from(SUBSPACE_FIELDS))
+    n = draw(st.integers(1 if dependent else 0, 10))
+    k = draw(st.integers(1 if dependent else 0, n))
+    c = scalar(field)
+    vectors = [tuple(draw(c) for _ in range(n)) for _ in range(k)]
+    if dependent:
+        coefs = [draw(c) for _ in range(k - 1)]
+        combo = tuple(field.canonical(sum(
+            (a * v[j] for a, v in zip(coefs, vectors)), 0)) for j in range(n))
+        vectors[-1] = combo
+        vectors.insert(draw(st.integers(0, k - 1)), vectors.pop())
+    return field, n, vectors
+
+
+@given(families())
+@settings(max_examples=300, deadline=None)
+def test_adapted_basis_matches_the_inverse_of_the_completed_basis(case):
+    """One elimination of [reversed s_i | e_i] gives the complement, head
+    and tail that the greedy unit-vector completion and the inverse of
+    [sub | complement] give, or the same error."""
+    field, n, sub = case
+    got = outcome(reps._adapted_basis, field, sub, n)
+    assert got == outcome(ref.adapted_basis_by_inverse, field, sub, n)
+    event("dependent" if isinstance(got, str) else "independent")
+
+
+@given(families(dependent=True))
+@settings(max_examples=100, deadline=None)
+def test_adapted_basis_rejects_a_dependent_family(case):
+    field, n, sub = case
+    want = "ValueError: subspace basis is dependent"
+    assert outcome(reps._adapted_basis, field, sub, n) == want
+    assert outcome(ref.adapted_basis_by_inverse, field, sub, n) == want
+
+
+def test_adapted_basis_of_the_empty_and_the_full_family():
+    for field in SUBSPACE_FIELDS:
+        comp, head, tail = reps._adapted_basis(field, [], 3)
+        assert comp == [vbasis(field, 3, i) for i in range(3)]
+        assert (head.rows, head.cols) == (0, 3)
+        assert tail == Matrix.identity(field, 3)
+        full = [vbasis(field, 3, 2), vbasis(field, 3, 0), vbasis(field, 3, 1)]
+        assert reps._adapted_basis(field, full, 3) == \
+            ref.adapted_basis_by_inverse(field, full, 3)
+        with pytest.raises(ValueError, match="length 2 in dimension 3"):
+            reps._adapted_basis(field, [(1, 0)], 3)
+
+
+@st.composite
+def modules_with_subspaces(draw):
+    """(module, spanning vectors): a seeded conjugated module of S3 or D4
+    over a field of SUBSPACE_FIELDS, and an invariant subspace, a random
+    family, or a random family with one invariant vector in it."""
+    field = draw(st.sampled_from(SUBSPACE_FIELDS))
+    G = draw(st.sampled_from((S3, D4)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rho = seeded_module(G, field, rng)
+    kind = draw(st.sampled_from(("invariant", "random", "mixed")))
+    if kind == "invariant":
+        sub = random_invariant_subspace(rho, rng)
+    else:
+        sub = [tuple(field.from_int(rng.randint(-2, 2))
+                     for _ in range(rho.dim))
+               for _ in range(rng.randint(1, rho.dim - 1))]
+        if kind == "mixed":
+            sub[0] = invariants(rho)[0]
+        sub = span_of(field, sub, rho.dim).basis()
+    return rho, sub
+
+
+@given(modules_with_subspaces())
+@settings(max_examples=60, deadline=None)
+def test_quotient_matches_the_span_membership_check(case):
+    """proj A_s S = 0 decides invariance as the membership test of each
+    A_s s_i does, and a failure names the same (generator, vector)."""
+    rho, sub = case
+    got = outcome(quotient_rep, rho, sub)
+    want = outcome(ref.quotient_rep_by_span, rho, sub)
+    event("refused" if isinstance(want, str) else "quotient")
+    if isinstance(want, str):
+        assert got == want
+    else:
+        (quot, proj, sect), (wquot, wproj, wsect) = got, want
+        assert (quot.matrices, proj, sect) == (wquot.matrices, wproj, wsect)
+
+
+@given(modules_with_subspaces())
+@settings(max_examples=40, deadline=None)
+def test_exactness_matches_the_membership_loop(case):
+    """Comparing dim pi(M^G) with dim N^G decides exactness as testing each
+    invariant of the quotient for membership in pi(M^G) does."""
+    rho, sub = case
+    quotient = outcome(quotient_rep, rho, sub)
+    if isinstance(quotient, str):
+        return
+    quot, proj, _ = quotient
+    pi = RepMorphism(rho, quot, proj)
+    ok = check_invariant_exactness(pi)
+    assert ok == ref.invariant_exactness_by_contains(pi)
+    event(f"exact: {ok}")
+
+
+def test_exactness_fails_as_the_membership_loop_says():
+    """Over F_2 and F_3 the regular module of S3 has quotients whose
+    invariants do not all lift."""
+    seen = set()
+    for field in (F2, F3):
+        rng = rng_for("exactness-reference", field.p)
+        for _ in range(6):
+            rho = seeded_module(S3, field, rng)
+            for sub in (invariants(rho), random_invariant_subspace(rho, rng)):
+                if not sub or len(sub) == rho.dim:
+                    continue
+                quot, proj, _ = quotient_rep(rho, sub)
+                pi = RepMorphism(rho, quot, proj)
+                ok = check_invariant_exactness(pi)
+                assert ok == ref.invariant_exactness_by_contains(pi)
+                seen.add(ok)
+    assert seen == {True, False}
+
+
+@given(modules_with_subspaces())
+@settings(max_examples=40, deadline=None)
+def test_reynolds_matches_the_column_span(case):
+    """The product certificate of image(P) = M^G accepts the averaging
+    integral and returns the split the column span gave; the unit delta
+    (P = I, idempotent) and twice it (not idempotent) are refused with
+    the same message."""
+    rho, _ = case
+    f, G = rho.field, rho.monoid
+    delta = tuple(f.one if g == G.unit else f.zero for g in range(G.size))
+    twice = tuple(f.add(c, c) for c in delta)
+    weights = [delta, twice]
+    if not f.p or G.size % f.p:
+        weights.append(invariant_integral(G, f).vector)
+    for vector in weights:
+        w = reps.InvariantIntegral(G, f, vector)
+        got = outcome(reynolds, rho, w)
+        want = outcome(ref.reynolds_by_span, rho, w)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert (got.projector, got.invariant_basis,
+                    got.complement_basis) == (want.projector,
+                                              want.invariant_basis,
+                                              want.complement_basis)
+    assert outcome(reynolds, rho, reps.InvariantIntegral(G, f, delta)) == (
+        "RuntimeError: projector image is not the invariant subspace")
 
 
 class TestInvariantExactness:
