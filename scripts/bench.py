@@ -35,13 +35,16 @@ structure-tensor sweeps: ``verify_bialgebra`` on the monoid and function
 algebras of D4, each on a copy made in the case so that no certificate
 cached by an earlier repeat is reused, ``coproduct_on_U`` on sl2 at order 5,
 ``dist_at_identity("gm", 6)`` and ``divided_power_bialgebra(8)``, all over
-Q; their hash is of the report's checks. Times ten in-process
+Q; their hash is of the report's checks; and an in-process ``cli.main``
+call of ``--format json dist --preset gm --order 40``, whose product sweep
+is within the default budget. Times ten in-process
 ``cli.main`` calls of ``--format json verify`` on the corpus file
 ``rg_d4.json``, hashing their exit codes and output without the timing
 field. Times the representation pipeline over Q on a file:
 ``Matrix.parse`` of the eight matrices of the conjugated 16-dimensional
 D4 module above, as its representation file holds them, loading that
-file (parsing plus validation), in-process ``cli.main`` calls of
+file (parsing plus validation), ``sub_rep`` of that module on its
+augmentation-ideal subspace, in-process ``cli.main`` calls of
 ``--format json reynolds`` on it and of ``--format json exactness`` on it
 and its augmentation-ideal subspace saved as a subspace file (hashing
 their output without the timing field and with the file's directory
@@ -316,6 +319,8 @@ def sweep_cases() -> dict:
             1, lambda: dist_at_identity("gm", 6, q)[1].checks),
         "Q.divided_power_bialgebra.8": (
             1, lambda: divided_power_bialgebra(8, q)[1].checks),
+        "Q.dist.gm_40": (1, lambda: cli_json(
+            ["dist", "--preset", "gm", "--order", "40"])),
     }
 
 
@@ -346,15 +351,15 @@ def bookkeeping_cases() -> dict:
 def rep_cases(work: Path) -> dict:
     """name -> (number of calls, thunk) for the representation pipeline
     over Q: the D4 module of :func:`d4_module` written to a file under
-    work, its matrices parsed, the file loaded, averaged by the
-    ``reynolds`` command and put through the ``exactness`` command with
-    its subspace, and the reconstruction of QZ3xZ3 from its regular
-    module."""
+    work, its matrices parsed, the file loaded, restricted to its subspace,
+    averaged by the ``reynolds`` command and put through the ``exactness``
+    command with its subspace, and the reconstruction of QZ3xZ3 from its
+    regular module."""
     q = FieldSpec.rationals()
     path = work / "rep_d4_16.json"
     acts, sub = d4_module(q)
-    hio.save_representation(Representation(D4, q, acts, validate=False),
-                            path)
+    rho = Representation(D4, q, acts, validate=False)
+    hio.save_representation(rho, path)
     sub_path = work / "sub_d4_16.json"
     sub_path.write_text(json.dumps({"subspace": [[str(x) for x in v]
                                                  for v in sub]}),
@@ -367,6 +372,7 @@ def rep_cases(work: Path) -> dict:
                                                for m in rows]),
         "Q.load_representation.d4_16": (
             1, lambda: hio.load_representation(path).matrices),
+        "Q.sub_rep.d4_16": (1, lambda: reps.sub_rep(rho, sub).matrices),
         "Q.cli_reynolds.d4_16": (
             1, lambda: cli_json(["reynolds", str(path)], work)),
         "Q.cli_exactness.d4_16": (

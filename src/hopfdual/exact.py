@@ -12,13 +12,14 @@ included. Vectors are tuples of scalars.
 A :class:`Matrix` is immutable and stores int rows plus one denominator:
 the matrix is ints / den. Over Q the form is normalised (den positive and
 coprime to the entries taken together), so it is unique; over F_p the
-entries are in ``[0, p)`` and den is 1. Sums, products, scaling,
-Kronecker products, transposes, :func:`lincomb`, equality and hashing work
-on that form with plain int arithmetic (over F_p one reduction per entry)
-and never build a scalar; ``Matrix.entries`` is a view of the scalars,
-built when it is first read. Over Q :meth:`Matrix.parse` reads rows whose
-entries are all "a" or "a/b" in ASCII digits in one scan, with one
-``int`` per entry and one per distinct denominator.
+entries are in ``[0, p)`` and den is 1. :func:`lincomb` (sums and
+scaling), products, Kronecker products, transposes, :func:`block_diag`,
+equality and hashing work on that form with plain int arithmetic (over F_p
+one reduction per entry) and never build a scalar; ``Matrix.entries`` is a
+view of the scalars, built when it is first read. Over Q
+:meth:`Matrix.parse` reads rows whose entries are all "a" or "a/b" in
+ASCII digits in one scan, with one ``int`` per entry and one per distinct
+denominator.
 
 Products work on packed rows (Kronecker substitution with delayed
 reduction): each row of the right factor becomes one int with a lane of
@@ -549,27 +550,13 @@ class Matrix:
                          for row in self.entries)
         return f"Matrix({self.field.describe()}, [{body}])"
 
-    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other."""
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        p = self.field.p
-        if p:
-            return Matrix._of(self.field, [
-                [(x + sign * y) % p for x, y in zip(r, s)]
-                for r, s in zip(self.ints, other.ints)], 1, self.cols)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        return _normal(self.field, [[a * x + b * y for x, y in zip(r, s)]
-                                    for r, s in zip(self.ints, other.ints)],
-                       den, self.cols)
-
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, 1)
+        return lincomb(self.field, self.rows, self.cols,
+                       ((1, self), (1, other)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, -1)
+        return lincomb(self.field, self.rows, self.cols,
+                       ((1, self), (-1, other)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         """The product on packed rows (:func:`_packed_rows`): row i is
@@ -597,13 +584,7 @@ class Matrix:
         return _normal(f, rows, self.den * other.den, cols)
 
     def scale(self, c) -> "Matrix":
-        p = self.field.p
-        if p:
-            return Matrix._of(self.field, [[c * x % p for x in row]
-                                           for row in self.ints], 1, self.cols)
-        n = c.numerator
-        return _normal(self.field, [[n * x for x in row] for row in self.ints],
-                       self.den * c.denominator, self.cols)
+        return lincomb(self.field, self.rows, self.cols, ((c, self),))
 
     def shift(self, c) -> "Matrix":
         """self + c * identity, for a square matrix."""
@@ -867,6 +848,24 @@ def stack(matrices) -> Matrix:
         rows.extend(m.ints if k == 1 else [[k * x for x in row]
                                            for row in m.ints])
     return Matrix._of(f, rows, den, cols)
+
+
+def block_diag(field: FieldSpec, blocks) -> Matrix:
+    """The matrix with the blocks down its diagonal and zeros elsewhere,
+    written as int rows over the lcm of the blocks' denominators (in
+    normal form, as for :func:`stack`); no blocks give the 0 x 0 matrix."""
+    blocks = list(blocks)
+    if any(m.field != field for m in blocks):
+        raise FieldMismatch(f"block_diag over {field} of mixed fields")
+    den = lcm(*[m.den for m in blocks])
+    cols = sum(m.cols for m in blocks)
+    rows, off = [], 0
+    for m in blocks:
+        k = den // m.den
+        left, right = [0] * off, [0] * (cols - off - m.cols)
+        rows.extend(left + [k * x for x in row] + right for row in m.ints)
+        off += m.cols
+    return Matrix._of(field, rows, den, cols)
 
 
 # Spans over F_p at least this wide keep packed rows (see :class:`Span`).

@@ -7,13 +7,14 @@ invertible matrix over F_p; and the truncated formal-matrix integral.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from . import polys
 from .bialgebra import (BialgebraMorphism, FinBialgebra, check_morphism,
                         same_algebra)
-from .exact import (FieldMismatch, FieldSpec, Matrix, augment,
+from .exact import (FieldMismatch, FieldSpec, Matrix, augment, block_diag,
                     first_bad_product, inverse, kernel_basis, kron, lincomb,
                     rank, rref, solve_many, span_of, stack, vbasis)
 from .monoids import BudgetExceeded, Character, FiniteMonoid, monoid_algebra
@@ -32,6 +33,16 @@ class NotASection(ValueError):
     """The supplied linear map is not a section of the projection."""
 
 
+def _first_bad_law(mats, generators, target):
+    """The first (s, h), s in generators and h indexing mats, with mats[s]
+    mats[h] != target(s, h), or None, from one :func:`first_bad_product`
+    batch (over Q on packed rows, with no product unpacked)."""
+    pairs = [(s, h) for s in generators for h in range(len(mats))]
+    bad = first_bad_product((mats[s], mats[h], target(s, h))
+                            for s, h in pairs)
+    return None if bad is None else pairs[bad]
+
+
 class Representation:
     """A finite monoid acting on F^dim through one matrix per element.
 
@@ -42,9 +53,9 @@ class Representation:
     generators, action(g) action(h) = action(s) action(g') action(h) =
     action(s) action(g'h) = action(s(g'h)) = action(gh), using the
     associativity that FiniteMonoid verifies. It takes |S| |G| products
-    instead of |G|^2, checked in one :func:`first_bad_product` call (over
-    Q on packed rows, with no product unpacked or normalised), and a
-    failure names the first pair (s, h) in that order.
+    instead of |G|^2, in the one batch :class:`AlgebraModule` uses too
+    (:func:`_first_bad_law`), and a failure names the first pair (s, h) in
+    that order.
 
     ``certified`` is True when the matrices are known to form a
     representation: validation passed, or :meth:`regular` built them."""
@@ -68,12 +79,10 @@ class Representation:
             if self.matrices[monoid.unit] != ident:
                 raise ValueError("unit must act as the identity")
             mats, table = self.matrices, monoid.table
-            pairs = [(i, j) for i in monoid.generators
-                     for j in range(monoid.size)]
-            bad = first_bad_product((mats[i], mats[j], mats[table[i][j]])
-                                    for i, j in pairs)
+            bad = _first_bad_law(mats, monoid.generators,
+                                 lambda i, j: mats[table[i][j]])
             if bad is not None:
-                i, j = pairs[bad]
+                i, j = bad
                 raise ValueError(
                     f"action({monoid.names[i]})*action({monoid.names[j]})"
                     " disagrees with the table")
@@ -111,13 +120,9 @@ class Representation:
     def direct_sum(a: "Representation", b: "Representation") -> "Representation":
         if a.monoid != b.monoid or a.field != b.field:
             raise ValueError("direct sum needs one monoid and one field")
-        f = a.field
-        mats = []
-        for ma, mb in zip(a.matrices, b.matrices):
-            rows = [tuple(row) + (f.zero,) * b.dim for row in ma.entries]
-            rows += [(f.zero,) * a.dim + tuple(row) for row in mb.entries]
-            mats.append(Matrix(f, rows))
-        return Representation(a.monoid, f, mats, validate=False)
+        mats = [block_diag(a.field, pair)
+                for pair in zip(a.matrices, b.matrices)]
+        return Representation(a.monoid, a.field, mats, validate=False)
 
     @staticmethod
     def tensor(a: "Representation", b: "Representation") -> "Representation":
@@ -156,9 +161,10 @@ class AlgebraModule:
     act(aa') act(b) = act(a) act(a') act(b) = act(a) act(a'b) =
     act(a(a'b)) = act((aa')b) by associativity. A unital subalgebra that
     holds the generators is all of A. It takes |S| dim(A) products instead
-    of dim(A)^2, checked in one :func:`first_bad_product` call against
-    act(e_s e_b) (the matrix of e_s e_b itself when that is one basis
-    element), and a failure names the first pair (s, b) in that order.
+    of dim(A)^2, in the batch of :class:`Representation`
+    (:func:`_first_bad_law`) against act(e_s e_b) (the matrix of e_s e_b
+    itself when that is one basis element), and a failure names the first
+    pair (s, b) in that order.
 
     ``certified`` is True when the matrices are known to form a module:
     validation passed, or the module comes from a certified
@@ -183,16 +189,14 @@ class AlgebraModule:
             if self.act(algebra.unit) != Matrix.identity(f, self.dim):
                 raise ValueError("1 must act as the identity")
             mats = self.matrices
-            pairs = [(i, j) for i in algebra.generators
-                     for j in range(algebra.dim)]
-            bad = first_bad_product(
-                (mats[i], mats[j],
-                 lincomb(f, self.dim, self.dim,
-                         [(c, mats[k])
-                          for k, c in algebra.mul_basis(i, j).items()]))
-                for i, j in pairs)
+
+            def act_product(i, j):  # act(e_i e_j)
+                return lincomb(f, self.dim, self.dim,
+                               [(c, mats[k]) for k, c
+                                in algebra.mul_basis(i, j).items()])
+            bad = _first_bad_law(mats, algebra.generators, act_product)
             if bad is not None:
-                i, j = pairs[bad]
+                i, j = bad
                 raise ValueError(f"module law fails at ({algebra.name_of(i)},"
                                  f"{algebra.name_of(j)})")
         self.certified = validate
@@ -270,8 +274,7 @@ def invariants(rho: Representation, generators=None) -> list:
     vector is invariant."""
     f = rho.field
     gens = rho.monoid.generators if generators is None else generators
-    ident = Matrix.identity(f, rho.dim)
-    blocks = [rho.action(g) - ident for g in gens]
+    blocks = [rho.action(g).shift(-1) for g in gens]
     if not blocks:
         return [vbasis(f, rho.dim, i) for i in range(rho.dim)]
     return kernel_basis(stack(blocks))
@@ -300,12 +303,11 @@ def integral_system(G: FiniteMonoid, F: FieldSpec):
     """
     A = monoid_algebra(G, F)
     n = G.size
-    ident = Matrix.identity(F, n)
     blocks = []
     for g in G.generators:
         e = A.basis_vec(g)
-        blocks.append(A.left_mult_matrix(e) - ident)
-        blocks.append(A.right_mult_matrix(e) - ident)
+        blocks.append(A.left_mult_matrix(e).shift(-1))
+        blocks.append(A.right_mult_matrix(e).shift(-1))
     # counit row: all ones (the trivial character pairing)
     blocks.append(Matrix(F, [[F.one] * n]))
     full = stack(blocks)
@@ -355,9 +357,20 @@ def invariant_integral(G: FiniteMonoid, F: FieldSpec) -> InvariantIntegral:
 
 @dataclass
 class ReynoldsSplit:
+    """The projector P onto M^G and the basis of M^G that :func:`invariants`
+    returned; the bases of M^G (reduced echelon) and of ker P are computed
+    when first read."""
     projector: Matrix
-    invariant_basis: list
-    complement_basis: list
+    invariants: list
+
+    @cached_property
+    def invariant_basis(self) -> list:
+        P = self.projector
+        return span_of(P.field, self.invariants, P.rows).basis()
+
+    @cached_property
+    def complement_basis(self) -> list:
+        return kernel_basis(self.projector)
 
 
 def reynolds(rho: Representation, w: InvariantIntegral) -> ReynoldsSplit:
@@ -367,8 +380,9 @@ def reynolds(rho: Representation, w: InvariantIntegral) -> ReynoldsSplit:
     One batch of products certifies P P = P and image(P) = M^G: A_s P = P
     for every generator s puts each column of P in M^G (a vector every
     generator fixes is fixed by G), and P K = K for the matrix K of the
-    invariant basis puts M^G in image(P). The invariant basis returned is
-    the reduced echelon basis of M^G."""
+    invariant basis puts M^G in image(P). Nothing more is eliminated: the
+    split keeps the invariant vectors, so dim M^G is their number and, by
+    rank-nullity, dim ker P = dim M - dim M^G."""
     if w.group != rho.monoid:
         raise ValueError("integral belongs to a different group")
     if w.field != rho.field:
@@ -386,8 +400,7 @@ def reynolds(rho: Representation, w: InvariantIntegral) -> ReynoldsSplit:
         raise RuntimeError("averaged operator failed to be idempotent")
     if bad is not None:
         raise RuntimeError("projector image is not the invariant subspace")
-    return ReynoldsSplit(P, span_of(f, inv, rho.dim).basis(),
-                         kernel_basis(P))
+    return ReynoldsSplit(P, inv)
 
 
 @dataclass
@@ -458,6 +471,15 @@ class RepMorphism:
         return rank(self.matrix) == self.target.dim
 
 
+def _average(w: InvariantIntegral, M: Representation, N: Representation,
+             s: Matrix) -> Matrix:
+    """sum_g w_g M(g) s N(g^{-1}) for a linear map s: N -> M."""
+    f = M.field
+    return lincomb(f, M.dim, N.dim,
+                   ((c, M.action(g) * s * N.action_inv(g))
+                    for g, c in enumerate(w.vector) if c != f.zero))
+
+
 def equivariant_section(pi: RepMorphism, s: Matrix,
                         w: InvariantIntegral) -> Matrix:
     """Average a linear section of an equivariant surjection into an
@@ -467,20 +489,15 @@ def equivariant_section(pi: RepMorphism, s: Matrix,
         raise ValueError("projection must be equivariant and surjective")
     if (s.rows, s.cols) != (M.dim, N.dim):
         raise ValueError("section has the wrong shape")
-    if first_bad_product([(pi.matrix, s,
-                           Matrix.identity(M.field, N.dim))]) is not None:
+    ident = Matrix.identity(M.field, N.dim)
+    if first_bad_product([(pi.matrix, s, ident)]) is not None:
         raise NotASection("pi o s is not the identity")
     if not M.monoid.is_group:
         raise NotAGroup("averaging a section needs inverses")
-    f = M.field
-    acc = lincomb(f, M.dim, N.dim,
-                  ((c, M.action(g) * s * N.action_inv(g))
-                   for g, c in enumerate(w.vector) if c != f.zero))
-    if first_bad_product([(pi.matrix, acc,
-                           Matrix.identity(f, N.dim))]) is not None:
+    acc = _average(w, M, N, s)
+    if first_bad_product([(pi.matrix, acc, ident)]) is not None:
         raise RuntimeError("averaged map stopped being a section")
-    if first_bad_product((M.action(g), acc, acc * N.action(g))
-                         for g in M.monoid.generators) is not None:
+    if not RepMorphism(N, M, acc).is_equivariant():
         raise RuntimeError("averaged section is not equivariant")
     return acc
 
@@ -502,20 +519,37 @@ def check_invariant_exactness(pi: RepMorphism) -> bool:
     return image.dim == len(inv_target)
 
 
+def _require_invariant(rho: Representation, products) -> None:
+    """Raise unless a b = tail A_s S = 0 for each pair (a, b) of products,
+    one per generator s in order, for the tail of :func:`_adapted_basis`,
+    which kills exactly the subspace, and the matrix S of its spanning
+    vectors: a subspace every generator keeps is kept by G. A failure names
+    the first generator, and the first spanning vector it moves out."""
+    bad = first_bad_product((a, b, Matrix.zero(rho.field, a.rows, b.cols))
+                            for a, b in products)
+    if bad is not None:
+        a, b = products[bad]
+        i = next(j for j, col in enumerate(zip(*(a * b).ints)) if any(col))
+        g = rho.monoid.names[rho.monoid.generators[bad]]
+        raise ValueError(f"subspace is not invariant: {g} moves spanning "
+                         f"vector {i} out of it")
+
+
 def sub_rep(rho: Representation, basis) -> Representation:
-    """Restriction of the action to an invariant subspace, in the given
-    basis coordinates."""
+    """Restriction of the action to an invariant subspace, in the
+    coordinates of its basis: A_g S = S (head A_g S) for the matrix S of
+    the basis and the head of :func:`_adapted_basis`, whose one elimination
+    also rejects a dependent family. Invariance is checked as in
+    :func:`quotient_rep`, as tail (A_s S) = 0 for the generators s."""
     f = rho.field
     basis = list(basis)
-    k = len(basis)
-    coords = solve_many(Matrix.from_columns(f, basis), Matrix.from_columns(
-        f, [m.apply(v) for m in rho.matrices for v in basis]))
-    if coords is None:
-        raise ValueError("subspace is not invariant")
-    coords = coords.transpose().entries
-    mats = [Matrix.from_columns(f, coords[g * k:(g + 1) * k])
-            for g in range(rho.monoid.size)]
-    return Representation(rho.monoid, f, mats, validate=False)
+    _, head, tail = _adapted_basis(f, basis, rho.dim)
+    S = Matrix(f, basis, cols=rho.dim).transpose()  # n x 0 for no vectors
+    moved = [m * S for m in rho.matrices]
+    _require_invariant(rho, [(tail, moved[s])
+                             for s in rho.monoid.generators])
+    return Representation(rho.monoid, f, [head * m for m in moved],
+                          validate=False)
 
 
 def _adapted_basis(field: FieldSpec, sub, n: int):
@@ -573,30 +607,17 @@ def quotient_rep(rho: Representation, sub_basis):
 
     Returns (quotient representation, projection matrix, linear section)
     with the complement spanned by unit vectors chosen deterministically
-    (:func:`_adapted_basis`). A vector lies in the subspace iff the
-    projection kills it, so the subspace is invariant iff proj A_s S = 0
-    for the matrix S of its spanning vectors and every generator s (a
-    subspace every generator keeps is kept by every product of them): one
-    batch of products, reusing the proj A_s of the quotient. A failure
-    names the first generator, and the first spanning vector it moves out.
-    """
+    (:func:`_adapted_basis`); the projection is its tail. Invariance is
+    checked as (proj A_s) S = 0 for the generators s, reusing the proj A_s
+    of the quotient (:func:`_require_invariant`, which :func:`sub_rep`
+    shares)."""
     f = rho.field
     sub = list(sub_basis)
     comp, _, proj = _adapted_basis(f, sub, rho.dim)
     sect = Matrix.from_columns(f, comp)
     moved = [proj * m for m in rho.matrices]
-    if sub:
-        gens = rho.monoid.generators
-        S = Matrix.from_columns(f, sub)
-        zero = Matrix.zero(f, proj.rows, len(sub))
-        bad = first_bad_product((moved[g], S, zero) for g in gens)
-        if bad is not None:
-            g = gens[bad]
-            i = next(j for j, col in enumerate(zip(*(moved[g] * S).ints))
-                     if any(col))
-            raise ValueError(
-                f"subspace is not invariant: {rho.monoid.names[g]} moves "
-                f"spanning vector {i} out of it")
+    S = Matrix(f, sub, cols=rho.dim).transpose()
+    _require_invariant(rho, [(moved[s], S) for s in rho.monoid.generators])
     quot = Representation(rho.monoid, f, [pm * sect for pm in moved],
                           validate=False)
     return quot, proj, sect
@@ -638,14 +659,6 @@ class Summand:
     certificate: str
 
 
-def _average_conjugates(rho: Representation, w: InvariantIntegral,
-                        E: Matrix) -> Matrix:
-    f = rho.field
-    return lincomb(f, rho.dim, rho.dim,
-                   ((c, rho.action(g) * E * rho.action_inv(g))
-                    for g, c in enumerate(w.vector) if c != f.zero))
-
-
 def _field_eigenvalues(field, m: Matrix) -> list:
     cp = polys.char_poly(m)
     if field.p is None:
@@ -662,18 +675,14 @@ def _proper_invariant_subspace(rho, w, rng, attempts):
     inv = invariants(rho)
     if 0 < len(inv) < n:
         return inv
-    ident = Matrix.identity(f, n)
+    low, high = (-5, 5) if f.p is None else (0, f.p - 1)
     for _ in range(attempts):
-        if f.p is None:
-            u = [f.from_int(rng.randint(-5, 5)) for _ in range(n)]
-            v = [f.from_int(rng.randint(-5, 5)) for _ in range(n)]
-        else:
-            u = [f.from_int(rng.randrange(f.p)) for _ in range(n)]
-            v = [f.from_int(rng.randrange(f.p)) for _ in range(n)]
+        u, v = ([f.from_int(rng.randint(low, high)) for _ in range(n)]
+                for _ in range(2))
         E = Matrix(f, [[f.mul(a, b) for b in v] for a in u])
-        T = _average_conjugates(rho, w, E)
+        T = _average(w, rho, rho, E)
         for lam in _field_eigenvalues(f, T):
-            ker = kernel_basis(T - ident.scale(lam))
+            ker = kernel_basis(T.shift(-lam))
             if 0 < len(ker) < n:
                 return ker
     return None
@@ -702,7 +711,7 @@ def complete_reducibility(rho: Representation, w: InvariantIntegral,
             return [Summand(embedding, piece, cert)]
         # equivariant projector onto the found subspace
         _, head, _ = _adapted_basis(f, found, piece.dim)
-        Q = _average_conjugates(piece, w, Matrix.from_columns(f, found) * head)
+        Q = _average(w, piece, piece, Matrix.from_columns(f, found) * head)
         if first_bad_product([(Q, Q, Q)]) is not None:
             raise RuntimeError("averaged projector failed to be idempotent")
         img = span_of(f, [Q.column(j) for j in range(piece.dim)],
@@ -729,19 +738,18 @@ def assemble_summands(rho: Representation, summands) -> Matrix:
     if Binv is None:
         raise ValueError("summands do not span: sum is not direct")
     # products of block-diagonal matrices are block diagonal, so the
-    # generators decide it for all of G
+    # generators decide it for all of G; the rows of each block must be
+    # zero outside its columns
     for g in rho.monoid.generators:
-        conj = Binv * rho.action(g) * B
-        offset = 0
+        conj = (Binv * rho.action(g) * B).ints
+        start = 0
         for s in summands:
-            d = len(s.embedding)
-            for i in range(rho.dim):
-                for j in range(offset, offset + d):
-                    inside = offset <= i < offset + d
-                    if not inside and conj.entries[i][j] != f.zero:
-                        raise ValueError("action is not block diagonal in "
-                                         "the assembled basis")
-            offset += d
+            end = start + len(s.embedding)
+            if any(any(row[:start]) or any(row[end:])
+                   for row in conj[start:end]):
+                raise ValueError("action is not block diagonal in the "
+                                 "assembled basis")
+            start = end
     return B
 
 
@@ -773,13 +781,9 @@ class ZRepDecomposition:
 
 def _companion(field, poly) -> Matrix:
     n = polys.degree(poly)
-    cols = []
-    for j in range(n):
-        if j < n - 1:
-            cols.append(vbasis(field, n, j + 1))
-        else:
-            cols.append(tuple(field.neg(c) for c in poly[:-1]))
-    return Matrix.from_columns(field, cols)
+    return Matrix.from_columns(field, [vbasis(field, n, j + 1)
+                                       for j in range(n - 1)]
+                               + [tuple(field.neg(c) for c in poly[:-1])])
 
 
 def _cyclic_generators(field, M: Matrix, q) -> list:
@@ -873,34 +877,21 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
             ambient = proj_cols.apply(gen)
             blocks.append(CyclicBlock(q, e, ambient))
     blocks.sort(key=lambda b: (polys.degree(b.poly), b.poly, -b.exponent))
-    cols = []
-    comp_blocks = []
+    cols, comp_blocks = [], []
     for b in blocks:
-        size = polys.degree(b.poly) * b.exponent
-        vec = b.generator
-        for _ in range(size):
-            cols.append(vec)
-            vec = m.apply(vec)
         qe = (f.one,)
         for _ in range(b.exponent):
             qe = polys.mul(f, qe, b.poly)
         comp_blocks.append(_companion(f, qe))
+        vec = b.generator
+        for _ in range(polys.degree(qe)):
+            cols.append(vec)
+            vec = m.apply(vec)
     basis = Matrix.from_columns(f, cols)
-    total = sum(c.rows for c in comp_blocks)
-    rows = []
-    off = 0
-    for c in comp_blocks:
-        for r in c.entries:
-            rows.append((f.zero,) * off + tuple(r)
-                        + (f.zero,) * (total - off - c.cols))
-        off += c.rows
-    companion = Matrix(f, rows)
-    summary = {}
-    for b in blocks:
-        key = (b.poly, b.exponent)
-        summary[key] = summary.get(key, 0) + 1
-    summary_list = [(q, e, mult) for (q, e), mult in sorted(summary.items())]
-    out = ZRepDecomposition(f, blocks, basis, companion, summary_list)
+    companion = block_diag(f, comp_blocks)
+    summary = Counter((b.poly, b.exponent) for b in blocks)
+    out = ZRepDecomposition(f, blocks, basis, companion, [
+        (q, e, mult) for (q, e), mult in sorted(summary.items())])
     if not out.verify(m):
         raise RuntimeError("reassembled companion form is not similar to "
                            "the input")

@@ -21,9 +21,11 @@ questions as they were answered with spans and an inverse: the adapted
 basis by the greedy unit-vector completion and the inverse of [sub |
 complement], the quotient with invariance tested by membership in the
 span of the subspace, the Reynolds image as the span of the columns of
-P, and invariant exactness by testing each invariant of the target for
-membership in the image; ``test_reps`` compares ``hopfdual.reps`` with
-them.
+P, invariant exactness by testing each invariant of the target for
+membership in the image, the restriction to a subspace by one solve of
+all its images, the direct sum by zero-padded rows, and the block
+diagonality of assembled summands entry by entry; ``test_reps`` compares
+``hopfdual.reps`` with them.
 
 Last, the G-laws on every element: invariants, the integral system,
 equivariance, subspace invariance and the module law, each over all of G
@@ -59,6 +61,7 @@ of every monomial of degree <= N and comparing every (mu, kappa) pair.
 only."""
 
 import itertools
+from types import SimpleNamespace
 
 from hopfdual import polys, reps
 from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix, Span,
@@ -581,7 +584,8 @@ def reynolds_by_span(rho, w):
     inv = span_of(f, reps.invariants(rho), rho.dim)
     if image.basis() != inv.basis():
         raise RuntimeError("projector image is not the invariant subspace")
-    return reps.ReynoldsSplit(P, image.basis(), kernel_basis(P))
+    return SimpleNamespace(projector=P, invariant_basis=image.basis(),
+                           complement_basis=kernel_basis(P))
 
 
 def invariant_exactness_by_contains(pi) -> bool:
@@ -598,6 +602,58 @@ def invariant_exactness_by_contains(pi) -> bool:
                                       reps.invariants(pi.source)],
                     pi.target.dim)
     return all(image.contains(v) for v in inv_target)
+
+
+def sub_rep_by_solve(rho, basis):
+    """``reps.sub_rep`` as it was: the coordinates of every image A_g s_i
+    over the basis from one solve of all |G| k of them; a dependent family
+    is not detected."""
+    f = rho.field
+    basis = list(basis)
+    k = len(basis)
+    coords = solve_many(Matrix.from_columns(f, basis), Matrix.from_columns(
+        f, [m.apply(v) for m in rho.matrices for v in basis]))
+    if coords is None:
+        raise ValueError("subspace is not invariant")
+    coords = coords.transpose().entries
+    mats = [Matrix.from_columns(f, coords[g * k:(g + 1) * k])
+            for g in range(rho.monoid.size)]
+    return reps.Representation(rho.monoid, f, mats, validate=False)
+
+
+def direct_sum_padded(a, b):
+    """``Representation.direct_sum`` as it was: each block row padded with
+    zero scalars."""
+    f = a.field
+    mats = []
+    for ma, mb in zip(a.matrices, b.matrices):
+        rows = [tuple(row) + (f.zero,) * b.dim for row in ma.entries]
+        rows += [(f.zero,) * a.dim + tuple(row) for row in mb.entries]
+        mats.append(Matrix(f, rows))
+    return reps.Representation(a.monoid, f, mats, validate=False)
+
+
+def assemble_summands_entrywise(rho, summands) -> Matrix:
+    """``reps.assemble_summands`` as it was: block-diagonality checked
+    entry by entry, column block by column block."""
+    f = rho.field
+    B = Matrix.from_columns(f, [v for s in summands for v in s.embedding])
+    Binv = inverse(B)
+    if Binv is None:
+        raise ValueError("summands do not span: sum is not direct")
+    for g in rho.monoid.generators:
+        conj = Binv * rho.action(g) * B
+        offset = 0
+        for s in summands:
+            d = len(s.embedding)
+            for i in range(rho.dim):
+                for j in range(offset, offset + d):
+                    inside = offset <= i < offset + d
+                    if not inside and conj.entries[i][j] != f.zero:
+                        raise ValueError("action is not block diagonal in "
+                                         "the assembled basis")
+            offset += d
+    return B
 
 
 # -- the G-laws on every element ----------------------------------------------

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import reference_kernel as ref
 from conftest import is_canonical
 from hopfdual.exact import (_PACKED_WIDTH, FieldMismatch, FieldSpec, Matrix,
-                            Span, inverse, kernel_basis, kron, lincomb, rref,
-                            solve, solve_many, span_of, stack, vbasis)
+                            Span, augment, block_diag, inverse, kernel_basis,
+                            kron, lincomb, rref, solve, solve_many, span_of,
+                            stack, vbasis)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -421,6 +422,37 @@ def test_kron_matches_reference(field, r, c, s, t, data):
     a = data.draw(matrices(field, r, c))
     b = data.draw(matrices(field, s, t))
     assert_same(kron(a, b), ref.kron(a, b))
+
+
+def test_sums_keep_their_errors():
+    a = Matrix.identity(Q, 2)
+    for op in (Matrix.__add__, Matrix.__sub__):
+        with pytest.raises(FieldMismatch):
+            op(a, Matrix.identity(F5, 2))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(a, Matrix.identity(Q, 3))
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.lists(st.tuples(dims, dims),
+                                                max_size=3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_block_diag_matches_stacked_padded_rows(field, shapes, data):
+    """block_diag is the stack of each block's rows between zero blocks,
+    in normal form; a block of another field is refused."""
+    blocks = [data.draw(matrices(field, r, c)) for r, c in shapes]
+    got = block_diag(field, blocks)
+    rows = sum(r for r, _ in shapes)
+    cols = sum(c for _, c in shapes)
+    assert_shape_and_scalars(got, rows, cols)
+    top = left = 0
+    for m in blocks:
+        band = augment(augment(Matrix.zero(field, m.rows, left), m),
+                       Matrix.zero(field, m.rows, cols - left - m.cols))
+        assert Matrix(field, got.entries[top:top + m.rows], cols=cols) == band
+        top, left = top + m.rows, left + m.cols
+    other = F2 if field != F2 else Q
+    with pytest.raises(FieldMismatch):
+        block_diag(field, blocks + [Matrix.identity(other, 1)])
 
 
 @given(st.sampled_from(KERNEL_FIELDS), dims, st.integers(0, 5), st.data())

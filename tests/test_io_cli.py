@@ -323,6 +323,31 @@ class TestCliContract:
     def test_dist_cli(self):
         assert run_cli("dist", "--preset", "gm", "--order", "3") == 0
 
+    @pytest.mark.parametrize("preset", ("ga", "gm", "u2"))
+    def test_dist_refuses_a_product_sweep_over_budget(self, capsys, preset):
+        # at order 4 the sweep reads 5^3 * 6 / 2 = 375 coefficient pairs
+        argv = ["dist", "--preset", preset, "--order", "4"]
+        assert run_cli("--format", "json", "--budget", "374", *argv) == 1
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check == {"name": "BudgetExceeded", "status": "fail",
+                         "witness": "375 coefficient pairs of the product "
+                                    "sweep at order 4 exceed budget 374"}
+        assert run_cli("--budget", "375", *argv) == 0
+        assert run_cli(*argv) == 0
+        # an order the command refuses as malformed is not over budget
+        assert run_cli("--budget", "1", "dist", "--preset", preset,
+                       "--order", "-1000000") == 2
+
+    def test_dist_refuses_order_160_at_once(self, capsys):
+        started = time.perf_counter()
+        assert run_cli("--format", "json", "dist", "--preset", "gm",
+                       "--order", "160") == 1
+        assert time.perf_counter() - started < 1
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["witness"] == ("338035761 coefficient pairs of the "
+                                    "product sweep at order 160 exceed "
+                                    "budget 10000000")
+
     def test_tannaka_cli(self):
         assert run_cli("tannaka", str(CORPUS / "monoid_s3.json"),
                        str(CORPUS / "rep_s3_trivial.json"),

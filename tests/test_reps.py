@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -37,6 +38,7 @@ Z2 = FiniteMonoid.cyclic(2)
 Z3 = FiniteMonoid.cyclic(3)
 S3 = FiniteMonoid.symmetric(3)
 D4 = FiniteMonoid.dihedral(4)
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "hopfdual" / "corpus"
 
 
 def swap_rep(field=Q):
@@ -372,6 +374,17 @@ def test_sub_rep_rejects_non_invariant_line():
         sub_rep(reg, [vbasis(Q, S3.size, 0)])
 
 
+def test_sub_rep_rejects_a_dependent_family():
+    """The elimination of the adapted basis refuses a dependent family; the
+    solve of every image restricted to it all the same."""
+    reg = Representation.regular(S3, Q)
+    ones = (Q.one,) * S3.size
+    family = [ones, tuple(2 * x for x in ones)]
+    with pytest.raises(ValueError, match="subspace basis is dependent"):
+        sub_rep(reg, family)
+    assert ref.sub_rep_by_solve(reg, family).dim == 2
+
+
 def test_quotient_rep_rejects_dependent_basis():
     reg = Representation.regular(S3, Q)
     ones = (Q.one,) * S3.size
@@ -556,6 +569,113 @@ def test_reynolds_matches_the_column_span(case):
                                               want.complement_basis)
     assert outcome(reynolds, rho, reps.InvariantIntegral(G, f, delta)) == (
         "RuntimeError: projector image is not the invariant subspace")
+
+
+def test_reynolds_command_eliminates_only_for_the_invariants(capsys,
+                                                             monkeypatch):
+    """One run of the reynolds command calls kernel_basis once, for M^G:
+    the report reads dim M^G off the invariant vectors and certifies the
+    dimension count, so ker P is never eliminated."""
+    calls = []
+    kernel_basis = reps.kernel_basis
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return kernel_basis(m)
+    monkeypatch.setattr(reps, "kernel_basis", counted)
+    path = CORPUS / "rep_d4_regular.json"
+    assert cli.main(["--format", "json", "reynolds", str(path)]) == 0
+    assert calls == [(8 * len(D4.generators), 8)]
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[2:] == [
+        {"name": "image equals the invariants", "status": "pass",
+         "witness": "dimension 1"},
+        {"name": "dimension count dim M = dim M^G + dim ker",
+         "status": "pass"}]
+
+
+@given(modules_with_subspaces())
+@settings(max_examples=60, deadline=None)
+def test_sub_rep_matches_the_solve_of_every_image(case):
+    """head A_g S restricts the action as the solve of all |G| k images
+    over the basis did; tail A_s S = 0 on the generators refuses the same
+    subspaces and names a generator and vector the span test finds."""
+    rho, sub = case
+    got = outcome(sub_rep, rho, sub)
+    want = outcome(ref.sub_rep_by_solve, rho, sub)
+    event("refused" if isinstance(want, str) else "restricted")
+    if isinstance(want, str):
+        assert want == "ValueError: subspace is not invariant"
+        g, i = re.fullmatch(r"ValueError: subspace is not invariant: (\S+) "
+                            r"moves spanning vector (\d+) out of it",
+                            got).groups()
+        assert rho.monoid.index_of(g) in rho.monoid.generators
+        assert (rho.monoid.index_of(g), int(i)) in \
+            ref.invariance_failures(rho, sub)
+    else:
+        assert got.matrices == want.matrices
+
+
+@given(st.sampled_from(SUBSPACE_FIELDS), st.sampled_from((S3, D4)),
+       st.integers(0, 2**32))
+@settings(max_examples=20, deadline=None)
+def test_summands_restrict_and_assemble_as_before(field, G, seed):
+    """On the summands complete_reducibility finds, sub_rep gives each
+    summand's own action, as the solve did, and assemble_summands the base
+    change the entrywise check gave. Over Q the module is left unconjugated
+    (rational eigenvalue search factors its constant terms); over F_2 the
+    group order vanishes, so there is no integral."""
+    if field == F2:
+        return
+    rng = random.Random(seed)
+    if field.p:
+        rho = seeded_module(G, field, rng)
+    else:
+        rho = Representation.direct_sum(Representation.regular(G, field),
+                                        Representation.trivial(G, field, 2))
+    summands = complete_reducibility(rho, invariant_integral(G, field),
+                                     seed=seed)
+    for s in summands:
+        got = sub_rep(rho, s.embedding)
+        assert got.matrices == s.rep.matrices
+        assert got.matrices == ref.sub_rep_by_solve(rho, s.embedding).matrices
+    assert assemble_summands(rho, summands) == \
+        ref.assemble_summands_entrywise(rho, summands)
+    event(f"{len(summands)} summands")
+
+
+@given(modules_with_subspaces(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_assemble_summands_matches_the_entrywise_check(case, seed):
+    """A subspace and pieces of its unit-vector complement, all of them as
+    one block, or fewer vectors than a basis, are assembled or refused as
+    the entry-by-entry check did, with the same message."""
+    rho, sub = case
+    comp = reps._adapted_basis(rho.field, sub, rho.dim)[0]
+    rng = random.Random(seed)
+    cut = rng.randint(0, len(comp))
+    parts = [sub, comp[:cut], comp[cut:]]
+    shape = rng.randrange(3)
+    if shape == 1:
+        parts = [sub + comp]
+    elif shape == 2:
+        parts[-1] = parts[-1][1:]
+    summands = [reps.Summand(part, None, "") for part in parts if part]
+    got = outcome(assemble_summands, rho, summands)
+    want = outcome(ref.assemble_summands_entrywise, rho, summands)
+    event("refused" if isinstance(want, str) else "assembled")
+    assert got == want
+
+
+@given(st.sampled_from(SUBSPACE_FIELDS), st.sampled_from((S3, D4)),
+       st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_direct_sum_matches_the_padded_rows(field, G, seed):
+    rng = random.Random(seed)
+    a, b = seeded_module(G, field, rng), seeded_module(G, field, rng)
+    got = Representation.direct_sum(a, b)
+    assert got.dim == a.dim + b.dim
+    assert got.matrices == ref.direct_sum_padded(a, b).matrices
 
 
 class TestInvariantExactness:
