@@ -25,7 +25,9 @@ the matrix of each generator of S4, and every product of eight seeded
 random 15x15 matrices over F_31.
 Times the routines ``zrep`` is built on: ``char_poly`` of a conjugated
 14x14 block-companion matrix over F_31, ``factor_monic_fp`` of a
-degree-4 irreducible times three linear factors over F_101, and
+degree-4 irreducible times three linear factors over F_101 and of the
+characteristic polynomial of the n = 40 ``zrep`` input over F_2147483647
+below, and
 ``eval_at_matrix`` of a seeded degree-7 polynomial at a seeded 15x15
 matrix over F_31. Times in-process ``cli.main`` calls of ``--format json
 zrep`` on seeded dense random invertible matrices built in the script,
@@ -269,7 +271,9 @@ def block_companion(field: FieldSpec, polys) -> Matrix:
 
 def polys_cases() -> dict:
     """name -> (number of calls, thunk) for ``char_poly``,
-    ``factor_monic_fp`` and ``eval_at_matrix``."""
+    ``factor_monic_fp`` (twice: a small product over F_101, and the
+    characteristic polynomial of the n = 40 ``zrep`` input over
+    F_2147483647) and ``eval_at_matrix``."""
     f31 = FieldSpec.prime(31)
     rng = random.Random(SEED)
     m = block_companion(f31, [tuple(rng.randrange(31) for _ in range(d))
@@ -289,9 +293,13 @@ def polys_cases() -> dict:
                           for _ in range(15)])
     deg7 = (tuple(rng.randrange(31) for _ in range(7))
             + (1 + rng.randrange(30),))
+    big = FieldSpec.prime(2**31 - 1)
+    cp40 = char_poly(Matrix(big, zrep_rows(40, big.p)))
     return {
         "F31.char_poly": (1, lambda: char_poly(m)),
         "F101.factor_monic_fp": (1, lambda: factor_monic_fp(f101, poly)),
+        "F2147483647.factor_monic_fp.n40": (
+            1, lambda: factor_monic_fp(big, cp40)),
         "F31.eval_at_matrix.deg7_15x15": (
             1, lambda: eval_at_matrix(f31, deg7, square).entries),
     }
@@ -439,18 +447,23 @@ def scaled_cases(work: Path) -> dict:
     }
 
 
+def zrep_rows(n: int, p: int) -> list:
+    """The int rows of the seeded dense random invertible n x n matrix over
+    F_p that the ``zrep`` cases decompose."""
+    rng = random.Random(f"zrep:{n}:{p}:{SEED}")
+    while True:
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if rank(Matrix(FieldSpec.prime(p), rows)) == n:
+            return rows
+
+
 def zrep_cases(work: Path) -> dict:
     """name -> (number of calls, thunk) for the ``zrep`` command on seeded
     dense random invertible matrices, saved under work: n = 40 and n = 80
     over F_101 and n = 40 over F_2147483647."""
     out = {}
     for n, p in ((40, 101), (80, 101), (40, 2**31 - 1)):
-        field = FieldSpec.prime(p)
-        rng = random.Random(f"zrep:{n}:{p}:{SEED}")
-        while True:
-            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-            if rank(Matrix(field, rows)) == n:
-                break
+        rows = zrep_rows(n, p)
         path = work / f"zrep_f{p}_n{n}.json"
         path.write_text(json.dumps({
             "field": {"kind": "PrimeField", "p": p},

@@ -791,9 +791,11 @@ def inverse(m: Matrix) -> Matrix | None:
 
 def lincomb(field: FieldSpec, rows: int, cols: int, terms) -> Matrix:
     """Sum of c * M over the (c, M) pairs of terms, as a rows x cols matrix,
-    in one pass over the int rows with one common denominator; zero
-    coefficients and zero rows are skipped, and a sum of one term 1 * M is
-    M itself."""
+    with one common denominator; zero coefficients are skipped, and a sum
+    of one term 1 * M is M itself. Each row is summed in one pass per
+    term: it starts from its first term's row (that row itself when the
+    coefficient is 1), and over F_p the last term's pass also reduces
+    mod p."""
     scaled = []
     for c, m in terms:
         if m.field != field:
@@ -802,20 +804,28 @@ def lincomb(field: FieldSpec, rows: int, cols: int, terms) -> Matrix:
             raise ValueError("shape mismatch")
         if c:
             scaled.append((c, m))
+    if not scaled:
+        return Matrix.zero(field, rows, cols)
     if len(scaled) == 1 and scaled[0][0] == 1:
         return scaled[0][1]
     p = field.p
     # over Q, c * ints / d == c.numerator * k * ints / den for
     # k = den / (d * c.denominator)
     den = 1 if p else lcm(*[m.den * c.denominator for c, m in scaled])
-    acc = [[0] * cols for _ in range(rows)]
-    for c, m in scaled:
-        k = c if p else c.numerator * (den // (m.den * c.denominator))
-        for i, row in enumerate(m.ints):
-            if any(row):
-                acc[i] = [s + k * x for s, x in zip(acc[i], row)]
-    if p:
-        acc = [[x % p for x in row] for row in acc]
+    ks = [(c if p else c.numerator * (den // (m.den * c.denominator)),
+           m.ints) for c, m in scaled]
+    (k, acc), *rest = ks
+    if p and not rest:
+        return Matrix._of(field, [[k * x % p for x in row] for row in acc],
+                          1, cols)
+    if k != 1:
+        acc = [[k * x for x in row] for row in acc]
+    for j, (k, ints) in enumerate(rest, 1):
+        if p and j == len(rest):
+            return Matrix._of(field, [[(s + k * x) % p for s, x in zip(a, row)]
+                                      for a, row in zip(acc, ints)], 1, cols)
+        acc = [[s + k * x for s, x in zip(a, row)]
+               for a, row in zip(acc, ints)]
     return _normal(field, acc, den, cols)
 
 

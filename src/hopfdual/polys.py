@@ -15,7 +15,9 @@ row lists. :func:`eval_at_matrix` evaluates at a matrix by Horner's rule,
 in d - 1 products for degree d >= 1. The factoring routines work over F_p
 only: square-free, distinct-degree and Cantor-Zassenhaus equal-degree
 splitting (von zur Gathen and Gerhard, ch. 14), each division through the
-module-level :func:`divmod_poly`.
+module-level :func:`divmod_poly`. The distinct-degree split takes one
+p-th power, x^p, and reads every later x^(p^d) off the Frobenius matrix
+of rows x^(ip) mod f, one vector-matrix product per degree.
 :func:`rational_roots` finds the rational roots of a polynomial over Q."""
 
 from __future__ import annotations
@@ -240,18 +242,43 @@ def _squarefree(field: FieldSpec, poly) -> list:
 
 def _distinct_degree(field: FieldSpec, poly) -> list:
     """Pairs (d, g) with g the product of the irreducible factors of degree
-    d of a square-free monic poly."""
+    d of a square-free monic poly.
+
+    The d-th step takes the gcd of poly with x^(p^d) - x. Over F_p,
+    a^p = sum a_i x^(ip) for a = sum a_i x^i, so x^(p^d) mod poly is the
+    coefficients of x^(p^(d-1)) times the rows x^(ip) mod poly, i < deg
+    poly (the Berlekamp or Frobenius matrix; von zur Gathen and Gerhard,
+    ch. 14): one vector-matrix product per step, with one reduction per
+    coefficient, where a p-th power costs about log p products. The first
+    step takes x^p by one :func:`powmod`; the second, if there is one,
+    builds the rows as the powers of x^p, and when a factor is split off
+    they are reduced modulo what is left."""
     out = []
-    h = (0, 1)
+    rows = None  # rows[i] = x^(ip) mod poly, built at the second step
     d = 0
     while 2 * (d + 1) <= degree(poly):
         d += 1
-        h = powmod(field, h, field.p, poly)  # x^(p^d) mod poly
+        if d == 1:
+            h = powmod(field, (0, 1), field.p, poly)  # x^p mod poly
+        else:
+            if rows is None:
+                rows = [(1,), h]
+                for _ in range(degree(poly) - 2):
+                    rows.append(divmod_poly(field, _product(rows[-1], h),
+                                            poly)[1])
+            acc = [0] * degree(poly)
+            for c, row in zip(h, rows):
+                if c:
+                    acc[:len(row)] = [s + c * y for s, y in zip(acc, row)]
+            h = _reduced(field, acc)  # x^(p^d) mod poly
         g = gcd_poly(field, poly, add(field, h, (0, -1)))
         if degree(g) > 0:
             out.append((d, g))
             poly = divmod_poly(field, poly, g)[0]
             h = divmod_poly(field, h, poly)[1]
+            if rows:
+                rows = [divmod_poly(field, row, poly)[1]
+                        for row in rows[:degree(poly)]]
     if degree(poly) > 0:
         out.append((degree(poly), poly))
     return out

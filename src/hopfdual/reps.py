@@ -16,7 +16,7 @@ from .bialgebra import (BialgebraMorphism, FinBialgebra, check_morphism,
                         same_algebra)
 from .exact import (FieldMismatch, FieldSpec, Matrix, augment, block_diag,
                     first_bad_product, inverse, kernel_basis, kron, lincomb,
-                    rank, rref, solve_many, span_of, stack, vbasis)
+                    rank, rref, span_of, stack, vbasis)
 from .monoids import BudgetExceeded, Character, FiniteMonoid, monoid_algebra
 from .report import Report
 
@@ -614,7 +614,7 @@ def quotient_rep(rho: Representation, sub_basis):
     f = rho.field
     sub = list(sub_basis)
     comp, _, proj = _adapted_basis(f, sub, rho.dim)
-    sect = Matrix.from_columns(f, comp)
+    sect = Matrix(f, comp, cols=rho.dim).transpose()  # n x 0 for no vectors
     moved = [proj * m for m in rho.matrices]
     S = Matrix(f, sub, cols=rho.dim).transpose()
     _require_invariant(rho, [(moved[s], S) for s in rho.monoid.generators])
@@ -786,76 +786,71 @@ def _companion(field, poly) -> Matrix:
                                + [tuple(field.neg(c) for c in poly[:-1])])
 
 
-def _cyclic_generators(field, M: Matrix, q) -> list:
-    """Cyclic decomposition of a space on which q(M) is nilpotent: returns
-    (generator, exponent) pairs with the generator of maximal height first."""
-    n = M.rows
-    if n == 0:
-        return []
-    Qm = polys.eval_at_matrix(field, q, M)
-    # powers[s] = q(M)^s up to the first zero power q(M)^e; a unit vector
-    # outside the kernel of q(M)^(e-1) is one at a nonzero column of it
-    powers = [Matrix.identity(field, n)]
-    while not powers[-1].is_zero():
-        if len(powers) > n:
-            raise ValueError("q(M) is not nilpotent on this space")
-        powers.append(powers[-1] * Qm)
-    e = len(powers) - 1
-    i = next(j for j, col in enumerate(zip(*powers[e - 1].ints)) if any(col))
-    v = vbasis(field, n, i)
-    deg_q = polys.degree(q)
-    block = deg_q * e
-    cyc = [v]
-    for _ in range(block - 1):
-        cyc.append(M.apply(cyc[-1]))
-    if block == n:  # the cyclic vectors are independent, so they span
-        return [(v, e)]
-    comp, _, quot_proj = _adapted_basis(field, cyc, n)
-    quot_sect = Matrix.from_columns(field, comp)
-    rest = _cyclic_generators(field, quot_proj * M * quot_sect, q)
-    # lift each generator w of the quotient and subtract the u in the cyclic
-    # span with q(M)^s u = q(M)^s w; one solve per distinct exponent s
-    Cmat = Matrix.from_columns(field, cyc)
-    lifts = [quot_sect.apply(wbar) for wbar, _ in rest]
-    fixed = {}
-    for s in sorted({s for _, s in rest}):
-        P = powers[s]
-        idx = [i for i, (_, t) in enumerate(rest) if t == s]
-        L = Matrix.from_columns(field, [lifts[i] for i in idx])
-        coords = solve_many(P * Cmat, P * L)
-        if coords is None:
-            raise RuntimeError("cyclic correction system is inconsistent")
-        fixed.update(zip(idx, (L - Cmat * coords).transpose().entries))
-    return [(v, e)] + [(fixed[i], s) for i, (_, s) in enumerate(rest)]
+def _primary_generators(m: Matrix, q, a: int) -> list:
+    """(generator, exponent) pairs of the cyclic blocks of the q-primary
+    component of m, of dimension deg(q) a, in ambient coordinates and from
+    the top exponent down.
 
+    With Q = q(m) and V_s = ker Q^s (one :func:`rref` per power, up to the
+    first of dimension deg(q) a), the blocks of exponent s are as many as
+    the dimension of V_s / (V_(s-1) + Q V_(s+1)) over F_p[x]/(q), and
+    generators whose images form a basis of it can be picked top down
+    (Giesbrecht, *Nearly optimal algorithms for canonical matrix forms*,
+    1995). V_(s-1) + Q V_(s+1) is V_(s-1) plus the F_p[m]-span of
+    Q^(t-s) g for each generator g of exponent t > s, and modulo V_(s-1)
+    that span is spanned by m^j Q^(t-s) g for j < deg q. So the span W
+    starts as V_(s-1) with those vectors added, and each kernel vector of
+    Q^s that enlarges it is a generator of exponent s, whose orbit m^j g
+    (j < deg q) W then gains; the level is done when W is V_s, so the
+    orbit of a generator that completes it is not added."""
+    f, n = m.field, m.rows
+    d = polys.degree(q)
+    Q = polys.eval_at_matrix(f, q, m)
+    kernels = [[]]  # kernels[s]: a basis of ker Q^s
+    power = Q
+    while True:
+        ech = rref(power)
+        kernels.append(ech.kernel())
+        if ech.rank == n - d * a:
+            break
+        if len(kernels) > a:
+            raise RuntimeError("primary component has unexpected dimension")
+        power = power * Q
 
-def _restriction(m: Matrix, ech) -> tuple:
-    """(B, R): the kernel basis of the echelon form ech, an m-invariant
-    subspace, as the columns of B, and the matrix R of m on it, so that
-    m B = B R. The basis is the identity on the free columns of ech, so
-    the coordinates of a vector of the subspace are its entries there: R
-    is m B on those rows, and one batch product checks m B = B R, which
-    fails if the subspace is not invariant."""
-    f = m.field
-    B = Matrix.from_columns(f, ech.kernel())
-    image = m * B
-    free = sorted(set(range(m.cols)) - set(ech.pivots))
-    R = Matrix.from_int_rows(f, [image.ints[j] for j in free])
-    if first_bad_product([(B, R, image)]) is not None:
-        raise RuntimeError("primary component is not invariant")
-    return B, R
+    def add_orbit(W, v):  # m v, ..., m^(d-1) v
+        for _ in range(d - 1):
+            v = m.apply(v)
+            W.add(v)
+    out, images = [], []  # images: Q^(t-s) g for each generator g
+    for s in range(len(kernels) - 1, 0, -1):
+        W = span_of(f, kernels[s - 1], n)
+        images = [Q.apply(v) for v in images]
+        for v in images:
+            W.add(v)
+            add_orbit(W, v)
+        top = len(kernels[s])
+        for g in kernels[s]:
+            if W.dim == top:
+                break
+            if W.add(g):
+                out.append((g, s))
+                images.append(g)
+                if W.dim + d - 1 == top:
+                    break  # its orbit completes the level
+                add_orbit(W, g)
+    return out
 
 
 def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
     """Primary decomposition of the F_p[x]-module defined by an invertible
     matrix: factor the characteristic polynomial (Hessenberg reduction, then
-    square-free, distinct-degree and Cantor-Zassenhaus splitting), split into
-    primary components, then into cyclic blocks with explicit companion form
-    and base change. m is singular iff the characteristic polynomial has
-    constant term det(-m) = 0. Each primary component is the kernel of
-    q(m)^a from one :func:`rref`, and m restricted to it is read off that
-    form (:func:`_restriction`). The similarity of the companion form to m
-    is checked once, here, and a failed check raises."""
+    square-free, distinct-degree and Cantor-Zassenhaus splitting), then split
+    each primary component into cyclic blocks with explicit companion form
+    and base change, in ambient coordinates from the kernels of the powers
+    of q(m) (:func:`_primary_generators`). m is singular iff the
+    characteristic polynomial has constant term det(-m) = 0. The similarity
+    of the companion form to m is checked once, here, and a failed check
+    raises."""
     f = m.field
     if f.p is None:
         raise ValueError("decomposition implemented over prime fields")
@@ -866,16 +861,8 @@ def decompose_rep_of_Z(m: Matrix) -> ZRepDecomposition:
     if not cp[0]:
         raise ValueError("singular matrix: not a representation of Z")
     factors = polys.factor_monic_fp(f, cp)
-    blocks = []
-    for q in sorted(factors):
-        a = factors[q]
-        ech = rref(polys.eval_at_matrix(f, q, m) ** a)
-        if n - ech.rank != polys.degree(q) * a:
-            raise RuntimeError("primary component has unexpected dimension")
-        proj_cols, Mq = _restriction(m, ech)
-        for gen, e in _cyclic_generators(f, Mq, q):
-            ambient = proj_cols.apply(gen)
-            blocks.append(CyclicBlock(q, e, ambient))
+    blocks = [CyclicBlock(q, e, gen) for q in sorted(factors)
+              for gen, e in _primary_generators(m, q, factors[q])]
     blocks.sort(key=lambda b: (polys.degree(b.poly), b.poly, -b.exponent))
     cols, comp_blocks = [], []
     for b in blocks:

@@ -10,13 +10,14 @@ operation: sum, product, scaling, division with remainder, gcd, modular
 power and the Hessenberg characteristic polynomial, which ``hopfdual.polys``
 computes with delayed reduction. Then the small-n ones: the characteristic
 polynomial by minor expansion over column subsets (2^n), factoring over
-F_p by trial division over every monic candidate (p^d), and F_p
-eigenvalues by evaluation at every field element (p). ``test_polys`` and
+F_p by trial division over every monic candidate (p^d), the
+distinct-degree split by one p-th power per degree, and F_p eigenvalues
+by evaluation at every field element (p). ``test_polys`` and
 ``test_reps`` compare ``hopfdual.polys`` and ``hopfdual.reps`` with them.
-Then the two steps of the primary decomposition of a matrix over F_p as
-they were: the cyclic generators by a chain of kernels of q(M)^s, and the
-restriction of m to a primary component by a solve; ``test_reps`` runs
-the whole decomposition with each and compares. Then the subspace
+Then the primary decomposition of a matrix over F_p as it was: each
+primary component restricted by a solve and split by a chain of kernels
+of q(M)^s and a recursion on quotients; ``test_reps`` compares what the
+decomposition determines with it. Then the subspace
 questions as they were answered with spans and an inverse: the adapted
 basis by the greedy unit-vector completion and the inverse of [sub |
 complement], the quotient with invariance tested by membership in the
@@ -61,12 +62,13 @@ of every monomial of degree <= N and comparing every (mu, kappa) pair.
 only."""
 
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 from hopfdual import polys, reps
 from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix, Span,
-                            inverse, kernel_basis, solve, solve_many, span_of,
-                            stack, vbasis)
+                            block_diag, inverse, kernel_basis, solve,
+                            solve_many, span_of, stack, vbasis)
 from hopfdual.bialgebra import sparse_sum
 from hopfdual.lie import TensorAlgebraOracle, TruncationOverflow
 from hopfdual.monoids import monoid_algebra
@@ -465,6 +467,26 @@ def factor_monic_fp(field: FieldSpec, poly) -> dict:
     return factors
 
 
+def distinct_degree_by_powmod(field: FieldSpec, poly) -> list:
+    """``polys._distinct_degree`` as it was: x^(p^d) mod poly by one
+    :func:`hopfdual.polys.powmod` to the p-th power per degree d, and the
+    gcd of poly with x^(p^d) - x."""
+    out = []
+    h = (0, 1)
+    d = 0
+    while 2 * (d + 1) <= degree(poly):
+        d += 1
+        h = polys.powmod(field, h, field.p, poly)
+        g = polys.gcd_poly(field, poly, polys.add(field, h, (0, -1)))
+        if degree(g) > 0:
+            out.append((d, g))
+            poly = polys.divmod_poly(field, poly, g)[0]
+            h = polys.divmod_poly(field, h, poly)[1]
+    if degree(poly) > 0:
+        out.append((degree(poly), poly))
+    return out
+
+
 def field_eigenvalues(field, m: Matrix) -> list:
     """Eigenvalues of m over F_p, by evaluating the characteristic
     polynomial at every element of F_p."""
@@ -526,13 +548,51 @@ def cyclic_generators_kernel_chain(field, M: Matrix, q) -> list:
 
 
 def restriction_by_solve(m: Matrix, ech) -> tuple:
-    """``reps._restriction`` by solving for the matrix of m on the kernel
-    basis of ech: one elimination of [B | m B]."""
+    """The restriction of m to the kernel basis B of ech, by solving for
+    its matrix R with m B = B R: one elimination of [B | m B]."""
     B = Matrix.from_columns(m.field, ech.kernel())
     R = solve_many(B, m * B)
     if R is None:
         raise RuntimeError("primary component is not invariant")
     return B, R
+
+
+def decompose_rep_of_Z_by_quotients(m: Matrix):
+    """``reps.decompose_rep_of_Z`` as it was: each primary component the
+    kernel of q(m)^a, m restricted to it by a solve, and its cyclic
+    generators by the kernel chain and the quotient recursion, then the
+    same assembly of blocks, basis, companion form and summary."""
+    f = m.field
+    n = m.rows
+    cp = char_poly_hessenberg(m)
+    if not cp[0]:
+        raise ValueError("singular matrix: not a representation of Z")
+    # trial division tries p^d candidates, too many for a large p
+    factors = polys.factor_monic_fp(f, cp)
+    blocks = []
+    for q in sorted(factors):
+        a = factors[q]
+        ech = rref(eval_at_matrix(f, q, m) ** a)
+        if n - ech.rank != degree(q) * a:
+            raise RuntimeError("primary component has unexpected dimension")
+        B, R = restriction_by_solve(m, ech)
+        for gen, e in cyclic_generators_kernel_chain(f, R, q):
+            blocks.append(reps.CyclicBlock(q, e, B.apply(gen)))
+    blocks.sort(key=lambda b: (degree(b.poly), b.poly, -b.exponent))
+    cols, comp_blocks = [], []
+    for b in blocks:
+        qe = (f.one,)
+        for _ in range(b.exponent):
+            qe = poly_mul(f, qe, b.poly)
+        comp_blocks.append(reps._companion(f, qe))
+        vec = b.generator
+        for _ in range(degree(qe)):
+            cols.append(vec)
+            vec = apply(m, vec)
+    summary = Counter((b.poly, b.exponent) for b in blocks)
+    return reps.ZRepDecomposition(
+        f, blocks, Matrix.from_columns(f, cols), block_diag(f, comp_blocks),
+        [(q, e, k) for (q, e), k in sorted(summary.items())])
 
 
 # -- subspace questions by spans and an inverse ------------------------------

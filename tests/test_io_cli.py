@@ -197,6 +197,16 @@ class TestCliContract:
         assert code == 2
         assert "dependent" in capsys.readouterr().err
 
+    def test_exactness_by_the_whole_space(self, tmp_path, capsys):
+        # the quotient is 0-dimensional: its invariants are trivially hit
+        q = tmp_path / "whole.json"
+        q.write_text(json.dumps({"subspace": [
+            ["1" if j == i else "0" for j in range(6)] for i in range(6)]}),
+            encoding="utf-8")
+        code = run_cli("exactness", str(CORPUS / "rep_s3_regular.json"),
+                       str(q))
+        assert code == 0, capsys.readouterr()
+
     def test_exactness_subspace_file_errors(self, tmp_path, capsys):
         rep = str(CORPUS / "rep_s3_regular.json")
         not_sub = str(CORPUS / "rep_s3_sign.json")

@@ -3,13 +3,16 @@ the delayed-reduction sums, products, remainders, gcds, modular powers and
 Hessenberg characteristic polynomial against their one-call-per-scalar
 versions, the characteristic polynomial against minor expansion over
 column subsets, evaluation at a matrix against the reference's Horner
-rule, and the Cantor-Zassenhaus factoring against trial division
-over every monic candidate."""
+rule, the Cantor-Zassenhaus factoring against trial division over every
+monic candidate and, up to degree 40, against products of irreducibles
+known in advance, and the distinct-degree split against one p-th power
+per degree."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
@@ -121,6 +124,64 @@ def check_factorization(field, poly, factors):
         assert degree(q) >= 1 and q[-1] == field.one and e >= 1
         prod = mul(field, prod, power(field, q, e))
     assert prod == poly
+
+
+def _irreducibles_by_trial(field, top: int) -> list:
+    """Every monic irreducible of degree 1..top over a small field, each
+    certified by trial division."""
+    out = []
+    for d in range(1, top + 1):
+        for tail in itertools.product(range(field.p), repeat=d):
+            q = monic(field, tail)
+            if ref.factor_monic_fp(field, q) == {q: 1}:
+                out.append(q)
+    return out
+
+
+def _shifted_binomials(field, degrees, count: int) -> list:
+    """count monic irreducibles of each degree, 1 and those given: x + c,
+    and (x + c)^d - r, irreducible by Capelli's theorem when r is no l-th
+    power for any prime l | d (each such l must divide p - 1 and 4 must
+    not divide d) and so irreducible after the shift x -> x + c too."""
+    p = field.p
+    out = [monic(field, (c,)) for c in range(count)]
+    for d in degrees:
+        primes = [l for l in (2, 3, 5, 7) if d % l == 0]
+        assert d % 4 and all((p - 1) % l == 0 for l in primes)
+        rs = [r for r in range(2, 1000)
+              if all(pow(r, (p - 1) // l, p) != 1 for l in primes)][:count]
+        out += [add(field, power(field, monic(field, (c,)), d), (-r,))
+                for c, r in enumerate(rs)]
+    return out
+
+
+F3 = FieldSpec.prime(3)
+# monic irreducibles known without the factoring under test, per field
+IRREDUCIBLES = {
+    F2: _irreducibles_by_trial(F2, 5),
+    F3: _irreducibles_by_trial(F3, 4),
+    F101: _shifted_binomials(F101, (2, 5, 10), 3),
+    BIG: _shifted_binomials(BIG, (2, 3, 6, 7, 9), 3),
+}
+
+
+@st.composite
+def products_of_irreducibles(draw, squarefree=False):
+    """(field, poly, factors): a product of degree <= 40 of irreducibles
+    drawn from IRREDUCIBLES to exponents up to 3, or up to 2p for p <= 3
+    so that p-th powers occur, and its factorization {q: e}; with
+    squarefree, distinct irreducibles to the first power."""
+    field = draw(st.sampled_from([F2, F3, F101, BIG]))
+    top = 1 if squarefree else 2 * field.p if field.p <= 3 else 3
+    poly, factors = (field.one,), {}
+    for _ in range(draw(st.integers(0, 10))):
+        q = draw(st.sampled_from(IRREDUCIBLES[field]))
+        e = draw(st.integers(1, top))
+        if degree(poly) + degree(q) * e > 40 or (squarefree and q in factors):
+            continue
+        poly = mul(field, poly, power(field, q, e))
+        factors[q] = factors.get(q, 0) + e
+    return field, poly, factors
 
 
 class TestCharPoly:
@@ -290,6 +351,42 @@ class TestFactor:
         check_factorization(field, poly, got)
         assert list(got.items()) == list(
             ref.factor_monic_fp(field, poly).items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(products_of_irreducibles())
+    def test_known_factorizations_up_to_degree_40(self, case):
+        """Products of known irreducibles with repeated factors and, over
+        F_2 and F_3, p-th powers (the p-th root branch of the square-free
+        split) factor as built. Over F_2 and F_3 trial division agrees;
+        over F_101 and F_2147483647 it would try too many candidates, and
+        the irreducibles are certified by Capelli's theorem instead."""
+        field, poly, factors = case
+        got = factor_monic_fp(field, poly)
+        check_factorization(field, poly, got)
+        assert list(got.items()) == sorted(
+            factors.items(), key=lambda t: (len(t[0]), t[0]))
+        if field.p <= 3:
+            assert got == ref.factor_monic_fp(field, poly)
+
+    @settings(max_examples=100, deadline=None)
+    @given(products_of_irreducibles(squarefree=True))
+    def test_distinct_degree_matches_one_power_per_degree(self, case):
+        field, poly, _ = case
+        assert polys._distinct_degree(field, poly) == \
+            ref.distinct_degree_by_powmod(field, poly)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_distinct_degree_on_random_squarefree(self, data):
+        field = data.draw(st.sampled_from([F2, F3, F101, BIG]))
+        tail = data.draw(st.lists(st.integers(0, field.p - 1), min_size=1,
+                                  max_size=30))
+        poly = monic(field, tail)
+        deriv = polys.normalize(field, [i * c % field.p
+                                        for i, c in enumerate(poly)][1:])
+        assume(gcd_poly(field, poly, deriv) == (field.one,))
+        assert polys._distinct_degree(field, poly) == \
+            ref.distinct_degree_by_powmod(field, poly)
 
     @pytest.mark.parametrize("p, tail, e, want", [
         # (x^2 + x + 1)^2 over F_2: the derivative is zero

@@ -358,6 +358,15 @@ class TestEquivariantSection:
         for g in range(2):
             assert rho.action(g) * s == s * quot.action(g)
 
+    def test_quotient_by_the_whole_space_is_zero(self):
+        reg = Representation.regular(Z3, Q)
+        quot, proj, sect = quotient_rep(reg, [vbasis(Q, 3, i)
+                                              for i in range(3)])
+        assert quot.dim == 0
+        assert (proj.rows, proj.cols) == (0, 3)
+        assert (sect.rows, sect.cols) == (3, 0)
+        assert check_invariant_exactness(RepMorphism(reg, quot, proj))
+
     def test_not_a_section(self):
         w = invariant_integral(Z3, Q)
         reg = Representation.regular(Z3, Q)
@@ -964,19 +973,37 @@ def conjugated_block_companions(draw):
     return field, u * m * inverse(u)
 
 
+def _poly_at_vector(field, poly, m: Matrix, v) -> tuple:
+    """poly(m) v, by Horner's rule on vectors."""
+    acc = tuple(field.zero for _ in v)
+    for c in reversed(poly):
+        acc = tuple(field.add(x, field.mul(c, y))
+                    for x, y in zip(m.apply(acc), v))
+    return acc
+
+
 @given(conjugated_block_companions())
 @settings(max_examples=100, deadline=None)
 def test_decomposition_matches_the_kernel_chain(case):
-    """The whole decomposition, blocks, basis, companion form and summary,
-    is the one the kernel chain and the solved restriction give."""
-    _, m = case
+    """Everything the decomposition determines, the summary and the
+    companion form, is what the restriction, the kernel chain and the
+    quotient recursion gave; the basis, which depends on the generators
+    picked, is invertible and certified, and each generator g of a block
+    of q^e has q^e(m) g = 0 and q^(e-1)(m) g != 0."""
+    field, m = case
     got = decompose_rep_of_Z(m)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reps, "_cyclic_generators",
-                   ref.cyclic_generators_kernel_chain)
-        mp.setattr(reps, "_restriction", ref.restriction_by_solve)
-        want = decompose_rep_of_Z(m)
-    assert got == want
+    want = ref.decompose_rep_of_Z_by_quotients(m)
+    assert got.summary == want.summary
+    assert got.companion == want.companion
+    assert got.verify(m)
+    assert inverse(got.basis) is not None
+    for b in got.blocks:
+        low = (field.one,)
+        for _ in range(b.exponent - 1):
+            low = polys.mul(field, low, b.poly)
+        below = _poly_at_vector(field, low, m, b.generator)
+        assert any(below)
+        assert not any(_poly_at_vector(field, b.poly, m, below))
     assert any(e >= 2 for _, e, _ in got.summary)
 
 
