@@ -51,6 +51,9 @@ augmentation-ideal subspace, in-process ``cli.main`` calls of
 and its augmentation-ideal subspace saved as a subspace file (hashing
 their output without the timing field and with the file's directory
 dropped), and ``reconstruct_from_regular`` on Z3 x Z3.
+Times ``complete_reducibility`` on the seeded conjugated modules of
+``tests/conftest.py``: S3 with seed 5 (dimension 8) over Q and D4 with
+seed 5 (dimension 10) over F_101, hashing the sorted summand dimensions.
 Times the subalgebra closure: ``generators`` of the group algebra of S4
 over Q, rebuilt from its structure tensors inside the case so that the
 greedy closure runs on every repeat (the monoid algebra itself records the
@@ -128,6 +131,10 @@ from hopfdual.polys import (char_poly, eval_at_matrix,  # noqa: E402
                             factor_monic_fp, mul)
 from hopfdual.reps import Representation  # noqa: E402
 from hopfdual.tannaka import reconstruct_from_regular  # noqa: E402
+
+# the seeded modules of the tests; they import hopfdual from the tree above
+sys.path.insert(1, str(ROOT / "tests"))
+from conftest import seeded_module  # noqa: E402
 
 SEED = 16
 RUNS = 11
@@ -391,6 +398,23 @@ def rep_cases(work: Path) -> dict:
     }
 
 
+def reducibility_cases() -> dict:
+    """name -> (number of calls, thunk) for ``complete_reducibility`` on
+    the seeded module of S3 with seed 5 over Q and of D4 with seed 5 over
+    F_101, each hashing the sorted summand dimensions."""
+    def split(G, field, seed):
+        rho = seeded_module(G, field, random.Random(seed))
+        w = reps.invariant_integral(G, field)
+        return lambda: sorted(s.rep.dim for s in
+                              reps.complete_reducibility(rho, w))
+    return {
+        "Q.complete_reducibility.s3_5": (
+            1, split(FiniteMonoid.symmetric(3), FieldSpec.rationals(), 5)),
+        "F101.complete_reducibility.d4_5": (
+            1, split(D4, FieldSpec.prime(101), 5)),
+    }
+
+
 def subalgebra_cases() -> dict:
     """name -> (number of calls, thunk) for the two users of the subalgebra
     closure: the greedy generators of a group algebra built in the case,
@@ -501,6 +525,7 @@ def groups(work: Path) -> list:
         cli_cases,
         bookkeeping_cases,
         lambda: rep_cases(work),
+        reducibility_cases,
         subalgebra_cases,
         pbw_cases,
         lambda: scaled_cases(work),

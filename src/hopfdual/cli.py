@@ -172,8 +172,9 @@ def _cmd_pbw(args):
     L = io.load_lie(args.file)
     rep = Report(f"enveloping truncation of {args.file} at order {args.order}")
     rep.extend(verify_lie(L), prefix="input: ")
-    U = TruncatedEnveloping(L, args.order)
+    # the oracle refuses an over-budget order before the truncation is built
     oracle = TensorAlgebraOracle(L, args.order, budget=args.budget)
+    U = TruncatedEnveloping(L, args.order)
     _, corep = coproduct_on_U(U)
     rep.extend(corep, prefix="coproduct: ")
     if L.field.characteristic() == 0:

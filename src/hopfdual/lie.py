@@ -587,6 +587,20 @@ def lie_morphism_functor(fmat: Matrix, source: LieAlgebra,
 
 # -- divided powers and distribution algebras -----------------------------------
 
+def _divided_powers(N: int, F: FieldSpec) -> FinBialgebra:
+    """The structure of :func:`divided_power_bialgebra`, without its
+    report."""
+    if N < 1:
+        raise ValueError("need N >= 1")
+    names = tuple(f"w{i}" for i in range(N + 1))
+    mult = {(i, j, i + j): F.from_int(math.comb(i + j, i))
+            for i in range(N + 1) for j in range(N + 1 - i)}
+    comult = {(n, i, n - i): F.one for n in range(N + 1)
+              for i in range(n + 1)}
+    unit = vbasis(F, N + 1, 0)
+    return FinBialgebra(F, N + 1, names, mult, unit, comult, unit)
+
+
 def divided_power_bialgebra(N: int, F: FieldSpec):
     """The degree-N divided-power truncation: w_i w_j = C(i+j, i) w_{i+j}
     (zero past the bound), Delta w_n = sum w_i (x) w_{n-i}.
@@ -596,23 +610,8 @@ def divided_power_bialgebra(N: int, F: FieldSpec):
     Returns (structure, comparison report against the enveloping truncation
     of the one-dimensional Lie algebra, x^n matching n! w_n).
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    A = _divided_powers(N, F)
     f = F
-    names = tuple(f"w{i}" for i in range(N + 1))
-    mult = {}
-    for i in range(N + 1):
-        for j in range(N + 1):
-            if i + j <= N:
-                mult[(i, j, i + j)] = f.from_int(math.comb(i + j, i))
-    unit = vbasis(f, N + 1, 0)
-    comult = {}
-    for n in range(N + 1):
-        for i in range(n + 1):
-            comult[(n, i, n - i)] = f.one
-    counit = vbasis(f, N + 1, 0)
-    A = FinBialgebra(f, N + 1, names, mult, unit, comult, counit)
-
     rep = Report(f"divided powers at order {N} over {F.describe()}")
     pairs = [(i, j) for i in range(N + 1) for j in range(N + 1 - i)]
     rep.sweep("w_i w_j = C(i+j, i) w_{i+j}", (
@@ -725,8 +724,7 @@ def dist_at_identity(preset: str, N: int, F: FieldSpec):
             d1 == {(0, 1): f.one, (1, 0): f.one})
 
     if preset in (GA, U2):
-        divided, _ = divided_power_bialgebra(N, F)
-        rep.extend(same_structure(D, divided),
+        rep.extend(same_structure(D, _divided_powers(N, F)),
                    prefix="matches divided powers: ")
         if preset == U2:
             rep.add("unitriangular composition is the additive law "

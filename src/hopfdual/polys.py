@@ -17,12 +17,12 @@ only: square-free, distinct-degree and Cantor-Zassenhaus equal-degree
 splitting (von zur Gathen and Gerhard, ch. 14), each division through the
 module-level :func:`divmod_poly`. The distinct-degree split takes one
 p-th power, x^p, and reads every later x^(p^d) off the Frobenius matrix
-of rows x^(ip) mod f, one vector-matrix product per degree.
-:func:`rational_roots` finds the rational roots of a polynomial over Q."""
+of rows x^(ip) mod f, one vector-matrix product per degree. Over Q there
+is no root finder: a matrix of finite order can have no rational
+eigenvalue but -1 and 1."""
 
 from __future__ import annotations
 
-import math
 import random
 
 from .exact import FieldSpec, Matrix, lincomb
@@ -307,50 +307,6 @@ def _equal_degree(field: FieldSpec, poly, d: int, rng) -> list:
             return (_equal_degree(field, g, d, rng)
                     + _equal_degree(field, divmod_poly(field, poly, g)[0],
                                     d, rng))
-
-
-def rational_roots(poly) -> list:
-    """All rational roots of a polynomial with rational (int or Fraction)
-    coefficients, in increasing order, as canonical scalars of Q: the
-    rational root theorem on the cleared-denominator form, each candidate
-    n/d in lowest terms tested in integer arithmetic as d^m p(n/d) = 0."""
-    q = FieldSpec.rationals()
-    den = math.lcm(*[c.denominator for c in poly])
-    ints = [c.numerator * (den // c.denominator) for c in poly]
-    roots = []
-    # strip roots at zero first
-    if ints and ints[0] == 0:
-        roots.append(q.zero)
-        while ints and ints[0] == 0:
-            ints.pop(0)
-    if len(ints) <= 1:
-        return roots
-    for num in _divisors(abs(ints[0])):
-        for d in _divisors(abs(ints[-1])):
-            if math.gcd(num, d) > 1:
-                continue
-            for n in (num, -num):
-                acc, scale_d = ints[-1], 1
-                for c in reversed(ints[:-1]):
-                    scale_d *= d
-                    acc = acc * n + c * scale_d
-                if acc == 0:
-                    roots.append(q.mul(n, q.inv(d)))
-    return sorted(roots)
-
-
-def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def poly_str(field: FieldSpec, poly, var: str = "x") -> str:

@@ -6,7 +6,6 @@ invertible matrix over F_p; and the truncated formal-matrix integral.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -14,9 +13,9 @@ from functools import cached_property, reduce
 from . import polys
 from .bialgebra import (BialgebraMorphism, FinBialgebra, check_morphism,
                         same_algebra)
-from .exact import (FieldMismatch, FieldSpec, Matrix, augment, block_diag,
-                    first_bad_product, inverse, kernel_basis, kron, lincomb,
-                    rank, rref, span_of, stack, vbasis)
+from .exact import (FieldMismatch, FieldSpec, Matrix, Span, augment,
+                    block_diag, first_bad_product, inverse, kernel_basis,
+                    kron, lincomb, rank, rref, span_of, stack, vbasis)
 from .monoids import BudgetExceeded, Character, FiniteMonoid, monoid_algebra
 from .report import Report
 
@@ -224,17 +223,16 @@ def module_to_rep(mod: AlgebraModule, monoid: FiniteMonoid) -> Representation:
                           validate=False)
 
 
-def _intertwiner_space_dim(field, left_mats, right_mats, dim_src, dim_tgt):
-    # f with f*L_i = R_i*f for all i; the unknowns f (dim_tgt x dim_src)
-    # are read row by row, so vec(f L) = (I (x) L^T) vec(f) and
-    # vec(R f) = (R (x) I) vec(f)
+def _intertwiners(field, left_mats, right_mats, dim_src, dim_tgt) -> list:
+    # basis of the f with f*L_i = R_i*f for all i; the unknowns f
+    # (dim_tgt x dim_src) are read row by row, so vec(f L) = (I (x) L^T)
+    # vec(f) and vec(R f) = (R (x) I) vec(f)
     i_src = Matrix.identity(field, dim_src)
     i_tgt = Matrix.identity(field, dim_tgt)
     blocks = [kron(i_tgt, L.transpose()) - kron(R, i_src)
               for L, R in zip(left_mats, right_mats)]
-    if not blocks:
-        return dim_src * dim_tgt
-    return len(kernel_basis(stack(blocks)))
+    return kernel_basis(stack(blocks) if blocks
+                        else Matrix.zero(field, 0, dim_src * dim_tgt))
 
 
 def hom_dim_reps(a: Representation, b: Representation) -> int:
@@ -245,9 +243,8 @@ def hom_dim_reps(a: Representation, b: Representation) -> int:
     if a.monoid != b.monoid or a.field != b.field:
         raise ValueError("hom needs one monoid and one field")
     gens = a.monoid.generators
-    return _intertwiner_space_dim(a.field, [a.matrices[g] for g in gens],
-                                  [b.matrices[g] for g in gens],
-                                  a.dim, b.dim)
+    return len(_intertwiners(a.field, [a.matrices[g] for g in gens],
+                             [b.matrices[g] for g in gens], a.dim, b.dim))
 
 
 def hom_dim_modules(a: AlgebraModule, b: AlgebraModule) -> int:
@@ -258,10 +255,9 @@ def hom_dim_modules(a: AlgebraModule, b: AlgebraModule) -> int:
     if not same_algebra(a.algebra, b.algebra):
         raise ValueError("hom needs one algebra")
     gens = a.algebra.generators
-    return _intertwiner_space_dim(a.algebra.field,
-                                  [a.matrices[s] for s in gens],
-                                  [b.matrices[s] for s in gens],
-                                  a.dim, b.dim)
+    return len(_intertwiners(a.algebra.field,
+                             [a.matrices[s] for s in gens],
+                             [b.matrices[s] for s in gens], a.dim, b.dim))
 
 
 def invariants(rho: Representation, generators=None) -> list:
@@ -660,55 +656,107 @@ class Summand:
 
 
 def _field_eigenvalues(field, m: Matrix) -> list:
-    cp = polys.char_poly(m)
+    """The eigenvalues of m in F_p, sorted: the roots of the linear factors
+    of its characteristic polynomial. Over Q, m must have finite order, so
+    that its eigenvalues are roots of unity: the candidates are -1 and 1."""
     if field.p is None:
-        return polys.rational_roots(cp)
+        return [field.neg(field.one), field.one]
+    cp = polys.char_poly(m)
     return sorted(field.neg(q[0]) for q in polys.factor_monic_fp(field, cp)
                   if polys.degree(q) == 1)
 
 
-def _proper_invariant_subspace(rho, w, rng, attempts):
-    """Search for a proper nonzero invariant subspace: invariants first,
-    then eigenspaces of averaged seeded rank-one endomorphisms."""
+def _proper_spin(rho: Representation, vectors):
+    """A basis of the first spin (the least invariant subspace holding v)
+    of a vector v of vectors that is proper, or None."""
+    for v in vectors:
+        sp, todo = Span(rho.field, rho.dim), [v]
+        while todo and sp.dim < rho.dim:
+            u = todo.pop()
+            if sp.add(u):
+                todo.extend(rho.action(s).apply(u)
+                            for s in rho.monoid.generators)
+        if sp.dim < rho.dim:
+            return sp.basis()
+    return None
+
+
+def _proper_invariant_subspace(rho: Representation):
+    """A proper nonzero invariant subspace, or None: the invariants when
+    proper, else the first proper spin of an eigenvector (Parker's MeatAxe)
+    in the reduced kernel bases of A_g - lambda, for each g in G but the
+    inverses of those before it (A_(g^-1) - 1/lambda has the same basis),
+    the unit last, and each eigenvalue lambda in the field. Last, the spins
+    of the joint eigenspace those kernels cut out: on m copies of an
+    absolutely simple W it is N (x) F^m, and a line N spins to one copy, as
+    in std (x) std of S3 x S3, where no A_g has an eigenline."""
     f = rho.field
-    n = rho.dim
     inv = invariants(rho)
-    if 0 < len(inv) < n:
+    if 0 < len(inv) < rho.dim:
         return inv
-    low, high = (-5, 5) if f.p is None else (0, f.p - 1)
-    for _ in range(attempts):
-        u, v = ([f.from_int(rng.randint(low, high)) for _ in range(n)]
-                for _ in range(2))
-        E = Matrix(f, [[f.mul(a, b) for b in v] for a in u])
-        T = _average(w, rho, rho, E)
-        for lam in _field_eigenvalues(f, T):
-            ker = kernel_basis(T.shift(-lam))
+    G, S = rho.monoid, Matrix.identity(f, rho.dim)
+    for g in [*(h for h in range(G.size)
+                if h != G.unit and G.inv(h) >= h), G.unit]:
+        A = rho.action(g)
+        for lam in _field_eigenvalues(f, A):
+            found = _proper_spin(rho, kernel_basis(A.shift(-lam)))
+            if found:
+                return found
+            cut = kernel_basis(A.shift(-lam) * S)
+            if 0 < len(cut) < S.cols:
+                S = S * Matrix.from_columns(f, cut)
+    return _proper_spin(rho, (S.column(j) for j in range(S.cols)))
+
+
+def _endomorphism_kernel(rho: Representation, ends):
+    """Over F_p (over Q it would need factoring), a proper kernel of q(E),
+    an invariant subspace, or None: q an irreducible factor of the
+    characteristic polynomial of E = E_a or E_b + t E_a (a < b, t < 8) for
+    the basis ends of End_G. No sum of the basis 1, i, j, k of End_G for Q8
+    over F_7 is singular, but i + 2j is."""
+    f, n = rho.field, rho.dim
+    if f.p is None:
+        return None
+    lines = (lincomb(f, n, n, [(f.one, eb), (f.from_int(t), ea)])
+             for i, ea in enumerate(ends) for eb in ends[i + 1:]
+             for t in range(1, min(f.p, 8)))
+    for E in [*ends, *lines]:
+        for q in polys.factor_monic_fp(f, polys.char_poly(E)):
+            ker = kernel_basis(polys.eval_at_matrix(f, q, E))
             if 0 < len(ker) < n:
                 return ker
     return None
 
 
-def complete_reducibility(rho: Representation, w: InvariantIntegral,
-                          seed: int = 0, attempts: int = 12) -> list:
+def complete_reducibility(rho: Representation,
+                          w: InvariantIntegral) -> list:
     """Split a representation into direct summands by repeated equivariant
-    projection.
+    projection onto the subspaces :func:`_proper_invariant_subspace` finds.
 
-    Summands carry a certificate string: they are simple relative to this
-    search (seeded random cyclic/eigenvector probing), which is exhaustive
-    for the catalogued examples but not a simplicity proof.
-    """
+    The search is deterministic. A piece it leaves whole whose equivariant
+    endomorphisms End_G are not the scalars is split by one of them where
+    :func:`_endomorphism_kernel` can; one still whole is certified
+    "absolutely simple: dim End_G = 1" or labelled "not certified:
+    dim End_G = k", as is the simple rational module Q^2 of Z3."""
     if w.group != rho.monoid or w.field != rho.field:
         raise ValueError("integral does not match the representation")
-    rng = random.Random(seed)
     f = rho.field
-    cert = f"simple relative to search (seed={seed}, attempts={attempts})"
 
     def split(piece: Representation, embedding):
         if piece.dim == 0:
             return []
-        found = _proper_invariant_subspace(piece, w, rng, attempts)
+        found = _proper_invariant_subspace(piece)
         if found is None:
-            return [Summand(embedding, piece, cert)]
+            n, gens = piece.dim, [piece.matrices[g]
+                                  for g in piece.monoid.generators]
+            ends = [Matrix(f, [v[i * n:(i + 1) * n] for i in range(n)])
+                    for v in _intertwiners(f, gens, gens, n, n)]
+            k = len(ends)
+            found = _endomorphism_kernel(piece, ends) if k > 1 else None
+            if found is None:
+                label = "absolutely simple" if k == 1 else "not certified"
+                return [Summand(embedding, piece,
+                                f"{label}: dim End_G = {k}")]
         # equivariant projector onto the found subspace
         _, head, _ = _adapted_basis(f, found, piece.dim)
         Q = _average(w, piece, piece, Matrix.from_columns(f, found) * head)
@@ -716,16 +764,12 @@ def complete_reducibility(rho: Representation, w: InvariantIntegral,
             raise RuntimeError("averaged projector failed to be idempotent")
         img = span_of(f, [Q.column(j) for j in range(piece.dim)],
                       piece.dim).basis()
-        ker = kernel_basis(Q)
         push = Matrix.from_columns(f, embedding)
-        out = []
-        for part in (img, ker):
-            sub = sub_rep(piece, part)
-            out.extend(split(sub, [push.apply(v) for v in part]))
-        return out
+        return [s for part in (img, kernel_basis(Q))
+                for s in split(sub_rep(piece, part),
+                               [push.apply(v) for v in part])]
 
-    ambient = [vbasis(f, rho.dim, i) for i in range(rho.dim)]
-    return split(rho, ambient)
+    return split(rho, [vbasis(f, rho.dim, i) for i in range(rho.dim)])
 
 
 def assemble_summands(rho: Representation, summands) -> Matrix:

@@ -24,9 +24,11 @@ complement], the quotient with invariance tested by membership in the
 span of the subspace, the Reynolds image as the span of the columns of
 P, invariant exactness by testing each invariant of the target for
 membership in the image, the restriction to a subspace by one solve of
-all its images, the direct sum by zero-padded rows, and the block
-diagonality of assembled summands entry by entry; ``test_reps`` compares
-``hopfdual.reps`` with them.
+all its images, the direct sum by zero-padded rows, the block
+diagonality of assembled summands entry by entry, and complete
+reducibility over F_p by the seeded random search for eigenspaces of
+averaged rank-one maps; ``test_reps`` compares ``hopfdual.reps`` with
+them.
 
 Last, the G-laws on every element: invariants, the integral system,
 equivariance, subspace invariance and the module law, each over all of G
@@ -62,6 +64,7 @@ of every monomial of degree <= N and comparing every (mu, kappa) pair.
 only."""
 
 import itertools
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -714,6 +717,49 @@ def assemble_summands_entrywise(rho, summands) -> Matrix:
                                          "the assembled basis")
             offset += d
     return B
+
+
+
+def complete_reducibility_by_search(rho, w, seed: int = 0,
+                                    attempts: int = 12) -> list:
+    """``reps.complete_reducibility`` over F_p as it was: after the
+    invariants, each piece is split at an eigenspace of the average of a
+    seeded random rank-one map, tried ``attempts`` times; a piece no
+    attempt splits is kept whole."""
+    rng = random.Random(seed)
+    f = rho.field
+
+    def found(piece):
+        n = piece.dim
+        inv = reps.invariants(piece)
+        if 0 < len(inv) < n:
+            return inv
+        for _ in range(attempts):
+            u, v = ([f.from_int(rng.randint(0, f.p - 1)) for _ in range(n)]
+                    for _ in range(2))
+            T = reps._average(w, piece, piece, Matrix(
+                f, [[f.mul(a, b) for b in v] for a in u]))
+            for lam in reps._field_eigenvalues(f, T):
+                ker = kernel_basis(T.shift(-lam))
+                if 0 < len(ker) < n:
+                    return ker
+        return None
+
+    def split(piece, embedding):
+        sub = found(piece)
+        if sub is None:
+            return [reps.Summand(embedding, piece, "unsplit by search")]
+        _, head, _ = reps._adapted_basis(f, sub, piece.dim)
+        P = reps._average(w, piece, piece,
+                          Matrix.from_columns(f, sub) * head)
+        img = span_of(f, [P.column(j) for j in range(piece.dim)],
+                      piece.dim).basis()
+        push = Matrix.from_columns(f, embedding)
+        return [s for part in (img, kernel_basis(P))
+                for s in split(reps.sub_rep(piece, part),
+                               [push.apply(v) for v in part])]
+
+    return split(rho, [vbasis(f, rho.dim, i) for i in range(rho.dim)])
 
 
 # -- the G-laws on every element ----------------------------------------------

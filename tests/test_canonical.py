@@ -18,7 +18,7 @@ from hopfdual.bialgebra import (BialgebraMorphism, FinBialgebra, check_hopf,
                                 verify_bialgebra, verify_coalgebra)
 from hopfdual.exact import FieldSpec, Matrix, kernel_basis, solve, span_of
 from hopfdual.lie import LieAlgebra, TruncatedEnveloping, coproduct_on_U
-from hopfdual.polys import char_poly, rational_roots
+from hopfdual.polys import char_poly
 
 Q = FieldSpec.rationals()
 F7 = FieldSpec.prime(7)
@@ -212,22 +212,8 @@ def test_kernel_results_are_canonical(r, c, data):
 
 @given(st.integers(0, 5), st.data())
 @settings(max_examples=80, deadline=None)
-def test_char_poly_and_roots_are_canonical(n, data):
-    m = data.draw(q_matrices(n, n))
-    cp = char_poly(m)
-    assert_canonical(cp)
-    for root in rational_roots(cp):
-        assert is_canonical(Q, root)
-        assert char_poly(m.shift(Q.neg(root)))[0] == 0
-
-
-def test_rational_roots_of_a_product_of_linear_factors():
-    # (2x - 1)(x + 3) x (x^2 + 1), with Fraction coefficients
-    poly = (0, Fraction(-3), 5, Fraction(-1), 5, Fraction(2))
-    assert rational_roots([Fraction(c) for c in poly]) == \
-        [-3, 0, Fraction(1, 2)]
-    assert [type(x) for x in rational_roots(poly)] == [int, int, Fraction]
-    assert rational_roots(()) == [] and rational_roots((5,)) == []
+def test_char_poly_is_canonical(n, data):
+    assert_canonical(char_poly(data.draw(q_matrices(n, n))))
 
 
 def test_structure_constants_stay_ints():

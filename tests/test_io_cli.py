@@ -330,6 +330,18 @@ class TestCliContract:
                        str(path), "--order", "2") == 1
         assert "BudgetExceeded" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("order", (24, 30))
+    def test_pbw_refuses_a_large_order_on_the_budget(self, capsys, order):
+        # past order 24 the enveloping truncation of sl2 would refuse its
+        # basis of C(3 + order, 3) > 3003 monomials with a message naming
+        # a Python keyword; the oracle's budget is checked first
+        assert run_cli("--format", "json", "pbw",
+                       str(CORPUS / "lie_sl2.json"), "--order",
+                       str(order)) == 1
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert (check["name"], check["status"]) == ("BudgetExceeded", "fail")
+        assert str(oracle_work(3, order)) in check["witness"]
+
     def test_dist_cli(self):
         assert run_cli("dist", "--preset", "gm", "--order", "3") == 0
 

@@ -12,7 +12,8 @@ import reference_kernel as ref
 from conftest import (random_invariant_subspace, random_invertible, rng_for,
                       s3_catalogue, seeded_module)
 from hopfdual import cli, polys, reps
-from hopfdual.exact import FieldSpec, Matrix, inverse, rank, span_of, vbasis
+from hopfdual.exact import (FieldSpec, Matrix, inverse, kron, rank, span_of,
+                            vbasis)
 from hopfdual.monoids import (BudgetExceeded, Character, FiniteMonoid,
                              monoid_algebra)
 from hopfdual.reps import (AlgebraModule, CharDividesOrder, NotAGroup,
@@ -38,7 +39,31 @@ Z2 = FiniteMonoid.cyclic(2)
 Z3 = FiniteMonoid.cyclic(3)
 S3 = FiniteMonoid.symmetric(3)
 D4 = FiniteMonoid.dihedral(4)
+S3xS3 = FiniteMonoid.direct_product(S3, S3)
+Z3xZ3 = FiniteMonoid.direct_product(Z3, Z3)
+D4xZ2 = FiniteMonoid.direct_product(D4, Z2)
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hopfdual" / "corpus"
+
+
+def quaternion_group() -> FiniteMonoid:
+    """Q8: element 4s + u is (-1)^s times the unit u of 1, i, j, k."""
+    # u v = sign * unit, for the units u, v of 1, i, j, k
+    units = [[(1, 0), (1, 1), (1, 2), (1, 3)],
+             [(1, 1), (-1, 0), (1, 3), (-1, 2)],
+             [(1, 2), (-1, 3), (-1, 0), (1, 1)],
+             [(1, 3), (1, 2), (-1, 1), (-1, 0)]]
+
+    def mul(x, y):
+        (sx, ux), (sy, uy) = divmod(x, 4), divmod(y, 4)
+        sign, u = units[ux][uy]
+        return 4 * ((sx + sy + (sign < 0)) % 2) + u
+
+    names = [s + u for s in ("", "-") for u in ("1", "i", "j", "k")]
+    return FiniteMonoid(names, [[mul(x, y) for y in range(8)]
+                                for x in range(8)], 0)
+
+
+Q8 = quaternion_group()
 
 
 def swap_rep(field=Q):
@@ -631,19 +656,12 @@ def test_sub_rep_matches_the_solve_of_every_image(case):
 def test_summands_restrict_and_assemble_as_before(field, G, seed):
     """On the summands complete_reducibility finds, sub_rep gives each
     summand's own action, as the solve did, and assemble_summands the base
-    change the entrywise check gave. Over Q the module is left unconjugated
-    (rational eigenvalue search factors its constant terms); over F_2 the
-    group order vanishes, so there is no integral."""
+    change the entrywise check gave. Over F_2 the group order vanishes, so
+    there is no integral."""
     if field == F2:
         return
-    rng = random.Random(seed)
-    if field.p:
-        rho = seeded_module(G, field, rng)
-    else:
-        rho = Representation.direct_sum(Representation.regular(G, field),
-                                        Representation.trivial(G, field, 2))
-    summands = complete_reducibility(rho, invariant_integral(G, field),
-                                     seed=seed)
+    rho = seeded_module(G, field, random.Random(seed))
+    summands = complete_reducibility(rho, invariant_integral(G, field))
     for s in summands:
         got = sub_rep(rho, s.embedding)
         assert got.matrices == s.rep.matrices
@@ -760,14 +778,14 @@ class TestCompleteReducibility:
     def test_regular_z3_over_q(self):
         w = invariant_integral(Z3, Q)
         reg = Representation.regular(Z3, Q)
-        summands = complete_reducibility(reg, w, seed=0)
+        summands = complete_reducibility(reg, w)
         assert sorted(len(s.embedding) for s in summands) == [1, 2]
         assemble_summands(reg, summands)
 
     def test_regular_z3_over_f7(self):
         w = invariant_integral(Z3, F7)
         reg = Representation.regular(Z3, F7)
-        summands = complete_reducibility(reg, w, seed=0)
+        summands = complete_reducibility(reg, w)
         assert sorted(len(s.embedding) for s in summands) == [1, 1, 1]
         assemble_summands(reg, summands)
 
@@ -776,12 +794,12 @@ class TestCompleteReducibility:
         rho = Representation.trivial(Z2, Q, 1)
         summands = complete_reducibility(rho, w)
         assert len(summands) == 1 and summands[0].rep.dim == 1
-        assert "simple relative to search" in summands[0].certificate
+        assert summands[0].certificate == "absolutely simple: dim End_G = 1"
 
     def test_regular_s3_blocks(self):
         w = invariant_integral(S3, Q)
         reg = Representation.regular(S3, Q)
-        summands = complete_reducibility(reg, w, seed=3)
+        summands = complete_reducibility(reg, w)
         dims = sorted(len(s.embedding) for s in summands)
         assert sum(dims) == 6
         assert dims[0] == 1   # the invariant line always splits off
@@ -789,6 +807,123 @@ class TestCompleteReducibility:
         # every summand is a subrepresentation: restriction must be valid
         for s in summands:
             Representation(S3, Q, s.rep.matrices)  # validates the action
+
+    def test_s3_seed_2_over_q_splits_std_plus_std(self):
+        # the conjugated regular module: the random search returned dims
+        # 1, 1, 4 here, the 4 being std + std (dim End_G = 4) labelled
+        # simple
+        rho = seeded_module(S3, Q, random.Random(2))
+        summands = complete_reducibility(rho, invariant_integral(S3, Q))
+        assert sorted(s.rep.dim for s in summands) == [1, 1, 2, 2]
+        for s in summands:
+            assert s.certificate == "absolutely simple: dim End_G = 1"
+            assert hom_dim_reps(s.rep, s.rep) == 1
+        assemble_summands(rho, summands)
+
+    @pytest.mark.parametrize("field", (Q, F101, BIG),
+                             ids=("Q", "F101", "F2147483647"))
+    @pytest.mark.parametrize("G, seed", [(S3, s) for s in range(1, 8)]
+                             + [(D4, s) for s in range(5, 8)],
+                             ids=[f"S3-{s}" for s in range(1, 8)]
+                             + [f"D4-{s}" for s in range(5, 8)])
+    def test_seeded_modules_split_into_absolutely_simple_summands(
+            self, field, G, seed):
+        # S3 and D4 split over Q, so every simple summand is absolutely
+        # simple; over Q seeds 1, 6 and 7 of S3 and 5-7 of D4 did not
+        # finish in 20 s with the random search
+        rho = seeded_module(G, field, random.Random(seed))
+        summands = complete_reducibility(rho, invariant_integral(G, field))
+        for s in summands:
+            assert s.certificate == "absolutely simple: dim End_G = 1"
+            assert hom_dim_reps(s.rep, s.rep) == 1
+        assemble_summands(rho, summands)
+
+    def test_regular_z3_over_q_is_not_certified_simple(self):
+        # Q^2 with a rotation of order 3 is simple over Q, but its
+        # equivariant endomorphisms form Q(omega), of dimension 2
+        reg = Representation.regular(Z3, Q)
+        summands = complete_reducibility(reg, invariant_integral(Z3, Q))
+        assert sorted(s.certificate for s in summands) == [
+            "absolutely simple: dim End_G = 1",
+            "not certified: dim End_G = 2"]
+
+    @pytest.mark.parametrize("field", (Q, F101), ids=("Q", "F101"))
+    def test_copies_of_std_tensor_std_split(self, field):
+        # W = std (x) std of S3 x S3 is absolutely simple, but no element
+        # has an eigenline in it: 101 = 2 mod 3, so over Q and F_101 the
+        # 3-cycles have no eigenvalue, and the other eigenspaces are
+        # planes. Over Q the spins of eigenvectors of single elements
+        # left W + W whole here; joint eigenspaces are lines.
+        _, _, _, std, _ = s3_catalogue(field)
+        W = Representation(S3xS3, field, [kron(a, b) for a in std.matrices
+                                          for b in std.matrices])
+        rho = Representation.direct_sum(Representation.direct_sum(W, W), W)
+        rho = rho.conjugate(random_invertible(field, 12, random.Random(0),
+                                              spread=2))
+        summands = complete_reducibility(rho, invariant_integral(S3xS3,
+                                                                 field))
+        assert [s.rep.dim for s in summands] == [4, 4, 4]
+        for s in summands:
+            assert s.certificate == "absolutely simple: dim End_G = 1"
+        assemble_summands(rho, summands)
+
+    @pytest.mark.parametrize("G", (S3xS3, D4xZ2), ids=("S3xS3", "D4xZ2"))
+    def test_seeded_product_modules_split_into_absolutely_simple_summands(
+            self, G):
+        # seed 10 of S3 x S3 holds std (x) std twice in one piece that no
+        # eigenvector of a single element splits over F_101
+        rho = seeded_module(G, F101, random.Random(10))
+        summands = complete_reducibility(rho, invariant_integral(G, F101))
+        for s in summands:
+            assert s.certificate == "absolutely simple: dim End_G = 1"
+        assemble_summands(rho, summands)
+
+    def test_regular_quaternion_module(self):
+        # over F_7 (7 = 3 mod 4) i, j, k have no eigenvalue, so the part
+        # of dimension 4 splits only by a singular element of its End_G,
+        # M_2(F_7); over Q its End_G is the quaternions, a division
+        # algebra: the part is simple but not absolutely simple
+        for field, want in (
+                (F7, [(1, 1)] * 4 + [(2, 1)] * 2),
+                (Q, [(1, 1)] * 4 + [(4, 4)])):
+            reg = Representation.regular(Q8, field)
+            summands = complete_reducibility(reg,
+                                             invariant_integral(Q8, field))
+            assert sorted((s.rep.dim, hom_dim_reps(s.rep, s.rep))
+                          for s in summands) == want
+            assemble_summands(reg, summands)
+
+    @given(st.sampled_from([(f, G) for f in (Q, F101, BIG)
+                            for G in (S3, D4, Z3xZ3, D4xZ2, S3xS3, Q8)
+                            if f != Q or G not in (D4xZ2, S3xS3)]),
+           st.integers(0, 2**32))
+    @settings(max_examples=20, deadline=None)
+    def test_certificates_agree_with_hom_dim(self, case, seed):
+        # over Q the conjugated modules of D4 x Z2 and S3 x S3 take
+        # seconds to minutes to average, and are left out
+        field, G = case
+        rho = seeded_module(G, field, random.Random(seed))
+        for s in complete_reducibility(rho, invariant_integral(G, field)):
+            k = hom_dim_reps(s.rep, s.rep)
+            label = "absolutely simple" if k == 1 else "not certified"
+            assert s.certificate == f"{label}: dim End_G = {k}"
+
+    @given(st.sampled_from((F5, F7, F101)),
+           st.sampled_from((S3, D4, Z3xZ3, D4xZ2, S3xS3, Q8)),
+           st.integers(0, 2**32))
+    @settings(max_examples=20, deadline=None)
+    def test_spin_finds_at_least_the_summands_of_the_random_search(
+            self, field, G, seed):
+        # 5 and 101 are 2 mod 3, so the 3-cycles of S3 x S3 and Z3 x Z3
+        # have no eigenvalue there; 7 is 3 mod 4, so neither have i, j, k
+        # of Q8
+        rho = seeded_module(G, field, random.Random(seed))
+        w = invariant_integral(G, field)
+        got = complete_reducibility(rho, w)
+        old = ref.complete_reducibility_by_search(rho, w, seed=seed)
+        event(f"{len(got)} against {len(old)} summands")
+        assert len(got) >= len(old)
+        assemble_summands(rho, got)
 
 
 class TestFieldEigenvalues:
@@ -806,8 +941,7 @@ class TestFieldEigenvalues:
         # three lines; a scan over the field would take 2^31 evaluations
         big = FieldSpec.prime(2**31 - 1)
         reg = Representation.regular(Z3, big)
-        summands = complete_reducibility(reg, invariant_integral(Z3, big),
-                                         seed=0)
+        summands = complete_reducibility(reg, invariant_integral(Z3, big))
         assert sorted(len(s.embedding) for s in summands) == [1, 1, 1]
         assemble_summands(reg, summands)
 
