@@ -52,8 +52,9 @@ and its augmentation-ideal subspace saved as a subspace file (hashing
 their output without the timing field and with the file's directory
 dropped), and ``reconstruct_from_regular`` on Z3 x Z3.
 Times ``complete_reducibility`` on the seeded conjugated modules of
-``tests/conftest.py``: S3 with seed 5 (dimension 8) over Q and D4 with
-seed 5 (dimension 10) over F_101, hashing the sorted summand dimensions.
+``tests/conftest.py``: S3 with seed 5 (dimension 8) and D4 x Z2 with seed
+3 (dimension 17) over Q and D4 with seed 5 (dimension 10) over F_101,
+hashing the sorted summand dimensions.
 Times the subalgebra closure: ``generators`` of the group algebra of S4
 over Q, rebuilt from its structure tensors inside the case so that the
 greedy closure runs on every repeat (the monoid algebra itself records the
@@ -400,8 +401,9 @@ def rep_cases(work: Path) -> dict:
 
 def reducibility_cases() -> dict:
     """name -> (number of calls, thunk) for ``complete_reducibility`` on
-    the seeded module of S3 with seed 5 over Q and of D4 with seed 5 over
-    F_101, each hashing the sorted summand dimensions."""
+    the seeded modules of S3 with seed 5 and D4 x Z2 with seed 3 over Q and
+    of D4 with seed 5 over F_101, each hashing the sorted summand
+    dimensions."""
     def split(G, field, seed):
         rho = seeded_module(G, field, random.Random(seed))
         w = reps.invariant_integral(G, field)
@@ -410,6 +412,9 @@ def reducibility_cases() -> dict:
     return {
         "Q.complete_reducibility.s3_5": (
             1, split(FiniteMonoid.symmetric(3), FieldSpec.rationals(), 5)),
+        "Q.complete_reducibility.d4xz2_3": (
+            1, split(FiniteMonoid.direct_product(D4, FiniteMonoid.cyclic(2)),
+                     FieldSpec.rationals(), 3)),
         "F101.complete_reducibility.d4_5": (
             1, split(D4, FieldSpec.prime(101), 5)),
     }

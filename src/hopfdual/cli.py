@@ -256,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact structure-constant bialgebra toolkit")
     top.add_argument("--format", choices=("text", "json"), default="text")
     top.add_argument("--seed", type=int, default=None,
-                     help="seed recorded in reports and used by randomized "
-                          "searches")
+                     help="seed recorded in reports")
     top.add_argument("--budget", type=int, default=10**7,
                      help="cap on enumerated candidates (points), oracle "
                           "relation cells (pbw), product-sweep coefficient "

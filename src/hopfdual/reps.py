@@ -260,17 +260,15 @@ def hom_dim_modules(a: AlgebraModule, b: AlgebraModule) -> int:
                              [b.matrices[s] for s in gens], a.dim, b.dim))
 
 
-def invariants(rho: Representation, generators=None) -> list:
+def invariants(rho: Representation) -> list:
     """Basis of the joint fixed space of the action matrices: the kernel of
-    the stacked action(s) - I for s in ``generators``, by default the
-    monoid's greedy generating set. A vector fixed by every generator is
-    fixed by every product of them, so by all of G: the null space, and
-    with it the unique reduced form and kernel basis, is that of the stack
-    over every element. With no generators (the trivial monoid) every
-    vector is invariant."""
+    the stacked action(s) - I for s in the monoid's greedy generating set.
+    A vector fixed by every generator is fixed by every product of them,
+    so by all of G: the null space, and with it the unique reduced form and
+    kernel basis, is that of the stack over every element. With no
+    generators (the trivial monoid) every vector is invariant."""
     f = rho.field
-    gens = rho.monoid.generators if generators is None else generators
-    blocks = [rho.action(g).shift(-1) for g in gens]
+    blocks = [rho.action(g).shift(-1) for g in rho.monoid.generators]
     if not blocks:
         return [vbasis(f, rho.dim, i) for i in range(rho.dim)]
     return kernel_basis(stack(blocks))
@@ -319,36 +317,23 @@ def integral_system(G: FiniteMonoid, F: FieldSpec):
 
 
 def invariant_integral(G: FiniteMonoid, F: FieldSpec) -> InvariantIntegral:
-    """|G|^{-1} sum of the group elements, with all its defining identities
-    verified and uniqueness certified by the full linear system."""
+    """w = |G|^{-1} sum of the group elements, in closed form.
+
+    For each g, h -> gh and h -> hg permute G, so g w = w = w g; the
+    coefficients of w sum to 1, and w w = |G|^{-1} sum_g g w = w. It is
+    the only such element: g v = v for every g makes the coefficient of gh
+    in v that of h, and G acts transitively on itself, so v is constant,
+    and the normalisation pins the constant at |G|^{-1}. Its consumers
+    certify what they build from it (:func:`reynolds`,
+    :func:`equivariant_section`, :func:`complete_reducibility`);
+    :func:`integral_system` solves for it on any monoid."""
     if not G.is_group:
         raise NotAGroup(f"{G!r} is not a group; use integral_system for "
                         "general monoids")
     n = G.size
     if F.characteristic() and n % F.characteristic() == 0:
         raise CharDividesOrder(f"|G| = {n} vanishes in {F.describe()}")
-    # the identities of w hold iff those of the all-ones vector u = n w
-    # do, n being invertible in F: g u = u = u g, u u = n u and the
-    # coefficients of u sum to n; u has integer entries, so no Fraction
-    # is built
-    A = monoid_algebra(G, F)
-    u = (F.one,) * n
-    for g in G.generators:
-        e = A.basis_vec(g)
-        if A.mul_vec(e, u) != u or A.mul_vec(u, e) != u:
-            raise RuntimeError("averaging element is not invariant")
-    if A.mul_vec(u, u) != (F.from_int(n),) * n:
-        raise RuntimeError("averaging element is not idempotent")
-    total = F.zero
-    for c in u:
-        total = F.add(total, c)
-    if total != F.from_int(n):
-        raise RuntimeError("averaging element is not normalized")
-    w = (F.inv(F.from_int(n)),) * n
-    solved, unique = integral_system(G, F)
-    if solved != w or not unique:
-        raise RuntimeError("invariance system does not pin the integral")
-    return InvariantIntegral(G, F, w)
+    return InvariantIntegral(G, F, (F.inv(F.from_int(n)),) * n)
 
 
 @dataclass
@@ -537,6 +522,13 @@ def sub_rep(rho: Representation, basis) -> Representation:
     the basis and the head of :func:`_adapted_basis`, whose one elimination
     also rejects a dependent family. Invariance is checked as in
     :func:`quotient_rep`, as tail (A_s S) = 0 for the generators s."""
+    return _restriction(rho, basis)[0]
+
+
+def _restriction(rho: Representation, basis):
+    """(:func:`sub_rep` of the basis, the head it used): head is the
+    coordinate map onto the subspace along the unit-vector complement of
+    :func:`_adapted_basis`."""
     f = rho.field
     basis = list(basis)
     _, head, tail = _adapted_basis(f, basis, rho.dim)
@@ -545,7 +537,7 @@ def sub_rep(rho: Representation, basis) -> Representation:
     _require_invariant(rho, [(tail, moved[s])
                              for s in rho.monoid.generators])
     return Representation(rho.monoid, f, [head * m for m in moved],
-                          validate=False)
+                          validate=False), head
 
 
 def _adapted_basis(field: FieldSpec, sub, n: int):
@@ -730,8 +722,12 @@ def _endomorphism_kernel(rho: Representation, ends):
 
 def complete_reducibility(rho: Representation,
                           w: InvariantIntegral) -> list:
-    """Split a representation into direct summands by repeated equivariant
-    projection onto the subspaces :func:`_proper_invariant_subspace` finds.
+    """Split a representation into direct summands at the subspaces
+    :func:`_proper_invariant_subspace` finds. Each split averages the head
+    h of the adapted basis of W, the reduced basis of the found subspace,
+    into T = sum_g w_g sub(g) h A(g^-1), an equivariant map onto the
+    restriction sub to W with T S = 1 for the matrix S of W (one product
+    checks it); the complement summand is ker T.
 
     The search is deterministic. A piece it leaves whole whose equivariant
     endomorphisms End_G are not the scalars is split by one of them where
@@ -757,17 +753,17 @@ def complete_reducibility(rho: Representation,
                 label = "absolutely simple" if k == 1 else "not certified"
                 return [Summand(embedding, piece,
                                 f"{label}: dim End_G = {k}")]
-        # equivariant projector onto the found subspace
-        _, head, _ = _adapted_basis(f, found, piece.dim)
-        Q = _average(w, piece, piece, Matrix.from_columns(f, found) * head)
-        if first_bad_product([(Q, Q, Q)]) is not None:
-            raise RuntimeError("averaged projector failed to be idempotent")
-        img = span_of(f, [Q.column(j) for j in range(piece.dim)],
-                      piece.dim).basis()
+        W = span_of(f, found, piece.dim).basis()
+        sub, head = _restriction(piece, W)
+        T = _average(w, sub, piece, head)
+        if first_bad_product([(T, Matrix.from_columns(f, W),
+                               Matrix.identity(f, len(W)))]) is not None:
+            raise RuntimeError("averaged map is not a retraction onto the "
+                               "summand")
+        ker = kernel_basis(T)
         push = Matrix.from_columns(f, embedding)
-        return [s for part in (img, kernel_basis(Q))
-                for s in split(sub_rep(piece, part),
-                               [push.apply(v) for v in part])]
+        return [s for part, rep in ((W, sub), (ker, sub_rep(piece, ker)))
+                for s in split(rep, [push.apply(v) for v in part])]
 
     return split(rho, [vbasis(f, rho.dim, i) for i in range(rho.dim)])
 

@@ -25,10 +25,11 @@ span of the subspace, the Reynolds image as the span of the columns of
 P, invariant exactness by testing each invariant of the target for
 membership in the image, the restriction to a subspace by one solve of
 all its images, the direct sum by zero-padded rows, the block
-diagonality of assembled summands entry by entry, and complete
+diagonality of assembled summands entry by entry, complete
 reducibility over F_p by the seeded random search for eigenspaces of
-averaged rank-one maps; ``test_reps`` compares ``hopfdual.reps`` with
-them.
+averaged rank-one maps, and complete reducibility by the averaged n x n
+projector onto each found subspace; ``test_reps`` compares
+``hopfdual.reps`` with them.
 
 Last, the G-laws on every element: invariants, the integral system,
 equivariance, subspace invariance and the module law, each over all of G
@@ -752,6 +753,42 @@ def complete_reducibility_by_search(rho, w, seed: int = 0,
         _, head, _ = reps._adapted_basis(f, sub, piece.dim)
         P = reps._average(w, piece, piece,
                           Matrix.from_columns(f, sub) * head)
+        img = span_of(f, [P.column(j) for j in range(piece.dim)],
+                      piece.dim).basis()
+        push = Matrix.from_columns(f, embedding)
+        return [s for part in (img, kernel_basis(P))
+                for s in split(reps.sub_rep(piece, part),
+                               [push.apply(v) for v in part])]
+
+    return split(rho, [vbasis(f, rho.dim, i) for i in range(rho.dim)])
+
+
+def complete_reducibility_by_projector(rho, w) -> list:
+    """``reps.complete_reducibility`` as it was: each found subspace split
+    off by the averaged n x n projector onto it, checked idempotent, its
+    image re-eliminated from its n columns and its kernel taken."""
+    f = rho.field
+
+    def split(piece, embedding):
+        if piece.dim == 0:
+            return []
+        found = reps._proper_invariant_subspace(piece)
+        if found is None:
+            n = piece.dim
+            gens = [piece.matrices[g] for g in piece.monoid.generators]
+            ends = [Matrix(f, [v[i * n:(i + 1) * n] for i in range(n)])
+                    for v in reps._intertwiners(f, gens, gens, n, n)]
+            k = len(ends)
+            found = reps._endomorphism_kernel(piece, ends) if k > 1 else None
+            if found is None:
+                label = "absolutely simple" if k == 1 else "not certified"
+                return [reps.Summand(embedding, piece,
+                                     f"{label}: dim End_G = {k}")]
+        _, head, _ = reps._adapted_basis(f, found, piece.dim)
+        P = reps._average(w, piece, piece, Matrix.from_columns(f, found)
+                          * head)
+        if P * P != P:
+            raise RuntimeError("averaged projector failed to be idempotent")
         img = span_of(f, [P.column(j) for j in range(piece.dim)],
                       piece.dim).basis()
         push = Matrix.from_columns(f, embedding)

@@ -119,7 +119,7 @@ def test_criterion_4_reynolds_suite():
     groups = [FiniteMonoid.cyclic(2), FiniteMonoid.cyclic(3),
               FiniteMonoid.symmetric(3), FiniteMonoid.dihedral(4)]
     for G in groups:
-        w = invariant_integral(G, Q)       # verifies w*w = w, normalization
+        w = invariant_integral(G, Q)       # the closed form |G|^-1 sum g
         solved, unique = integral_system(G, Q)
         assert unique and solved == w.vector, "integral is not pinned"
         split = split_group_algebra(G, Q)  # RG = R x B with projection Theta
