@@ -67,9 +67,9 @@ built alone (hashing its word count and the dimension of its ideal, which
 do not depend on the order of its columns).
 Times the per-command bookkeeping of small jobs: in-process ``cli.main``
 calls of ``--format json`` ``canonicalize fn_s3.json``, ``dualize
-rg_d4.json``, ``cartier monoid_d4.json`` and ``tannaka monoid_d4.json`` on
-corpus files (hashing the exit code and the output without the timing
-field).
+rg_d4.json``, ``cartier monoid_d4.json``, ``tannaka monoid_d4.json`` and
+``tannaka monoid_d4.json rep_d4_regular.json`` on corpus files (hashing
+the exit code and the output without the timing field).
 Times the scaled axiom sweeps and reconstruction, built in the script:
 in-process ``cli.main`` calls of ``--format json verify`` on the group
 algebras of S4 and S5 and the function algebra of S5 over Q, each saved to
@@ -88,7 +88,9 @@ by run. Each case keeps a SHA-256 of its results so that two labels
 can be checked to compute the same thing. The hash prints every rational
 as "a/b" or "a", so it does not depend on whether an integral rational is
 an ``int`` or a ``Fraction``. Writes ``BENCH_<label>.json`` (and, with
-``--other-src``, ``BENCH_before.json``). Runs from the root of the
+``--other-src``, ``BENCH_before.json``) to ``--out`` (default: the root
+of the checkout), a directory it creates, or checks it can write to,
+before the first case. Runs from the root of the
 checkout it sits in, whatever the working directory; the corpus files are
 this checkout's for both trees.
 End-to-end timings of the command line live in ``perfbench/``.
@@ -356,12 +358,14 @@ def cli_cases() -> dict:
 def bookkeeping_cases() -> dict:
     """name -> (number of calls, thunk) for one small command each, whose
     report encoding and input digests cost about as much as its algebra."""
-    return {f"cli_{argv[0]}.{Path(argv[1]).stem}": (
+    return {f"cli_{argv[0]}." + ".".join(Path(a).stem for a in argv[1:]): (
         1, lambda argv=argv: cli_json(argv)) for argv in (
             ["canonicalize", CORPUS + "fn_s3.json"],
             ["dualize", CORPUS + "rg_d4.json"],
             ["cartier", CORPUS + "monoid_d4.json"],
-            ["tannaka", CORPUS + "monoid_d4.json"])}
+            ["tannaka", CORPUS + "monoid_d4.json"],
+            ["tannaka", CORPUS + "monoid_d4.json",
+             CORPUS + "rep_d4_regular.json"])}
 
 
 def rep_cases(work: Path) -> dict:
@@ -632,6 +636,14 @@ def main(argv=None) -> int:
     if args.label is None or (args.other_src and args.label == "before"):
         ap.error("--label is required, and with --other-src it names this "
                  "tree, not the other one (before)")
+    # the runs take minutes: a directory that cannot take the files fails
+    # now, not after the last case
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        ap.error(f"--out: {exc}")
+    if not os.access(out_dir, os.W_OK):
+        ap.error(f"--out {out_dir} is not writable")
     trees = [(args.label, str(ROOT / "src"))]
     if args.other_src is not None:
         trees.append(("before", str(Path(args.other_src).resolve())))

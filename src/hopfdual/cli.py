@@ -112,14 +112,19 @@ def _cmd_canonicalize(args):
     return rep, [args.file]
 
 
+def _field(args) -> FieldSpec:
+    """F_p when ``--p`` is given, any p (one out of range exits 2), and Q
+    when it is not."""
+    return FieldSpec.rationals() if args.p is None else FieldSpec.prime(args.p)
+
+
 def _cmd_cartier(args):
     G = io.load_monoid(args.file)
-    field = FieldSpec.prime(args.p) if args.p else FieldSpec.rationals()
-    return cartier_check(G, field), [args.file]
+    return cartier_check(G, _field(args)), [args.file]
 
 
 def _cmd_points(args):
-    field = FieldSpec.prime(args.p)
+    field = _field(args)
     obj = io._load_json(args.file)
     kind = io.classify_file(obj)
     if kind == "monoid":
@@ -210,7 +215,7 @@ def _cmd_dist(args):
 
 def _cmd_tannaka(args):
     G = io.load_monoid(args.monoid)
-    field = FieldSpec.prime(args.p) if args.p else FieldSpec.rationals()
+    field = _field(args)
     rep = Report(f"reconstruction for {args.monoid}")
     rep.extend(reconstruct_from_regular(G, field), prefix="regular: ")
     inputs = [args.monoid]
@@ -230,7 +235,7 @@ def _cmd_zrep(args):
     if m.field.kind != PRIME_FIELD:
         raise io.FileFormatError(f"{args.file}: matrix must be over a "
                                  "prime field")
-    if args.p and m.field.p != args.p:
+    if args.p is not None and m.field != _field(args):
         raise io.FileFormatError(
             f"{args.file}: matrix is over F_{m.field.p}, --p said {args.p}")
     rep = Report(f"primary decomposition of {args.file}")

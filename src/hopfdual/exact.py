@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 
 
 class FieldMismatch(ValueError):
@@ -264,10 +264,14 @@ def vbasis(field: FieldSpec, n: int, i: int) -> tuple:
 # -- integer rows ------------------------------------------------------------
 
 def _as_ints(field: FieldSpec, rows):
-    """(int rows, d) with rows of scalars == int rows / d; one d for all."""
+    """(int rows, d) with rows of scalars == int rows / d; one d for all.
+    The lcm is taken over the distinct denominators, and with d = 1 each
+    entry is an integer, so ``int`` reads it in C."""
     if field.p:
         return rows, 1
-    d = lcm(*[x.denominator for row in rows for x in row])
+    d = lcm(*set(map(attrgetter("denominator"), chain.from_iterable(rows))))
+    if d == 1:
+        return [list(map(int, row)) for row in rows], 1
     return [[x.numerator * (d // x.denominator) for x in row]
             for row in rows], d
 

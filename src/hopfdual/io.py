@@ -156,6 +156,8 @@ def _parse_tensor(field, rows, dim, path, label):
         try:
             i, j, k = int(i), int(j), int(k)
             value = field.parse(str(c))
+        except TypeError:
+            _fail(path, f"{label}[{pos}]: indices must be integers")
         except ValueError as exc:
             _fail(path, f"{label}[{pos}]: {exc}")
         if not all(0 <= t < dim for t in (i, j, k)):
@@ -195,6 +197,8 @@ def bialgebra_from_json(obj, path="<bialgebra>") -> FinBialgebra:
     except (TypeError, ValueError):
         _fail(path, "dim must be an integer")
     basis = obj.get("basis") or [f"e{i}" for i in range(dim)]
+    if not isinstance(basis, list):
+        _fail(path, "basis must be a list of names")
     if len(basis) != dim:
         _fail(path, f"basis has {len(basis)} names for dim {dim}")
     mult = unit = comult = counit = antipode = None
@@ -354,18 +358,27 @@ def lie_from_json(obj, path="<lie>") -> LieAlgebra:
     except (TypeError, ValueError):
         _fail(path, "dim must be an integer")
     names = obj["basis"]
+    if not isinstance(names, list):
+        _fail(path, "basis must be a list of names")
     if len(names) != dim:
         _fail(path, "basis size disagrees with dim")
+    if not isinstance(obj["brackets"], list):
+        _fail(path, "brackets must be a list of [i, j, [[k, coeff]..]] "
+                    "entries")
     brackets = {}
     for pos, entry in enumerate(obj["brackets"]):
         if not (isinstance(entry, list) and len(entry) == 3):
             _fail(path, f"brackets[{pos}]: expected [i, j, [[k, coeff]..]]")
         i, j, values = entry
         try:
+            key = int(i), int(j)
+        except (TypeError, ValueError):
+            _fail(path, f"brackets[{pos}]: indices must be integers")
+        try:
             pairs = {int(k): field.parse(str(c)) for k, c in values}
         except (TypeError, ValueError) as exc:
             _fail(path, f"brackets[{pos}]: {exc}")
-        brackets[(int(i), int(j))] = pairs
+        brackets[key] = pairs
     try:
         return LieAlgebra(field, names, brackets)
     except ValueError as exc:

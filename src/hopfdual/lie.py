@@ -471,6 +471,24 @@ def graded_check(U: TruncatedEnveloping) -> Report:
     return rep
 
 
+def _rearrangements(word):
+    """The distinct rearrangements of word, in lexicographic order: each is
+    the next permutation of the one before, from the sorted word."""
+    w = sorted(word)
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = reversed(w[i + 1:])
+
+
 def _symmetrization(U: TruncatedEnveloping, k: int) -> dict:
     """Top-degree part of the average over all orderings of the word of the
     degree-n monomial e_k: (1/n!) sum over its distinct rearrangements, each
@@ -482,7 +500,7 @@ def _symmetrization(U: TruncatedEnveloping, k: int) -> dict:
                    f.from_int(math.prod(math.factorial(e)
                                         for e in U.monomials[k])))
     return sparse_sum(f, ((t, weight * c)
-                          for perm in sorted(set(itertools.permutations(word)))
+                          for perm in _rearrangements(word)
                           for t, c in U.normal_form(perm).items()
                           if U.degree(t) == n))
 

@@ -46,7 +46,9 @@ pending words, each rewritten at its first descent with nothing cached,
 and the tensor-algebra oracle with its columns shortest word first, built
 by scanning every pair of words (u, v). ``test_lie`` compares them with
 the memoized ``TruncatedEnveloping.normal_form`` and with
-``TensorAlgebraOracle``.
+``TensorAlgebraOracle``; and the distinct rearrangements of a word, kept
+from all n! orderings, against the next-permutation steps of
+``hopfdual.lie``.
 
 And the axiom sweeps as they were before they were certified on
 generating sets: associativity on every basis triple, coassociativity and
@@ -911,6 +913,12 @@ def points_all(A) -> list:
 
 
 # -- straightening and the tensor-algebra oracle ------------------------------
+
+def distinct_rearrangements(word) -> list:
+    """The distinct rearrangements of word in lexicographic order: all n!
+    orderings, with the repeats dropped."""
+    return sorted(set(itertools.permutations(word)))
+
 
 def normal_form(U, word) -> dict:
     """Rewrite a generator word to a combination of ordered monomials of the

@@ -19,7 +19,7 @@ from hopfdual.bialgebra import (BialgebraMorphism, FinBialgebra, check_hopf,
                                 check_morphism, dualize, same_structure,
                                 verify_algebra, verify_bialgebra,
                                 verify_coalgebra, verify_compatibility)
-from hopfdual.exact import FieldSpec, Matrix
+from hopfdual.exact import FieldSpec, Matrix, kernel_basis
 from hopfdual.monoids import FiniteMonoid, function_bialgebra, monoid_algebra
 from hopfdual.reps import AlgebraModule, Representation, rep_to_module
 from hopfdual.tannaka import annihilator_quotient
@@ -27,6 +27,8 @@ from hopfdual.tannaka import annihilator_quotient
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
 F7 = FieldSpec.prime(7)
+F101 = FieldSpec.prime(101)
+F_BIG = FieldSpec.prime(2147483647)
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hopfdual" / "corpus"
 S3 = FiniteMonoid.symmetric(3)
 D4 = FiniteMonoid.dihedral(4)
@@ -291,13 +293,21 @@ def quotient_modules():
     for name in ("rep_s3_regular", "rep_s3_sign", "rep_s3_standard",
                  "rep_s3_trivial", "rep_d4_regular", "rep_z2_f2_unipotent"):
         yield name, io.load_representation(CORPUS / f"{name}.json")
-    for field in (Q, F7):
+    for field in (Q, F7, F101, F_BIG):
         rng = random.Random(f"quotient:{field.p}")
         for G in (S3, D4):
             yield f"conjugated {G!r} {field.describe()}", seeded_module(
                 G, field, rng)
     _, _, _, std, reg = s3_catalogue(Q)
     yield "std (x) regular", Representation.tensor(std, reg)
+    # monoids that are not groups: e_0 and e_1 act independently
+    BOOL = FiniteMonoid.bool_and()
+    yield "regular bool_and", Representation.regular(BOOL, Q)
+    yield "regular bool_and x Z2", Representation.regular(
+        FiniteMonoid.direct_product(BOOL, FiniteMonoid.cyclic(2)), Q)
+    # a nonzero annihilator: the 6 elements of S3 span a 4-dimensional
+    # End of the standard module over F_7
+    yield "std F_7", s3_catalogue(F7)[3]
 
 
 @pytest.mark.parametrize("name,rho", list(quotient_modules()),
@@ -314,6 +324,18 @@ def test_annihilator_quotient_matches_dense_products(name, rho):
     assert res.faithful_action.matrices == tuple(basis)
     assert res.algebra.algebra_laws
     assert ref.verify_algebra_all(res.algebra).passed
+
+
+@pytest.mark.parametrize("name,rho", list(quotient_modules()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_annihilator_is_the_kernel_of_the_quotient_map(name, rho):
+    # faithful by construction: what the quotient map kills acts as 0
+    X = rep_to_module(rho)
+    res = annihilator_quotient(X.algebra, X)
+    ann = kernel_basis(res.quotient_map)
+    assert len(ann) == X.algebra.dim - res.algebra.dim
+    for v in ann:
+        assert X.act(v).is_zero()
 
 
 def test_annihilator_quotient_refuses_a_non_module():

@@ -265,6 +265,36 @@ class TestCliContract:
             f"error: {path}: matrix for '012' must be a list of rows, each a "
             "list of scalars\n")
 
+    @pytest.mark.parametrize("command,doc,message", [
+        ("verify", {"basis": 5}, "basis must be a list of names"),
+        ("verify", {"mult": [[[0], 0, 0, "1"]]},
+         "mult[0]: indices must be integers"),
+        ("verify", {"mult": [[0, None, 0, "1"]]},
+         "mult[0]: indices must be integers"),
+        ("verify", {"comult": [[0, 0, None, "1"]], "counit": ["1"]},
+         "comult[0]: indices must be integers"),
+        ("pbw", {"basis": 5}, "basis must be a list of names"),
+        ("pbw", {"brackets": 5},
+         "brackets must be a list of [i, j, [[k, coeff]..]] entries"),
+        ("pbw", {"brackets": [[None, 1, [[1, "1"]]]]},
+         "brackets[0]: indices must be integers"),
+    ], ids=["basis_number", "mult_index_list", "mult_index_null",
+            "comult_index_null", "lie_basis_number", "lie_brackets_number",
+            "lie_bracket_key_null"])
+    def test_malformed_structure_file_names_the_file(self, tmp_path, capsys,
+                                                     command, doc, message):
+        base = ({"field": {"kind": "Rationals"}, "dim": 1, "basis": ["e"],
+                 "mult": [[0, 0, 0, "1"]], "unit": ["1"]}
+                if command == "verify" else
+                {"field": {"kind": "Rationals"}, "dim": 2,
+                 "basis": ["x", "y"], "brackets": [[0, 1, [[1, "1"]]]]})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**base, **doc}), encoding="utf-8")
+        argv = [command, str(path)] + (["--order", "2"]
+                                       if command == "pbw" else [])
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("subspace", [[7], "1", [["1", "0"], 7]],
                              ids=["number_rows", "string", "number_row"])
     def test_subspace_file_needs_a_list_of_rows(self, tmp_path, capsys,
@@ -341,6 +371,23 @@ class TestCliContract:
         (check,) = json.loads(capsys.readouterr().out)["checks"]
         assert (check["name"], check["status"]) == ("BudgetExceeded", "fail")
         assert str(oracle_work(3, order)) in check["witness"]
+
+    def test_pbw_straightens_a_long_power_at_once(self):
+        # the word of x^24 is 24 equal letters: one distinct rearrangement,
+        # where all 24! orderings would never finish
+        proc = run_module("hopfdual", "pbw", str(CORPUS / "lie_abelian1.json"),
+                          "--order", "24", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["cartier", str(CORPUS / "monoid_z4.json")],
+        ["points", str(CORPUS / "monoid_z4.json")],
+        ["tannaka", str(CORPUS / "monoid_s3.json")],
+        ["zrep", str(CORPUS / "matrix_f5.json")],
+    ], ids=lambda argv: argv[0])
+    def test_p_zero_is_out_of_range(self, capsys, argv):
+        assert run_cli(*argv, "--p", "0") == 2
+        assert capsys.readouterr().err == "error: modulus out of range: 0\n"
 
     def test_dist_cli(self):
         assert run_cli("dist", "--preset", "gm", "--order", "3") == 0

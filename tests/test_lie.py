@@ -437,6 +437,13 @@ def test_normal_forms_match_on_any_bracket_table(field, data):
                     U, U.word_of(U.monomials[a]) + U.word_of(U.monomials[b]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=7))
+def test_rearrangements_match_the_permutation_sweep(word):
+    assert list(lie._rearrangements(word)) == ref.distinct_rearrangements(
+        word)
+
+
 def test_overflow_before_straightening():
     U = enveloping_truncated(LieAlgebra.sl2(Q), 2)
     with pytest.raises(TruncationOverflow):

@@ -82,12 +82,22 @@ class TestTensorCoproductRecovery:
         S3, triv, sign, std, reg = s3_catalogue(Q)
         rep = tensor_coproduct_recovery(S3, [triv, sign, std, reg])
         assert rep.passed
+        # one passing check per ordered pair
+        assert [(c.name, c.ok) for c in rep.checks] == [
+            (f"pair ({a},{b}) diagonal action = coproduct action", True)
+            for a in range(4) for b in range(4)]
 
     def test_representations_of_another_monoid_rejected(self):
         S3, triv, *_ = s3_catalogue(Q)
         z2 = Representation.trivial(FiniteMonoid.cyclic(2), Q)
         with pytest.raises(ValueError, match="one monoid"):
             tensor_coproduct_recovery(S3, [triv, z2])
+
+    def test_representations_over_another_field_rejected(self):
+        S3, triv, *_ = s3_catalogue(Q)
+        sign_f5 = s3_catalogue(F5)[2]
+        with pytest.raises(ValueError, match="one field"):
+            tensor_coproduct_recovery(S3, [triv, sign_f5])
 
     def test_tensor_with_trivial_is_identity(self):
         S3, triv, _, std, _ = s3_catalogue(Q)
