@@ -36,7 +36,9 @@ exit code and the output without the timing field). Times the
 structure-tensor sweeps: ``verify_bialgebra`` on the monoid and function
 algebras of D4, each on a copy made in the case so that no certificate
 cached by an earlier repeat is reused, ``coproduct_on_U`` on sl2 at order 5,
-``dist_at_identity("gm", 6)`` and ``divided_power_bialgebra(8)``, all over
+``dist_at_identity("gm", 6)`` and ``divided_power_bialgebra(8)``,
+``check_morphism`` of the identity algebra map of the group algebra of S5
+and ``lie_morphism_functor`` of the identity of sl2 at order 4, all over
 Q; their hash is of the report's checks; and an in-process ``cli.main``
 call of ``--format json dist --preset gm --order 40``, whose product sweep
 is within the default budget. Times ten in-process
@@ -123,10 +125,13 @@ from hopfdual import cli, reps  # noqa: E402
 from hopfdual import io as hio  # noqa: E402
 from hopfdual.exact import (FieldSpec, Matrix, inverse, kron,  # noqa: E402
                             rank, rref, span_of)
-from hopfdual.bialgebra import FinBialgebra, verify_bialgebra  # noqa: E402
+from hopfdual.bialgebra import (BialgebraMorphism,  # noqa: E402
+                                FinBialgebra, check_morphism,
+                                verify_bialgebra)
 from hopfdual.lie import (LieAlgebra, TensorAlgebraOracle,  # noqa: E402
                           TruncatedEnveloping, coproduct_on_U,
-                          dist_at_identity, divided_power_bialgebra)
+                          dist_at_identity, divided_power_bialgebra,
+                          lie_morphism_functor)
 from hopfdual.monoids import (FiniteAbelianGroup,  # noqa: E402
                               FiniteMonoid, function_bialgebra,
                               monoid_algebra, points)
@@ -317,11 +322,16 @@ def polys_cases() -> dict:
 
 def sweep_cases() -> dict:
     """name -> (number of calls, thunk returning the report's checks) for
-    the bialgebra axiom sweeps and the enveloping/divided-power/distribution
-    comparisons built on them."""
+    the bialgebra axiom sweeps, the enveloping/divided-power/distribution
+    comparisons built on them and the two algebra-map checks: the identity
+    of kS5 through ``check_morphism`` and of sl2 through
+    ``lie_morphism_functor`` at order 4."""
     q = FieldSpec.rationals()
     rg = monoid_algebra(D4, q)
     fn = function_bialgebra(D4, q)
+    k_s5 = monoid_algebra(FiniteMonoid.symmetric(5), q)
+    ident = BialgebraMorphism(k_s5, k_s5, Matrix.identity(q, k_s5.dim))
+    sl2 = LieAlgebra.sl2(q)
 
     def verify(A):
         # a copy with nothing cached and nothing recorded, as a file gives
@@ -339,6 +349,10 @@ def sweep_cases() -> dict:
             1, lambda: divided_power_bialgebra(8, q)[1].checks),
         "Q.dist.gm_40": (1, lambda: cli_json(
             ["dist", "--preset", "gm", "--order", "40"])),
+        "Q.check_morphism.k_s5": (
+            1, lambda: check_morphism(ident, "algebra").checks),
+        "Q.lie_morphism_functor.sl2_4": (1, lambda: lie_morphism_functor(
+            Matrix.identity(q, 3), sl2, sl2, 4)[1].checks),
     }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -177,8 +178,15 @@ def _cmd_pbw(args):
     L = io.load_lie(args.file)
     rep = Report(f"enveloping truncation of {args.file} at order {args.order}")
     rep.extend(verify_lie(L), prefix="input: ")
-    # the oracle refuses an over-budget order before the truncation is built
+    # the oracle, then the Delta(xy) sweep (a coefficient pair per four
+    # exponent d-tuples of total degree <= N), refuse before the truncation
     oracle = TensorAlgebraOracle(L, args.order, budget=args.budget)
+    n, d = args.order, L.dim
+    work = math.comb(n + 4 * d, n) if n > 0 else 0
+    if work > args.budget:
+        raise BudgetExceeded(f"{work} coefficient pairs of the Delta(xy) "
+                             f"sweep at order {args.order} exceed budget "
+                             f"{args.budget}")
     U = TruncatedEnveloping(L, args.order)
     _, corep = coproduct_on_U(U)
     rep.extend(corep, prefix="coproduct: ")
@@ -264,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed recorded in reports")
     top.add_argument("--budget", type=int, default=10**7,
                      help="cap on enumerated candidates (points), oracle "
-                          "relation cells (pbw), product-sweep coefficient "
+                          "relation cells and Delta(xy)-sweep coefficient "
+                          "pairs C(N+4d, N) at order N over a dimension-d "
+                          "Lie algebra (pbw), product-sweep coefficient "
                           "pairs (N+1)^3 (N+2) / 2 at order N (dist) and "
                           "reported dual basis functionals (formal-matrices)")
     sub = top.add_subparsers(dest="command", required=True)

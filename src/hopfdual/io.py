@@ -31,6 +31,13 @@ def _fail(path, msg):
     raise FileFormatError(f"{path}: {msg}")
 
 
+def _integer(path, value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        _fail(path, f"{what} must be an integer")
+
+
 def field_to_json(field: FieldSpec) -> dict:
     if field.p is None:
         return {"kind": "Rationals"}
@@ -192,10 +199,7 @@ def bialgebra_from_json(obj, path="<bialgebra>") -> FinBialgebra:
         if key not in obj:
             _fail(path, f"missing {key!r}")
     field = field_from_json(obj["field"], path)
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError):
-        _fail(path, "dim must be an integer")
+    dim = _integer(path, obj["dim"], "dim")
     basis = obj.get("basis") or [f"e{i}" for i in range(dim)]
     if not isinstance(basis, list):
         _fail(path, "basis must be a list of names")
@@ -297,10 +301,7 @@ def representation_from_json(obj, path="<representation>",
         monoid = load_monoid(resolve_reference(monoid_spec, base_dir))
     else:
         monoid = monoid_from_json(monoid_spec, path)
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError):
-        _fail(path, "dim must be an integer")
+    dim = _integer(path, obj["dim"], "dim")
     mats = obj["matrices"]
     if not isinstance(mats, dict):
         _fail(path, "matrices must map element names to matrices")
@@ -353,10 +354,7 @@ def lie_from_json(obj, path="<lie>") -> LieAlgebra:
         if key not in obj:
             _fail(path, f"missing {key!r}")
     field = field_from_json(obj.get("field", {"kind": "Rationals"}), path)
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError):
-        _fail(path, "dim must be an integer")
+    dim = _integer(path, obj["dim"], "dim")
     names = obj["basis"]
     if not isinstance(names, list):
         _fail(path, "basis must be a list of names")
@@ -427,21 +425,31 @@ def load_subspace(path, field: FieldSpec, dim: int) -> list:
 
 def load_submonoid_spec(path) -> dict:
     obj = _load_json(path)
+    path = str(path)
     if not isinstance(obj, dict):
-        _fail(str(path), "top level must be an object")
+        _fail(path, "top level must be an object")
     for key in ("ambient_rank", "generators", "degree_bound"):
         if key not in obj:
-            _fail(str(path), f"missing {key!r}")
-    rank = int(obj["ambient_rank"])
-    gens = [tuple(int(x) for x in g) for g in obj["generators"]]
+            _fail(path, f"missing {key!r}")
+
+    def integers(values, what):
+        if not isinstance(values, list):
+            _fail(path, f"{what} must be a list of integers")
+        return tuple(_integer(path, x, f"{what}[{pos}]")
+                     for pos, x in enumerate(values))
+    rank = _integer(path, obj["ambient_rank"], "ambient_rank")
+    if not isinstance(obj["generators"], list):
+        _fail(path, "generators must be a list")
+    gens = [integers(g, f"generators[{pos}]")
+            for pos, g in enumerate(obj["generators"])]
     if any(len(g) != rank for g in gens):
-        _fail(str(path), "generator rank disagrees with ambient_rank")
-    out = {"generators": gens, "degree_bound": int(obj["degree_bound"]),
-           "grading": None}
+        _fail(path, "generator rank disagrees with ambient_rank")
+    bound = _integer(path, obj["degree_bound"], "degree_bound")
+    out = {"generators": gens, "degree_bound": bound, "grading": None}
     if obj.get("grading") is not None:
-        grading = tuple(int(x) for x in obj["grading"])
+        grading = integers(obj["grading"], "grading")
         if len(grading) != rank:
-            _fail(str(path), "grading rank disagrees with ambient_rank")
+            _fail(path, "grading rank disagrees with ambient_rank")
         out["grading"] = grading
     return out
 

@@ -14,6 +14,8 @@ of the preset one-parameter groups, and augmentation-power gradings.
 The coassociativity, multiplicativity, morphism and primitive checks run
 the sparse-tensor sweeps of ``bialgebra`` on plain data: the cached
 ``comult_monomial`` dicts, ``product_monomials`` and the monomial names.
+Every F(xy) = F(x)F(y) check here, Delta and the maps U_s -> U_t and x^n ->
+vecs[n], is ``bialgebra.multiplicativity_failures``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .bialgebra import (FinBialgebra, coassociativity_sweep,
-                        comult_morphism_sweep, dualize, multiplicativity_sweep,
-                        nonzero, primitive_space, same_structure, sparse_sum)
+                        comult_morphism_sweep, dualize, ground_product,
+                        into_ground, multiplicativity_failures, nonzero,
+                        primitive_space, same_structure, sparse_sum)
 from .exact import (FieldSpec, Matrix, Span, inverse, kernel_basis, span_of,
                     vbasis)
 from .monoids import BudgetExceeded
@@ -325,8 +328,10 @@ def coproduct_on_U(U: TruncatedEnveloping):
               (U.names[k] for k in range(U.dim) if counit_fails(k)))
     pairs = [(a, b) for a in range(U.dim) for b in range(U.dim)
              if U.degree(a) + U.degree(b) <= U.order]
-    multiplicativity_sweep(rep, "Delta(xy) = Delta(x)Delta(y) in range", f,
-                           tensor, U.product_monomials, U.names, pairs)
+    mul = U.product_monomials
+    rep.sweep("Delta(xy) = Delta(x)Delta(y) in range",
+              multiplicativity_failures(f, tensor, mul, mul, mul, U.names,
+                                        pairs))
     generators = [U.index[tuple(int(t == g) for t in range(U.lie.dim))]
                   for g in range(U.lie.dim)]
     rep.sweep("generators are primitive", (
@@ -544,51 +549,32 @@ def lie_morphism_functor(fmat: Matrix, source: LieAlgebra,
     rep = Report("enveloping extension of a linear map")
     if (fmat.rows, fmat.cols) != (target.dim, source.dim):
         raise ValueError("map shape disagrees with the Lie algebras")
-
-    def bracket_image(i, j):
-        img = [f.zero] * target.dim
-        for k, c in source.bracket_entries(i, j):
-            for t, x in enumerate(fmat.column(k)):
-                img[t] = f.add(img[t], f.mul(c, x))
-        return tuple(img)
+    e = [vbasis(f, source.dim, i) for i in range(source.dim)]
     if not rep.sweep("bracket preserved", (
             f"({source.names[i]},{source.names[j]})"
             for i in range(source.dim) for j in range(i + 1, source.dim)
-            if bracket_image(i, j)
+            if fmat.apply(source.bracket_vec(e[i], e[j]))
             != target.bracket_vec(fmat.column(i), fmat.column(j)))):
         return None, rep
 
     Us = TruncatedEnveloping(source, order)
     Ut = TruncatedEnveloping(target, order)
-    cols = []
-    for idx in range(Us.dim):
-        word = Us.word_of(Us.monomials[idx])
+    letters = [{Ut.index[tuple(int(s == t) for s in range(target.dim))]: c
+                for t, c in enumerate(fmat.column(g)) if c != f.zero}
+               for g in range(source.dim)]
+    images = []
+    for mono in Us.monomials:
         acc = Ut.unit_vector()
-        for letter in word:
-            gen = {}
-            for t, c in enumerate(fmat.column(letter)):
-                if c != f.zero:
-                    mono = tuple(1 if s == t else 0
-                                 for s in range(target.dim))
-                    gen[Ut.index[mono]] = c
-            acc = Ut.product_vec(acc, gen) if gen else {}
-        col = [f.zero] * Ut.dim
-        for t, c in acc.items():
-            col[t] = c
-        cols.append(col)
-    F = Matrix.from_columns(f, cols)
-
-    images = [nonzero(f, F.column(k)) for k in range(Us.dim)]
-
-    def image_of(x):
-        return sparse_sum(f, ((t, c * y) for k, c in x.items()
-                              for t, y in images[k].items()))
-    rep.sweep("extension multiplicative in range", (
-        f"({Us.names[a]},{Us.names[b]})"
-        for a in range(Us.dim) for b in range(Us.dim)
-        if Us.degree(a) + Us.degree(b) <= order
-        and image_of(Us.product_monomials(a, b))
-        != Ut.product_vec(images[a], images[b])))
+        for letter in Us.word_of(mono):
+            acc = Ut.product_vec(acc, letters[letter])
+        images.append(acc)
+    F = Matrix.from_columns(f, [[x.get(t, f.zero) for t in range(Ut.dim)]
+                                for x in images])
+    rep.sweep("extension multiplicative in range", multiplicativity_failures(
+        f, into_ground(images), Us.product_monomials, ground_product,
+        Ut.product_monomials, Us.names,
+        ((a, b) for a in range(Us.dim) for b in range(Us.dim)
+         if Us.degree(a) + Us.degree(b) <= order)))
     comult_morphism_sweep(rep, "extension respects coproducts", f, images,
                           [Us.comult_monomial(k) for k in range(Us.dim)],
                           [Ut.comult_monomial(k) for k in range(Ut.dim)],
@@ -655,8 +641,9 @@ def divided_power_bialgebra(N: int, F: FieldSpec):
         _line_comparison(rep, U, A, [
             tuple(f.mul(f.from_int(math.factorial(n)), x)
                   for x in A.basis_vec(n)) for n in range(N + 1)], "n! w_n")
-    multiplicativity_sweep(rep, "Delta multiplicative in range", f, A.deltas,
-                           A.mul_basis, A.basis, pairs)
+    mul = A.mul_basis
+    rep.sweep("Delta multiplicative in range", multiplicativity_failures(
+        f, A.deltas, mul, mul, mul, A.basis, pairs))
     return A, rep
 
 
@@ -666,13 +653,15 @@ def _line_comparison(rep: Report, U: TruncatedEnveloping, A: FinBialgebra,
     intertwines products (within the truncation) and coproducts."""
     f = A.field
     N = U.order
-    rep.sweep(f"x^n -> {label} intertwines products", (
-        f"({i},{j})" for i in range(N + 1) for j in range(N + 1 - i)
-        if A.mul_vec(vecs[i], vecs[j]) != vecs[i + j]))
-    # U's basis index of x^n is n
+    # U's basis index of x^n is n, and x^i x^j = x^(i+j)
+    images = [nonzero(f, v) for v in vecs]
+    rep.sweep(f"x^n -> {label} intertwines products",
+              multiplicativity_failures(
+                  f, into_ground(images), lambda i, j: {i + j: 1},
+                  ground_product, A.mul_basis, [str(n) for n in range(N + 1)],
+                  ((i, j) for i in range(N + 1) for j in range(N + 1 - i))))
     comult_morphism_sweep(rep, f"x^n -> {label} intertwines coproducts", f,
-                          [nonzero(f, v) for v in vecs],
-                          [U.comult_monomial(n) for n in range(N + 1)],
+                          images, [U.comult_monomial(n) for n in range(N + 1)],
                           A.deltas, [f"n = {n}" for n in range(N + 1)])
 
 

@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bialgebra import (FinBialgebra, dualize, same_structure,
-                        subalgebra_span)
+from .bialgebra import (FinBialgebra, algebra_map_failures, dualize,
+                        same_structure, subalgebra_span)
 from .exact import FieldSpec, Matrix, PRIME_FIELD
 from .report import Report
 
@@ -369,22 +369,13 @@ def points(A: FinBialgebra, budget: int = 10**7) -> list:
                 dfs(grown, subalgebra_span(f, one, grown, mul, sp))
             return
         # the generators reach all of A, so the span is a graph of full
-        # rank and its reduced rows are (e_i | phi(e_i))
+        # rank and its reduced rows are (e_i | phi(e_i)); it holds (1 | 1),
+        # so phi(1) = 1
         phi = [row[n] for row in sp.basis()]
-        # final validation against every structure constant
-        for i in range(n):
-            for j in range(n):
-                lhs = f.zero
-                for k, c in A.mul_basis(i, j).items():
-                    lhs = f.add(lhs, f.mul(c, phi[k]))
-                if lhs != f.mul(phi[i], phi[j]):
-                    return
-        acc = f.zero
-        for k in range(n):
-            acc = f.add(acc, f.mul(A.unit[k], phi[k]))
-        if acc != f.one:
-            return
-        results.append(tuple(phi))
+        # final validation of phi: A -> k (x) k
+        if not algebra_map_failures(
+                A, [{(0, 0): v} if v else {} for v in phi], True):
+            results.append(tuple(phi))
 
     dfs([], subalgebra_span(f, one, [], mul))
     return sorted(results)

@@ -58,7 +58,13 @@ on every basis pair, the antipode identities and the morphism laws, one
 ``hopfdual.bialgebra``; the associativity of a monoid table on every
 triple; and ``annihilator_quotient`` by every product of two image
 matrices in full. ``test_certificates`` compares them with the certified
-checks, on the corpus and on corrupted inputs.
+checks, on the corpus and on corrupted inputs. Then the six checks of
+F(xy) = F(x)F(y) as they were written before the one sparse sweep of
+``hopfdual.bialgebra`` replaced them: Delta's raw sparse difference, the
+morphism check's dense compare, epsilon read off the product tensor, the
+enveloping extension's image of each product, the line comparison's
+vector products and the point validation's per-scalar loop;
+``test_algebra_map_sweep`` compares the sweep with them on corrupted maps.
 
 At the very end, the truncated formal-matrix integral by expanding Delta
 of every monomial of degree <= N and comparing every (mu, kappa) pair.
@@ -75,7 +81,7 @@ from hopfdual import polys, reps
 from hopfdual.exact import (Echelon, FieldMismatch, FieldSpec, Matrix, Span,
                             block_diag, inverse, kernel_basis, solve,
                             solve_many, span_of, stack, vbasis)
-from hopfdual.bialgebra import sparse_sum
+from hopfdual.bialgebra import sparse_sum, vanishes
 from hopfdual.lie import TensorAlgebraOracle, TruncationOverflow
 from hopfdual.monoids import monoid_algebra
 from hopfdual.report import Report
@@ -1165,6 +1171,107 @@ def check_hopf_all(A) -> Report:
     if ok:
         rep.add("antipode identities", True)
     return rep
+
+
+# -- the algebra-map loops as they were ---------------------------------------
+#
+# Six hand-written checks of F(xy) = F(x)F(y), each with its own scalar
+# arithmetic, as they stood before ``bialgebra.multiplicativity_failures``
+# took them over. ``test_algebra_map_sweep`` runs the one sweep on corrupted
+# maps of each shape and compares its witnesses with these.
+
+def comult_multiplicativity_failures(f, deltas, mul_basis, names, pairs):
+    """Witnesses ``"(a,b)"``, in the order of ``pairs``, of Delta(e_a e_b)
+    != Delta(e_a) Delta(e_b) in A (x) A, one raw sparse difference per
+    pair."""
+    for a, b in pairs:
+        diff = {}
+        get = diff.get
+        for k, c in mul_basis(a, b).items():
+            for key, d in deltas[k].items():
+                diff[key] = get(key, 0) + c * d
+        for (i1, j1), c1 in deltas[a].items():
+            for (i2, j2), c2 in deltas[b].items():
+                right = mul_basis(j1, j2).items()
+                if not right:
+                    continue
+                c = c1 * c2
+                for x, cx in mul_basis(i1, i2).items():
+                    cx *= c
+                    for y, cy in right:
+                        key = (x, y)
+                        diff[key] = get(key, 0) - cx * cy
+        if not vanishes(f, diff):
+            yield f"({names[a]},{names[b]})"
+
+
+def morphism_multiplicativity_failures(A, B, F, firsts):
+    """Witnesses ``"(x,y)"`` of F(e_i e_j) != F(e_i) F(e_j) for i in
+    ``firsts`` and every j: F of the product summed into a dense vector and
+    compared with ``B.mul_vec`` of the two columns."""
+    f = A.field
+    columns = [F.column(k) for k in range(A.dim)]
+    images = [{t: c for t, c in enumerate(col) if c != f.zero}
+              for col in columns]
+    for i in firsts:
+        for j in range(A.dim):
+            acc = [0] * B.dim
+            for k, c in A.mul_basis(i, j).items():
+                for t, x in images[k].items():
+                    acc[t] += c * x
+            if (tuple(map(f.canonical, acc))
+                    != B.mul_vec(columns[i], columns[j])):
+                yield f"({A.name_of(i)},{A.name_of(j)})"
+
+
+def counit_multiplicativity_failures(A):
+    """Witnesses ``"(x,y)"``, lexicographic, of epsilon(e_i e_j) !=
+    epsilon(e_i) epsilon(e_j), read off the product tensor."""
+    canonical = A.field.canonical
+    eps = A.counit
+    for i in range(A.dim):
+        for j in range(A.dim):
+            e = A.mul_basis(i, j)
+            value = sum(c * eps[k] for k, c in e.items()) if e else 0
+            if canonical(value - eps[i] * eps[j]):
+                yield f"({A.name_of(i)},{A.name_of(j)})"
+
+
+def extension_multiplicativity_failures(Us, Ut, images, order):
+    """Witnesses ``"(a,b)"`` of F(e_a e_b) != F(e_a) F(e_b) for the map of
+    enveloping truncations with ``images[k] = F(e_k) = {t: c}``, over the
+    pairs whose degrees sum within ``order``."""
+    f = Us.field
+
+    def image_of(x):
+        return sparse_sum(f, ((t, c * y) for k, c in x.items()
+                              for t, y in images[k].items()))
+    return (f"({Us.names[a]},{Us.names[b]})"
+            for a in range(Us.dim) for b in range(Us.dim)
+            if Us.degree(a) + Us.degree(b) <= order
+            and image_of(Us.product_monomials(a, b))
+            != Ut.product_vec(images[a], images[b]))
+
+
+def line_product_failures(A, vecs, N):
+    """Witnesses ``"(i,j)"``, i + j <= N, of vecs[i] vecs[j] != vecs[i+j]:
+    x^n -> vecs[n] on the enveloping truncation of the line."""
+    return (f"({i},{j})" for i in range(N + 1) for j in range(N + 1 - i)
+            if A.mul_vec(vecs[i], vecs[j]) != vecs[i + j])
+
+
+def point_multiplicativity_failures(A, phi):
+    """Witnesses ``"(x,y)"``, lexicographic, of phi(e_i e_j) != phi(e_i)
+    phi(e_j) for the linear form with values ``phi``, one ``FieldSpec``
+    call per scalar; ``points`` stopped at the first."""
+    f = A.field
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = f.zero
+            for k, c in A.mul_basis(i, j).items():
+                lhs = f.add(lhs, f.mul(c, phi[k]))
+            if lhs != f.mul(phi[i], phi[j]):
+                yield f"({A.name_of(i)},{A.name_of(j)})"
 
 
 def monoid_table_error(names, table, unit) -> str | None:

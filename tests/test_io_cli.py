@@ -105,6 +105,25 @@ class TestLoaders:
                                spec["grading"])
         assert sa.dim == 6
 
+    @pytest.mark.parametrize("change,message", [
+        ({"ambient_rank": "x"}, "ambient_rank must be an integer"),
+        ({"degree_bound": "x"}, "degree_bound must be an integer"),
+        ({"generators": [[2], ["x"]]}, "generators[1][0] must be an integer"),
+        ({"generators": [2, 3]}, "generators[0] must be a list of integers"),
+        ({"grading": ["x"]}, "grading[0] must be an integer"),
+        ({"generators": 5}, "generators must be a list"),
+    ], ids=["ambient_rank", "degree_bound", "generator_entry",
+            "generator_number", "grading", "generators_number"])
+    def test_malformed_submonoid_spec_names_the_file(self, tmp_path, change,
+                                                     message):
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps({"ambient_rank": 1, "degree_bound": 6,
+                                    "generators": [[2], [3]], **change}),
+                        encoding="utf-8")
+        with pytest.raises(io.FileFormatError) as err:
+            io.load_submonoid_spec(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_matrix_loader(self):
         m = io.load_matrix(CORPUS / "matrix_f5.json")
         assert m.rows == 3 and m.field.p == 5
@@ -378,6 +397,23 @@ class TestCliContract:
         proc = run_module("hopfdual", "pbw", str(CORPUS / "lie_abelian1.json"),
                           "--order", "24", timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_pbw_refuses_a_coproduct_sweep_over_budget(self, capsys):
+        # abelian1 has no oracle relations; the Delta(xy) sweep at order N
+        # reads C(N + 4, N) coefficient pairs: 4,598,126 at order 100
+        path = str(CORPUS / "lie_abelian1.json")
+        started = time.perf_counter()
+        assert run_cli("--format", "json", "--budget", "1", "pbw", path,
+                       "--order", "100") == 1
+        assert time.perf_counter() - started < 1
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check == {"name": "BudgetExceeded", "status": "fail",
+                         "witness": "4598126 coefficient pairs of the "
+                                    "Delta(xy) sweep at order 100 exceed "
+                                    "budget 1"}
+        # C(7, 3) = 35 at order 3
+        assert run_cli("--budget", "35", "pbw", path, "--order", "3") == 0
+        assert run_cli("--budget", "34", "pbw", path, "--order", "3") == 1
 
     @pytest.mark.parametrize("argv", [
         ["cartier", str(CORPUS / "monoid_z4.json")],
