@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import math
 import sys
 import time
 from pathlib import Path
@@ -21,7 +20,8 @@ from .bialgebra import (check_hopf, dualize, verify_algebra, verify_coalgebra,
                         verify_compatibility)
 from .exact import FieldSpec, PRIME_FIELD
 from .lie import (TruncatedEnveloping, TensorAlgebraOracle, coproduct_on_U,
-                  dist_at_identity, graded_check, primitives_of_U, verify_lie)
+                  coproduct_work, dist_at_identity, graded_check,
+                  line_product_work, primitives_of_U, verify_lie)
 from .monoids import (BudgetExceeded, InsufficientRoots, NotPositivelyGraded,
                       cartier_check, monoid_algebra, points)
 from .polys import poly_str
@@ -87,29 +87,27 @@ def _cmd_verify(args):
     return rep, [args.file]
 
 
-def _cmd_dualize(args):
-    A = io.load_bialgebra(args.file)
-    D = dualize(A)
-    text = io.dump_canonical(io.bialgebra_to_json(D))
+def _written(args, text: str) -> str:
+    """Write text to ``--output``, or to stdout without one; where it went."""
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        return args.output
+    sys.stdout.write(text)
+    return "stdout"
+
+
+def _cmd_dualize(args):
+    D = dualize(io.load_bialgebra(args.file))
+    text = io.dump_canonical(io.bialgebra_to_json(D))
     rep = Report(f"dualize {args.file}")
-    rep.add("dual written", True,
-            args.output if args.output else "stdout")
+    rep.add("dual written", True, _written(args, text))
     return rep, [args.file]
 
 
 def _cmd_canonicalize(args):
     text = io.canonicalize(args.file)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     rep = Report(f"canonicalize {args.file}")
-    rep.add("canonical form written", True,
-            args.output if args.output else "stdout")
+    rep.add("canonical form written", True, _written(args, text))
     return rep, [args.file]
 
 
@@ -174,19 +172,21 @@ def _cmd_exactness(args):
     return rep, [args.file, args.quotient]
 
 
+def _refuse_over_budget(work: int, sweep: str, args) -> None:
+    if work > args.budget:
+        raise BudgetExceeded(f"{work} coefficient pairs of the {sweep} at "
+                             f"order {args.order} exceed budget {args.budget}")
+
+
 def _cmd_pbw(args):
     L = io.load_lie(args.file)
     rep = Report(f"enveloping truncation of {args.file} at order {args.order}")
     rep.extend(verify_lie(L), prefix="input: ")
-    # the oracle, then the Delta(xy) sweep (a coefficient pair per four
-    # exponent d-tuples of total degree <= N), refuse before the truncation
+    # the oracle's budget, then the Delta(xy) sweep's, refuse before the
+    # truncation is built
     oracle = TensorAlgebraOracle(L, args.order, budget=args.budget)
-    n, d = args.order, L.dim
-    work = math.comb(n + 4 * d, n) if n > 0 else 0
-    if work > args.budget:
-        raise BudgetExceeded(f"{work} coefficient pairs of the Delta(xy) "
-                             f"sweep at order {args.order} exceed budget "
-                             f"{args.budget}")
+    _refuse_over_budget(coproduct_work(L.dim, args.order), "Delta(xy) sweep",
+                        args)
     U = TruncatedEnveloping(L, args.order)
     _, corep = coproduct_on_U(U)
     rep.extend(corep, prefix="coproduct: ")
@@ -195,27 +195,14 @@ def _cmd_pbw(args):
         prim = primitives_of_U(U)
         rep.add("primitive space is the degree-one span",
                 len(prim) == L.dim, f"dim {len(prim)} vs {L.dim}")
-    bad = []
-    for a in range(U.dim):
-        for b in range(U.dim):
-            if U.degree(a) + U.degree(b) > args.order:
-                continue
-            if not oracle.check_product(U, a, b):
-                bad.append((U.names[a], U.names[b]))
+    bad = oracle.failing_products(U)
     rep.add("straightening agrees with the tensor-algebra oracle",
             not bad, str(bad[:3]) if bad else None)
     return rep, [args.file]
 
 
 def _cmd_dist(args):
-    # the product sweep multiplies (N+1)(N+2)/2 pairs of vectors of length
-    # N+1, each over up to (N+1)^2 coefficient pairs; refused before any work
-    n = max(args.order, 0) + 1
-    work = n ** 3 * (n + 1) // 2
-    if work > args.budget:
-        raise BudgetExceeded(f"{work} coefficient pairs of the product sweep "
-                             f"at order {args.order} exceed budget "
-                             f"{args.budget}")
+    _refuse_over_budget(line_product_work(args.order), "product sweep", args)
     field = FieldSpec.rationals()
     _, rep = dist_at_identity(args.preset, args.order, field)
     return rep, []
@@ -273,10 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--budget", type=int, default=10**7,
                      help="cap on enumerated candidates (points), oracle "
                           "relation cells and Delta(xy)-sweep coefficient "
-                          "pairs C(N+4d, N) at order N over a dimension-d "
-                          "Lie algebra (pbw), product-sweep coefficient "
-                          "pairs (N+1)^3 (N+2) / 2 at order N (dist) and "
-                          "reported dual basis functionals (formal-matrices)")
+                          "pairs (pbw), product-sweep coefficient pairs "
+                          "(dist) and reported dual basis functionals "
+                          "(formal-matrices)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the axiom suites on a bialgebra file")

@@ -31,11 +31,26 @@ def _fail(path, msg):
     raise FileFormatError(f"{path}: {msg}")
 
 
-def _integer(path, value, what: str) -> int:
+def _integer(path, value, what: str, rule="must be an integer") -> int:
+    """An integer the file gives: what ``int`` reads, except a bool or a
+    number with a fractional part, which fail as "{what} {rule}"."""
+    if type(value) is int:
+        return value
+    if type(value) is bool or (type(value) is float
+                               and not value.is_integer()):
+        _fail(path, f"{what} {rule}")
     try:
         return int(value)
     except (TypeError, ValueError):
-        _fail(path, f"{what} must be an integer")
+        _fail(path, f"{what} {rule}")
+
+
+def _integers(path, values, what: str) -> tuple:
+    """A list of integers the file gives, each read by :func:`_integer`."""
+    if not isinstance(values, list):
+        _fail(path, f"{what} must be a list of integers")
+    return tuple(_integer(path, x, f"{what}[{pos}]")
+                 for pos, x in enumerate(values))
 
 
 def field_to_json(field: FieldSpec) -> dict:
@@ -47,13 +62,14 @@ def field_to_json(field: FieldSpec) -> dict:
 def field_from_json(obj, path="<field>") -> FieldSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         _fail(path, "field must be an object with a 'kind'")
-    try:
-        if obj["kind"] == "Rationals":
-            return FieldSpec.rationals()
-        if obj["kind"] == "PrimeField":
-            return FieldSpec.prime(int(obj["p"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        _fail(path, f"bad field spec: {exc}")
+    if obj["kind"] == "Rationals":
+        return FieldSpec.rationals()
+    if obj["kind"] == "PrimeField":
+        p = _integer(path, obj.get("p"), "field p")
+        try:
+            return FieldSpec.prime(p)
+        except ValueError as exc:
+            _fail(path, f"bad field spec: {exc}")
     _fail(path, f"unknown field kind {obj['kind']!r}")
 
 
@@ -160,18 +176,19 @@ def _parse_tensor(field, rows, dim, path, label):
         if not (isinstance(entry, list) and len(entry) == 4):
             _fail(path, f"{label}[{pos}]: expected [i, j, k, coeff]")
         i, j, k, c = entry
+        key = (i, j, k)
+        if not type(i) is type(j) is type(k) is int:
+            key = tuple(_integer(path, t, f"{label}[{pos}]: indices",
+                                 "must be integers") for t in key)
         try:
-            i, j, k = int(i), int(j), int(k)
             value = field.parse(str(c))
-        except TypeError:
-            _fail(path, f"{label}[{pos}]: indices must be integers")
         except ValueError as exc:
             _fail(path, f"{label}[{pos}]: {exc}")
-        if not all(0 <= t < dim for t in (i, j, k)):
+        if not all(0 <= t < dim for t in key):
             _fail(path, f"{label}[{pos}]: index out of range for dim {dim}")
-        key = (i, j, k)
-        out[key] = field.add(out.get(key, field.zero), value)
-    return out
+        # summed raw and reduced once per key, as bialgebra.sparse_sum does
+        out[key] = out.get(key, 0) + value
+    return {key: field.canonical(s) for key, s in out.items()}
 
 
 def _rows(data, path, label) -> list:
@@ -214,8 +231,7 @@ def bialgebra_from_json(obj, path="<bialgebra>") -> FinBialgebra:
     if "comult" in obj or "counit" in obj:
         if "comult" not in obj or "counit" not in obj:
             _fail(path, "comult and counit must appear together")
-        raw = _parse_tensor(field, obj["comult"], dim, path, "comult")
-        comult = raw
+        comult = _parse_tensor(field, obj["comult"], dim, path, "comult")
         counit = _parse_vector(field, obj["counit"], dim, path, "counit")
     if "antipode" in obj:
         rows = obj["antipode"]
@@ -254,17 +270,19 @@ def monoid_from_json(obj, path="<monoid>") -> FiniteMonoid:
     if not isinstance(obj, dict):
         _fail(path, "top level must be an object")
     if "invariant_factors" in obj:
+        factors = _integers(path, obj["invariant_factors"],
+                            "invariant_factors")
         try:
-            group = FiniteAbelianGroup(tuple(int(d)
-                                             for d in obj["invariant_factors"]))
-        except (TypeError, ValueError) as exc:
+            group = FiniteAbelianGroup(factors)
+        except ValueError as exc:
             _fail(path, f"invariant_factors: {exc}")
         return group.to_monoid()
     for key in ("elements", "table", "unit"):
         if key not in obj:
             _fail(path, f"missing {key!r}")
+    unit = _integer(path, obj["unit"], "unit")
     try:
-        return FiniteMonoid(obj["elements"], obj["table"], int(obj["unit"]))
+        return FiniteMonoid(obj["elements"], obj["table"], unit)
     except (TypeError, ValueError) as exc:
         _fail(path, str(exc))
 
@@ -367,16 +385,15 @@ def lie_from_json(obj, path="<lie>") -> LieAlgebra:
     for pos, entry in enumerate(obj["brackets"]):
         if not (isinstance(entry, list) and len(entry) == 3):
             _fail(path, f"brackets[{pos}]: expected [i, j, [[k, coeff]..]]")
-        i, j, values = entry
+        *key, values = entry
+        what = f"brackets[{pos}]: indices"
+        key = tuple(_integer(path, t, what, "must be integers") for t in key)
         try:
-            key = int(i), int(j)
-        except (TypeError, ValueError):
-            _fail(path, f"brackets[{pos}]: indices must be integers")
-        try:
-            pairs = {int(k): field.parse(str(c)) for k, c in values}
+            values = [(k, field.parse(str(c))) for k, c in values]
         except (TypeError, ValueError) as exc:
             _fail(path, f"brackets[{pos}]: {exc}")
-        brackets[key] = pairs
+        brackets[key] = {_integer(path, k, what, "must be integers"): c
+                         for k, c in values}
     try:
         return LieAlgebra(field, names, brackets)
     except ValueError as exc:
@@ -431,23 +448,17 @@ def load_submonoid_spec(path) -> dict:
     for key in ("ambient_rank", "generators", "degree_bound"):
         if key not in obj:
             _fail(path, f"missing {key!r}")
-
-    def integers(values, what):
-        if not isinstance(values, list):
-            _fail(path, f"{what} must be a list of integers")
-        return tuple(_integer(path, x, f"{what}[{pos}]")
-                     for pos, x in enumerate(values))
     rank = _integer(path, obj["ambient_rank"], "ambient_rank")
     if not isinstance(obj["generators"], list):
         _fail(path, "generators must be a list")
-    gens = [integers(g, f"generators[{pos}]")
+    gens = [_integers(path, g, f"generators[{pos}]")
             for pos, g in enumerate(obj["generators"])]
     if any(len(g) != rank for g in gens):
         _fail(path, "generator rank disagrees with ambient_rank")
     bound = _integer(path, obj["degree_bound"], "degree_bound")
     out = {"generators": gens, "degree_bound": bound, "grading": None}
     if obj.get("grading") is not None:
-        grading = integers(obj["grading"], "grading")
+        grading = _integers(path, obj["grading"], "grading")
         if len(grading) != rank:
             _fail(path, "grading rank disagrees with ambient_rank")
         out["grading"] = grading

@@ -139,31 +139,19 @@ def _monomial_name(names, exponents) -> str:
     return "*".join(parts) or "1"
 
 
-MAX_BASIS_DEFAULT = 3003  # C(6+8, 8): d <= 6 and order <= 8 stay inside
-
-
 class TruncatedEnveloping:
     """Ordered monomials of total degree <= order, with the straightening
     product (partial: defined when degrees sum within the bound) and the
     primitive-generator coproduct (total)."""
 
-    def __init__(self, lie: LieAlgebra, order: int, allow_large=False):
+    def __init__(self, lie: LieAlgebra, order: int):
         if order < 1:
             raise ValueError("truncation order must be >= 1")
-        if not allow_large and \
-                math.comb(lie.dim + order, order) > MAX_BASIS_DEFAULT:
-            raise ValueError(
-                f"basis would hold {math.comb(lie.dim + order, order)} "
-                f"monomials; pass allow_large=True to go past "
-                f"{MAX_BASIS_DEFAULT}")
         self.lie = lie
         self.field = lie.field
         self.order = order
-        monos = []
-        for total in range(order + 1):
-            for mono in _exponents_of_degree(lie.dim, total):
-                monos.append(mono)
-        self.monomials = tuple(monos)
+        self.monomials = tuple(mono for total in range(order + 1)
+                               for mono in _exponents_of_degree(lie.dim, total))
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.names = tuple(_monomial_name(lie.names, m) for m in self.monomials)
         self._degrees = tuple(sum(m) for m in self.monomials)
@@ -178,8 +166,11 @@ class TruncatedEnveloping:
     def degree(self, idx: int) -> int:
         return self._degrees[idx]
 
-    def degrees(self) -> list:
-        return list(self._degrees)
+    def pairs_in_range(self):
+        """The (a, b), a then b in basis order, whose product e_a e_b is
+        defined: their degrees sum within the order."""
+        return ((a, b) for a in range(self.dim) for b in range(self.dim)
+                if self._degrees[a] + self._degrees[b] <= self.order)
 
     def monomials_of_degree(self, n: int) -> list:
         return [i for i, e in enumerate(self._degrees) if e == n]
@@ -326,12 +317,10 @@ def coproduct_on_U(U: TruncatedEnveloping):
         return left != {k: f.one} or right != {k: f.one}
     rep.sweep("counit laws",
               (U.names[k] for k in range(U.dim) if counit_fails(k)))
-    pairs = [(a, b) for a in range(U.dim) for b in range(U.dim)
-             if U.degree(a) + U.degree(b) <= U.order]
     mul = U.product_monomials
     rep.sweep("Delta(xy) = Delta(x)Delta(y) in range",
               multiplicativity_failures(f, tensor, mul, mul, mul, U.names,
-                                        pairs))
+                                        U.pairs_in_range()))
     generators = [U.index[tuple(int(t == g) for t in range(U.lie.dim))]
                   for g in range(U.lie.dim)]
     rep.sweep("generators are primitive", (
@@ -347,6 +336,22 @@ def oracle_work(dim: int, order: int) -> int:
     pairs = sum((n + 1) * dim ** n for n in range(order - 1))
     width = sum(dim ** n for n in range(order + 1))
     return dim * (dim - 1) // 2 * pairs * width
+
+
+def coproduct_work(dim: int, order: int) -> int:
+    """Coefficient pairs of the Delta(xy) sweep of :func:`coproduct_on_U`:
+    one per pair of monomials in range and split of each, so per four
+    exponent dim-tuples of total degree <= order, C(order + 4 dim, order).
+    It bounds the truncation's C(order + dim, order) monomials too."""
+    return math.comb(order + 4 * dim, order) if order > 0 else 0
+
+
+def line_product_work(order: int) -> int:
+    """Coefficient pairs of the product sweep of :func:`_line_comparison` in
+    :func:`dist_at_identity`: (N+1)(N+2)/2 pairs x^i, x^j with i + j <= N,
+    each over up to (N+1)^2, at an order N (a negative one read as 0)."""
+    n = max(order, 0) + 1
+    return n ** 3 * (n + 1) // 2
 
 
 class TensorAlgebraOracle:
@@ -412,6 +417,12 @@ class TensorAlgebraOracle:
         pbw = U.product_monomials(a, b)
         expanded = {U.word_of(U.monomials[k]): c for k, c in pbw.items()}
         return self.equal_mod_ideal({word: self.lie.field.one}, expanded)
+
+    def failing_products(self, U: TruncatedEnveloping) -> list:
+        """The name pairs of the products e_a e_b in range of U, a then b in
+        basis order, on which :meth:`check_product` fails."""
+        return [(U.names[a], U.names[b]) for a, b in U.pairs_in_range()
+                if not self.check_product(U, a, b)]
 
 
 @dataclass
@@ -572,9 +583,7 @@ def lie_morphism_functor(fmat: Matrix, source: LieAlgebra,
                                 for x in images])
     rep.sweep("extension multiplicative in range", multiplicativity_failures(
         f, into_ground(images), Us.product_monomials, ground_product,
-        Ut.product_monomials, Us.names,
-        ((a, b) for a in range(Us.dim) for b in range(Us.dim)
-         if Us.degree(a) + Us.degree(b) <= order)))
+        Ut.product_monomials, Us.names, Us.pairs_in_range()))
     comult_morphism_sweep(rep, "extension respects coproducts", f, images,
                           [Us.comult_monomial(k) for k in range(Us.dim)],
                           [Ut.comult_monomial(k) for k in range(Ut.dim)],
@@ -652,17 +661,16 @@ def _line_comparison(rep: Report, U: TruncatedEnveloping, A: FinBialgebra,
     """x^n -> vecs[n], from the enveloping truncation U of the line into A,
     intertwines products (within the truncation) and coproducts."""
     f = A.field
-    N = U.order
     # U's basis index of x^n is n, and x^i x^j = x^(i+j)
     images = [nonzero(f, v) for v in vecs]
     rep.sweep(f"x^n -> {label} intertwines products",
               multiplicativity_failures(
                   f, into_ground(images), lambda i, j: {i + j: 1},
-                  ground_product, A.mul_basis, [str(n) for n in range(N + 1)],
-                  ((i, j) for i in range(N + 1) for j in range(N + 1 - i))))
+                  ground_product, A.mul_basis, [str(n) for n in range(U.dim)],
+                  U.pairs_in_range()))
     comult_morphism_sweep(rep, f"x^n -> {label} intertwines coproducts", f,
-                          images, [U.comult_monomial(n) for n in range(N + 1)],
-                          A.deltas, [f"n = {n}" for n in range(N + 1)])
+                          images, [U.comult_monomial(n) for n in range(U.dim)],
+                          A.deltas, [f"n = {n}" for n in range(U.dim)])
 
 
 GA, GM, U2 = "ga", "gm", "u2"

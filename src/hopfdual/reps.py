@@ -223,16 +223,18 @@ def module_to_rep(mod: AlgebraModule, monoid: FiniteMonoid) -> Representation:
                           validate=False)
 
 
-def _intertwiners(field, left_mats, right_mats, dim_src, dim_tgt) -> list:
-    # basis of the f with f*L_i = R_i*f for all i; the unknowns f
-    # (dim_tgt x dim_src) are read row by row, so vec(f L) = (I (x) L^T)
-    # vec(f) and vec(R f) = (R (x) I) vec(f)
-    i_src = Matrix.identity(field, dim_src)
-    i_tgt = Matrix.identity(field, dim_tgt)
-    blocks = [kron(i_tgt, L.transpose()) - kron(R, i_src)
-              for L, R in zip(left_mats, right_mats)]
-    return kernel_basis(stack(blocks) if blocks
-                        else Matrix.zero(field, 0, dim_src * dim_tgt))
+def _intertwiners(field, gens, src, tgt) -> list:
+    """Basis of the maps f: src -> tgt with f L = R f for L = src(s) and
+    R = tgt(s), s in gens, each a tgt.dim x src.dim Matrix. The unknowns
+    are the entries of f read row by row, so vec(f L) = (I (x) L^T) vec(f)
+    and vec(R f) = (R (x) I) vec(f)."""
+    i_src = Matrix.identity(field, src.dim)
+    i_tgt = Matrix.identity(field, tgt.dim)
+    blocks = [kron(i_tgt, src.matrices[s].transpose())
+              - kron(tgt.matrices[s], i_src) for s in gens]
+    return [Matrix(field, [v]).reshape(tgt.dim, src.dim)
+            for v in kernel_basis(stack(blocks) if blocks else
+                                  Matrix.zero(field, 0, src.dim * tgt.dim))]
 
 
 def hom_dim_reps(a: Representation, b: Representation) -> int:
@@ -242,9 +244,7 @@ def hom_dim_reps(a: Representation, b: Representation) -> int:
     generating set."""
     if a.monoid != b.monoid or a.field != b.field:
         raise ValueError("hom needs one monoid and one field")
-    gens = a.monoid.generators
-    return len(_intertwiners(a.field, [a.matrices[g] for g in gens],
-                             [b.matrices[g] for g in gens], a.dim, b.dim))
+    return len(_intertwiners(a.field, a.monoid.generators, a, b))
 
 
 def hom_dim_modules(a: AlgebraModule, b: AlgebraModule) -> int:
@@ -254,10 +254,7 @@ def hom_dim_modules(a: AlgebraModule, b: AlgebraModule) -> int:
     are those of ``algebra.generators``."""
     if not same_algebra(a.algebra, b.algebra):
         raise ValueError("hom needs one algebra")
-    gens = a.algebra.generators
-    return len(_intertwiners(a.algebra.field,
-                             [a.matrices[s] for s in gens],
-                             [b.matrices[s] for s in gens], a.dim, b.dim))
+    return len(_intertwiners(a.algebra.field, a.algebra.generators, a, b))
 
 
 def invariants(rho: Representation) -> list:
@@ -743,10 +740,7 @@ def complete_reducibility(rho: Representation,
             return []
         found = _proper_invariant_subspace(piece)
         if found is None:
-            n, gens = piece.dim, [piece.matrices[g]
-                                  for g in piece.monoid.generators]
-            ends = [Matrix(f, [v[i * n:(i + 1) * n] for i in range(n)])
-                    for v in _intertwiners(f, gens, gens, n, n)]
+            ends = _intertwiners(f, piece.monoid.generators, piece, piece)
             k = len(ends)
             found = _endomorphism_kernel(piece, ends) if k > 1 else None
             if found is None:

@@ -782,10 +782,8 @@ def complete_reducibility_by_projector(rho, w) -> list:
             return []
         found = reps._proper_invariant_subspace(piece)
         if found is None:
-            n = piece.dim
-            gens = [piece.matrices[g] for g in piece.monoid.generators]
-            ends = [Matrix(f, [v[i * n:(i + 1) * n] for i in range(n)])
-                    for v in reps._intertwiners(f, gens, gens, n, n)]
+            ends = reps._intertwiners(f, piece.monoid.generators, piece,
+                                      piece)
             k = len(ends)
             found = reps._endomorphism_kernel(piece, ends) if k > 1 else None
             if found is None:

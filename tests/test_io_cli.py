@@ -314,6 +314,52 @@ class TestCliContract:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("command,doc,message", [
+        ("verify", {"dim": 2.9}, "dim must be an integer"),
+        ("verify", {"mult": [[0, 0, 0, "1"], [0, 1.7, 1, "1"],
+                             [1, 0, 1, "1"], [1, 1, 0, "1"]]},
+         "mult[1]: indices must be integers"),
+        ("zrep", {"field": {"kind": "PrimeField", "p": 7.9}},
+         "field p must be an integer"),
+        ("pbw", {"brackets": [[0, True, [[1, "1"]]]]},
+         "brackets[0]: indices must be integers"),
+        ("pbw", {"brackets": [[0, 1, [[True, "1"]]]]},
+         "brackets[0]: indices must be integers"),
+        ("cartier", {"unit": True}, "unit must be an integer"),
+        ("cartier", {"invariant_factors": [2.0, 4.5]},
+         "invariant_factors[1] must be an integer"),
+    ], ids=["dim_float", "tensor_index_float", "field_p_float",
+            "bracket_key_bool", "bracket_value_index_bool", "monoid_unit_bool",
+            "invariant_factor_float"])
+    def test_non_integer_numbers_name_the_file(self, tmp_path, capsys,
+                                               command, doc, message):
+        # int() would read 2.9 as 2, 1.7 as 1, 7.9 as 7 and true as 1, and
+        # each command would run on a structure the file does not state
+        base = {
+            "verify": {"field": {"kind": "Rationals"}, "dim": 2,
+                       "basis": ["a", "b"], "unit": ["1", "0"],
+                       "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"],
+                                [1, 0, 1, "1"], [1, 1, 0, "1"]]},
+            "zrep": {"field": {"kind": "PrimeField", "p": 7},
+                     "matrix": [["1", "0"], ["0", "2"]]},
+            "pbw": {"field": {"kind": "Rationals"}, "dim": 2,
+                    "basis": ["x", "y"], "brackets": [[0, 1, [[1, "1"]]]]},
+            "cartier": {"elements": ["1", "g"], "table": [[0, 1], [1, 0]],
+                        "unit": 0},
+        }[command]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**base, **doc}), encoding="utf-8")
+        argv = [command, str(path)] + (["--order", "2"]
+                                       if command == "pbw" else [])
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        # the same file with integers where the numbers were runs
+        fixed = json.dumps({**base, **doc}).replace("2.9", "2").replace(
+            "1.7", "1").replace("7.9", "7").replace("4.5", "4").replace(
+            "true", "1" if command == "pbw" else "0")
+        path.write_text(fixed, encoding="utf-8")
+        assert run_cli(*argv) == 0
+
     @pytest.mark.parametrize("subspace", [[7], "1", [["1", "0"], 7]],
                              ids=["number_rows", "string", "number_row"])
     def test_subspace_file_needs_a_list_of_rows(self, tmp_path, capsys,
@@ -381,9 +427,8 @@ class TestCliContract:
 
     @pytest.mark.parametrize("order", (24, 30))
     def test_pbw_refuses_a_large_order_on_the_budget(self, capsys, order):
-        # past order 24 the enveloping truncation of sl2 would refuse its
-        # basis of C(3 + order, 3) > 3003 monomials with a message naming
-        # a Python keyword; the oracle's budget is checked first
+        # the oracle's budget is checked first, before the truncation of
+        # C(3 + order, 3) monomials is built
         assert run_cli("--format", "json", "pbw",
                        str(CORPUS / "lie_sl2.json"), "--order",
                        str(order)) == 1

@@ -14,11 +14,12 @@ from hopfdual.bialgebra import same_structure
 from hopfdual.exact import FieldSpec, Matrix
 from hopfdual.lie import (LieAlgebra, TensorAlgebraOracle,
                           TruncatedEnveloping, TruncationOverflow,
-                          coproduct_on_U, dist_at_identity,
+                          coproduct_on_U, coproduct_work, dist_at_identity,
                           divided_power_bialgebra, enveloping_truncated,
                           graded_check, graded_piece, iadic_graded,
-                          lie_morphism_functor, oracle_work, primitives_of_U,
-                          symmetrized_pairing, verify_lie)
+                          lie_morphism_functor, line_product_work,
+                          oracle_work, primitives_of_U, symmetrized_pairing,
+                          verify_lie)
 from hopfdual.monoids import BudgetExceeded
 
 Q = FieldSpec.rationals()
@@ -61,6 +62,17 @@ class TestEnveloping:
         a = U.index[(1, 0)]
         b = U.index[(0, 1)]
         assert U.product_monomials(a, b) == U.product_monomials(b, a)
+
+    def test_pairs_in_range_are_the_defined_products(self):
+        U = enveloping_truncated(LieAlgebra.sl2(Q), 3)
+        pairs = list(U.pairs_in_range())
+        assert pairs == sorted(pairs)
+        for a, b in itertools.product(range(U.dim), repeat=2):
+            if (a, b) in pairs:
+                U.product_monomials(a, b)
+            else:
+                with pytest.raises(TruncationOverflow):
+                    U.product_monomials(a, b)
 
     def test_heisenberg_single_rewrite(self):
         # y x = x y - z
@@ -211,14 +223,11 @@ class TestGraded:
             ident = Matrix.identity(Q, piece.dim)
             assert piece.from_symmetric * piece.to_symmetric == ident
 
-    def test_default_size_guard(self):
-        big = LieAlgebra.abelian(Q, 7)
-        with pytest.raises(ValueError, match="allow_large"):
-            enveloping_truncated(big, 8)
-        # explicit override constructs (kept small enough to be instant)
-        U = TruncatedEnveloping(LieAlgebra.abelian(Q, 6), 8,
-                                allow_large=True)
-        assert U.dim == math.comb(14, 8)
+    def test_truncation_has_no_size_cap(self):
+        # the sweeps over the truncation are bounded by their budgets;
+        # building its basis is linear in its size
+        U = TruncatedEnveloping(LieAlgebra.abelian(Q, 7), 8)
+        assert U.dim == math.comb(15, 8) == 6435
 
     def test_factorial_bookkeeping(self):
         # composite of symmetrization with the degree-one splitting is the
@@ -280,6 +289,18 @@ class TestOracle:
         assert not oracle.equal_mod_ideal({(1, 0): Q.one}, {(0, 1): Q.one})
         assert oracle.equal_mod_ideal(
             {(1, 0): Q.one}, {(0, 1): Q.one, (2,): Q.from_int(-1)})
+
+    def test_failing_products_names_the_wrong_pairs_in_basis_order(self):
+        heis = LieAlgebra.heisenberg(Q)
+        U = enveloping_truncated(heis, 2)
+        oracle = TensorAlgebraOracle(heis, 2)
+        assert oracle.failing_products(U) == []
+        x, y, z = (U.index[m] for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        # y x without its bracket term -z, and z x = 2 xz
+        U._products[(y, x)] = {U.index[(1, 1, 0)]: Q.one}
+        U._products[(z, x)] = {U.index[(1, 0, 1)]: Q.from_int(2)}
+        assert oracle.failing_products(U) == [
+            (U.names[a], U.names[b]) for a, b in sorted([(y, x), (z, x)])]
 
 
 class TestMorphismFunctor:
@@ -553,6 +574,38 @@ def test_oracle_work_counts_rows_times_width():
         assert oracle_work(L.dim, N) == rows * len(oracle.words)
     assert oracle_work(3, 6) == 1_793_613
     assert oracle_work(6, 5) == 137_865_525
+
+
+def test_coproduct_work_counts_the_delta_sweep_pairs():
+    for L, N in ((LieAlgebra.sl2(Q), 3), (LieAlgebra.heisenberg(Q), 2),
+                 (LieAlgebra.abelian(Q, 1), 6)):
+        U = enveloping_truncated(L, N)
+        read = sum(len(U.comult_monomial(a)) * len(U.comult_monomial(b))
+                   for a in range(U.dim) for b in range(U.dim)
+                   if U.degree(a) + U.degree(b) <= N)
+        assert coproduct_work(L.dim, N) == read
+    assert coproduct_work(3, 3) == 455
+    assert coproduct_work(1, 100) == 4_598_126
+    assert coproduct_work(3, 0) == coproduct_work(3, -5) == 0
+    # never below the truncation's basis, so it bounds building U too
+    assert all(coproduct_work(d, N) >= math.comb(N + d, N)
+               for d in range(1, 8) for N in range(1, 12))
+
+
+@pytest.mark.parametrize("preset", ("ga", "gm"))
+def test_line_product_work_bounds_the_line_sweep(preset):
+    N = 6
+    D, _ = dist_at_identity(preset, N, Q)
+    powers = [D.basis_vec(0)]
+    for _ in range(N):
+        powers.append(D.mul_vec(powers[-1], D.basis_vec(1)))
+    support = [sum(1 for c in v if c) for v in powers]
+    read = sum(support[i] * support[j]
+               for i in range(N + 1) for j in range(N + 1 - i))
+    assert read <= line_product_work(N) == (N + 1) ** 3 * (N + 2) // 2
+    assert line_product_work(4) == 375
+    assert line_product_work(160) == 338_035_761
+    assert line_product_work(-1000000) == line_product_work(0) == 1
 
 
 def test_oracle_refuses_over_budget_before_building():
